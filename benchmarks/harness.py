@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from repro.hardware import IdealBackend, NoisyBackend
+from repro.hardware import Backend, IdealBackend, NoisyBackend
 from repro.pruning import PruningHyperparams
 from repro.training import TrainingConfig, TrainingEngine
 
@@ -126,6 +126,22 @@ def run_qc_train(task: str, device: str | None = None, pruning=None,
     )
     engine.train()
     return engine
+
+
+class SequentialBackend(Backend):
+    """Circuit-by-circuit submission: each circuit runs alone, as a
+    batch of one, on ``inner`` — the baseline the batched benchmarks
+    compare structure-grouped execution against."""
+
+    def __init__(self, inner: Backend):
+        super().__init__()
+        self.inner = inner
+
+    def exact_execution(self) -> bool:
+        return self.inner.exact_execution()
+
+    def _execute(self, circuit, shots: int):
+        return self.inner._execute(circuit, shots)
 
 
 def format_table(headers: list[str], rows: list[list], title: str = "") -> str:

@@ -1,12 +1,11 @@
-"""Throughput of the batched adjoint sweep vs fused parameter shift.
+"""Throughput of the batched adjoint sweep vs parameter shift.
 
 The Classical-Train gradient at paper depth: a wide-parameter sweep
 (every trainable parameter differentiated) of 4 re-encoded examples of
-the 16-layer ``ry / rzz / rz / cz`` ansatz at 10 qubits — the same
-circuit family as ``test_fused_throughput.py``, but with all 120
-parameters in play instead of 8.
+the 16-layer ``ry / rzz / rz / cz`` ansatz at 10 qubits, with all 120
+parameters in play.
 
-Parameter shift pays ``2 x occurrences`` fused circuit executions per
+Parameter shift pays ``2 x occurrences`` compiled circuit executions per
 example (960 shifted clones per sweep here); the batched adjoint path
 pays one vectorized forward pass plus one backward reverse-replay of
 the compiled plan per structure group, regardless of parameter count.
@@ -69,8 +68,8 @@ def test_adjoint_wide_parameter_sweep_speedup(benchmark):
     param_indices = tuple(range(n_params))
 
     def run() -> float:
-        shift_backend = IdealBackend(exact=True, fused=True)
-        adjoint_backend = IdealBackend(exact=True, fused=True)
+        shift_backend = IdealBackend(exact=True)
+        adjoint_backend = IdealBackend(exact=True)
 
         shift_s, shift_jacs = best_of(
             ROUNDS,
@@ -95,7 +94,7 @@ def test_adjoint_wide_parameter_sweep_speedup(benchmark):
         print(format_table(
             ["engine", "sweep_s", "grad_entries", "entries_per_s"],
             [
-                ["parameter shift (fused)", shift_s,
+                ["parameter shift", shift_s,
                  N_EXAMPLES * n_params,
                  int(N_EXAMPLES * n_params / shift_s)],
                 ["batched adjoint", adjoint_s,
@@ -121,7 +120,7 @@ def test_adjoint_wide_parameter_sweep_speedup(benchmark):
 def test_batched_sweep_bit_identical_to_batch_of_one():
     """Batching is a pure throughput move: per-circuit slices are exact."""
     circuits = build_sweep_circuits(IDEAL_QUBITS)
-    backend = IdealBackend(exact=True, fused=True)
+    backend = IdealBackend(exact=True)
     plan = adjoint_plan_for(circuits[0], backend)
     expectations, jacobians = adjoint_expectation_and_jacobian_batch(
         circuits, plan=plan

@@ -57,11 +57,8 @@ class CircuitBatch:
         self.n_qubits = circuits[0].n_qubits
         self.templates = circuits[0].templates
         self.size = len(circuits)
-        # Per-op (B, num_params) arrays of resolved angles, plus a flag
-        # marking ops whose angles coincide across the whole batch (the
-        # simulator then builds one gate matrix instead of B).
+        # Per-op (B, num_params) arrays of resolved angles.
         self._op_params: list[np.ndarray | None] = []
-        self._op_uniform: list[bool] = []
         self._stack_angles()
 
     def _stack_angles(self) -> None:
@@ -112,23 +109,20 @@ class CircuitBatch:
             thetas = np.stack([c._parameters for c in self.circuits])
             indices = [templates[pos].param_index for pos in trainable]
             base[:, trainable] += thetas[:, indices]
-        uniform = np.all(base == base[0:1], axis=0)
         for pos, template in enumerate(templates):
             # Parameterless op: no literal params and no trainable slot.
             if template.param_index is None and not template.params:
                 self._op_params.append(None)
-                self._op_uniform.append(True)
                 continue
             if template.param_index is None and len(template.params) != 1:
                 # Multi-parameter fixed op: gather the full tuples.
-                values = np.array(
-                    [row[pos].params for row in rows], dtype=np.float64
+                self._op_params.append(
+                    np.array(
+                        [row[pos].params for row in rows], dtype=np.float64
+                    )
                 )
-                self._op_params.append(values)
-                self._op_uniform.append(bool(np.all(values == values[0])))
                 continue
             self._op_params.append(base[:, pos : pos + 1])
-            self._op_uniform.append(bool(uniform[pos]))
 
     # -- queries ---------------------------------------------------------
 
@@ -142,10 +136,6 @@ class CircuitBatch:
         ``None`` for parameterless gates.
         """
         return self._op_params[position]
-
-    def op_is_uniform(self, position: int) -> bool:
-        """True when op ``position`` has one angle tuple batch-wide."""
-        return self._op_uniform[position]
 
     @property
     def angles(self) -> np.ndarray:

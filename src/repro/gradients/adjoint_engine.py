@@ -36,21 +36,13 @@ def adjoint_plan_cache() -> _compile.PlanCache:
 
 
 def adjoint_plan_for(circuit, backend=None):
-    """Resolve the cached fused statevector plan for a circuit.
+    """Resolve the cached compiled statevector plan for a circuit.
 
-    Returns ``None`` when fusion is disabled — the backend's ``fused``
-    flag when it has one, else the global ``REPRO_FUSED`` toggle — which
-    selects the unbatched seed sweep downstream.  An exact backend's own
-    ``plan_cache`` is preferred so forward execution and adjoint sweeps
-    share compiled plans; noisy backends cache *density* plans under the
-    same structure keys, so anything else falls back to the engine's
-    shared statevector cache.
+    An exact backend's own ``plan_cache`` is preferred so forward
+    execution and adjoint sweeps share compiled plans; noisy backends
+    cache *density* plans under the same structure keys, so anything
+    else falls back to the engine's shared statevector cache.
     """
-    fused = getattr(backend, "fused", None)
-    if fused is None:
-        fused = _compile.fused_enabled()
-    if not fused:
-        return None
     cache = _SHARED_PLAN_CACHE
     if (
         backend is not None
@@ -89,9 +81,8 @@ def _sweep_groups(circuits, backend):
     expectations: np.ndarray | None = None
     jacobians: list = [None] * len(circuits)
     for positions, members in group_by_structure(circuits):
-        plan = adjoint_plan_for(members[0], backend)
         exp, jac = adjoint_expectation_and_jacobian_batch(
-            members, plan=plan
+            members, plan=adjoint_plan_for(members[0], backend)
         )
         if expectations is None:
             expectations = np.empty(

@@ -20,27 +20,21 @@ group to ``_execute_batch`` in one call — the parameter-shift gradient
 engine's thousands of shifted clones arrive as a handful of stacked
 evolutions instead of a Python loop.
 
-Both simulator backends vectorize: ``IdealBackend`` stacks pure states
-into a :class:`~repro.sim.batched.BatchedStatevector`, and the noisy
-device emulator (:class:`~repro.hardware.noisy_backend.NoisyBackend`)
-stacks mixed states into a :class:`~repro.sim.batched_density.
-BatchedDensityMatrix` — one batched contraction per gate *and per noise
-channel*, plus batch-wide readout.  Exact distributions are
-bit-identical to the sequential path on both; sampled counts consume
-the seeded RNG stream per circuit in group order (identical to
-sequential execution for single-structure submissions).  Either backend
-accepts ``batched=False`` to force the sequential per-circuit loop.
-
-Compiled execution plans
-------------------------
-By default (``fused=True``, escape hatch ``REPRO_FUSED=0``) both
-simulator backends additionally *compile* each circuit structure once
-into a fused :class:`~repro.sim.compile.ExecutionPlan` — gate fusion,
-constant folding, diagonal/permutation kernels, precomposed per-wire
-noise superoperators — cached per structure signature in
-``backend.plan_cache``.  Fused results match the per-gate walk within
-1e-10 (and remain deterministic per seed); ``fused=False`` restores the
-bit-identical per-gate path.  See :mod:`repro.sim.compile`.
+Both simulator backends execute every circuit the same way: each
+structure compiles once into a fused :class:`~repro.sim.compile.
+ExecutionPlan` — gate fusion, constant folding, diagonal/permutation
+kernels, precomposed per-wire noise superoperators — cached per
+structure signature in ``backend.plan_cache``, and every group replays
+it on a stacked tensor.  ``IdealBackend`` stacks pure states into a
+:class:`~repro.sim.batched.BatchedStatevector`; the noisy device
+emulator (:class:`~repro.hardware.noisy_backend.NoisyBackend`) stacks
+mixed states into a :class:`~repro.sim.batched_density.
+BatchedDensityMatrix`, then applies readout batch-wide.  A single
+circuit is a batch of one, so a circuit's exact distribution is
+bit-identical whichever group it rides in; sampled counts consume the
+seeded RNG stream per circuit in group order (identical to one-by-one
+submission for single-structure submissions).  See
+:mod:`repro.sim.compile`.
 
 Multi-process execution
 -----------------------
@@ -66,7 +60,6 @@ from repro.resilience import faults as _faults
 from repro.sim import compile as _compile
 from repro.sim import measurement as _measurement
 from repro.sim.batched import BatchedStatevector
-from repro.sim.statevector import Statevector
 
 
 @dataclasses.dataclass
@@ -414,13 +407,13 @@ class Backend(abc.ABC):
 class IdealBackend(Backend):
     """Noise-free statevector execution.
 
-    Same-structure submissions take the vectorized batch path: one
-    stacked :class:`~repro.sim.batched.BatchedStatevector` evolution per
-    group, with exact readout (and shot sampling) computed batch-wide.
-    Exact-mode results are bit-identical to the sequential path for any
-    submission.  Sampled mode is deterministic per seed and consumes
-    the RNG stream per circuit in submission order *within each
-    structure group* — bit-identical to sequential execution for
+    Every structure group replays its cached compiled plan on one
+    stacked :class:`~repro.sim.batched.BatchedStatevector`, with exact
+    readout (and shot sampling) computed batch-wide; a single circuit is
+    a batch of one.  Exact-mode results are bit-identical for any
+    grouping of a submission.  Sampled mode is deterministic per seed
+    and consumes the RNG stream per circuit in submission order *within
+    each structure group* — bit-identical to one-by-one submission for
     single-structure submissions; mixed-structure sampled submissions
     draw the same per-circuit distributions in group order instead.
 
@@ -430,15 +423,6 @@ class IdealBackend(Backend):
             Simu." setting of Table 1.  When False, finite-shot sampling
             still applies (shot noise without device noise).
         seed: Sampler seed.
-        batched: Disable to force the sequential per-circuit loop
-            (benchmark baseline and equivalence testing).
-        fused: Execute through compiled :class:`~repro.sim.compile.
-            ExecutionPlan` objects — gate fusion, constant folding, and
-            diagonal/permutation kernels — cached per structure in
-            :attr:`plan_cache`.  ``None`` (default) resolves the
-            ``REPRO_FUSED`` environment toggle (on unless ``0``).
-            ``fused=False`` keeps the bit-identical per-gate seed path;
-            fused results match it within 1e-10.
         plan_cache_size: LRU capacity of :attr:`plan_cache`.
     """
 
@@ -446,31 +430,20 @@ class IdealBackend(Backend):
         self,
         exact: bool = True,
         seed: int | None = None,
-        batched: bool = True,
-        fused: bool | None = None,
         plan_cache_size: int = 128,
     ):
         super().__init__(seed=seed)
         self.exact = bool(exact)
-        self.batched = bool(batched)
-        self.fused = (
-            _compile.fused_enabled() if fused is None else bool(fused)
-        )
         #: Structure-keyed LRU of compiled statevector plans.
         self.plan_cache = _compile.PlanCache(plan_cache_size)
         self.name = "ideal" if exact else "ideal_sampled"
 
-    def _plan_for(self, circuit) -> "_compile.ExecutionPlan | None":
-        """The cached fused plan for a circuit's structure (or None)."""
-        if not self.fused:
-            return None
+    def _plan_for(self, circuit) -> "_compile.ExecutionPlan":
+        """The cached compiled plan for a circuit's structure."""
         return self.plan_cache.get_or_compile(
             circuit.structure_signature(),
             lambda: _compile.compile_circuit(circuit, mode="statevector"),
         )
-
-    def supports_batching(self) -> bool:
-        return self.batched
 
     def results_deterministic(self) -> bool:
         return self.exact
@@ -478,35 +451,37 @@ class IdealBackend(Backend):
     def exact_execution(self) -> bool:
         return self.exact
 
-    def _execute(self, circuit, shots: int) -> ExecutionResult:
-        state = Statevector(circuit.n_qubits).evolve(
-            circuit, plan=self._plan_for(circuit)
-        )
-        if self.exact:
-            expectations = np.asarray(state.expectation_z(), dtype=np.float64)
-            return ExecutionResult(
-                counts={}, expectations=expectations, shots=0
-            )
-        counts = state.sample_counts(shots, rng=self._rng)
-        expectations = _measurement.expectation_z_from_counts(
-            counts, circuit.n_qubits
-        )
-        return ExecutionResult(
-            counts=counts, expectations=expectations, shots=shots
-        )
-
-    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
+    def _evolve(self, circuits) -> BatchedStatevector:
         batch = CircuitBatch(circuits)
-        state = BatchedStatevector(batch.n_qubits, batch.size).evolve(
+        return BatchedStatevector(batch.n_qubits, batch.size).evolve(
             batch, plan=self._plan_for(circuits[0])
         )
+
+    def observed_probabilities_batch(self, circuits) -> np.ndarray:
+        """Stacked outcome distributions for same-structure circuits.
+
+        On a noise-free device these are the exact Born-rule
+        distributions — what sampled mode draws its shots from.  The
+        twin of :meth:`~repro.hardware.noisy_backend.NoisyBackend.
+        observed_probabilities_batch`.
+
+        Returns:
+            ``(len(circuits), 2^n)`` distributions, in submission order.
+        """
+        return self._evolve(list(circuits)).probabilities()
+
+    def _execute(self, circuit, shots: int) -> ExecutionResult:
+        return self._execute_batch([circuit], shots)[0]
+
+    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
+        state = self._evolve(circuits)
         if self.exact:
             expectations = state.expectation_z()
             return [
                 ExecutionResult(
                     counts={}, expectations=expectations[row].copy(), shots=0
                 )
-                for row in range(batch.size)
+                for row in range(state.batch_size)
             ]
         # Sample and read out from the outcome matrix directly: the
         # per-row expectations are computed with one vectorized pass

@@ -21,21 +21,20 @@ Two fidelity levels:
   decomposed to the native basis first, and noise is applied per physical
   gate — slower, used by the realism tests and examples.
 
-Batched execution
------------------
-Same-structure submissions (every parameter-shift clone, every
-re-encoded mini-batch row) take the vectorized path: one stacked
-:class:`~repro.sim.batched_density.BatchedDensityMatrix` evolution per
-group — one batched unitary conjugation per gate, one batched channel
-application per noise term — followed by batch-wide readout-confusion
-application, layout marginalization, and a single vectorized multinomial
-draw.  Per-row *observed* probability distributions are bit-identical to
-the sequential path; sampled counts consume the seeded RNG stream row by
-row in group order (the contract :meth:`~repro.sim.batched.
-BatchedStatevector.sample_counts` documents), so single-structure
-submissions reproduce the sequential stream exactly.  In transpiled
-mode, circuits are additionally grouped by their *post-transpile*
-structure and layout before stacking.
+Execution
+---------
+Every submission is grouped by structure and each group replays its
+cached compiled density plan (:mod:`repro.sim.compile`) on one stacked
+:class:`~repro.sim.batched_density.BatchedDensityMatrix` — unitary
+fusion between noise insertion points and precomposed per-wire channel
+superoperators — followed by batch-wide readout-confusion application,
+layout marginalization, and a single vectorized multinomial draw.  A
+single circuit is a batch of one, so a circuit's *observed*
+distribution is bit-identical whichever group it rides in; sampled
+counts consume the seeded RNG stream row by row in group order (the
+contract :func:`~repro.sim.measurement.sample_outcome_matrix`
+documents).  In transpiled mode, circuits are additionally grouped by
+their *post-transpile* structure and layout before stacking.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from repro.noise.model import NoiseModel
 from repro.sim import compile as _compile
 from repro.sim import measurement as _measurement
 from repro.sim.batched_density import BatchedDensityMatrix
-from repro.sim.density import DensityMatrix
 
 
 class NoisyBackend(Backend):
@@ -62,16 +60,6 @@ class NoisyBackend(Backend):
         transpile: Route + decompose onto the physical device first.
         noise_scale: Global noise multiplier (0 = noise-free device).
         include_coherent: Include the systematic over-rotation term.
-        batched: Disable to force the sequential per-circuit loop
-            (benchmark baseline and equivalence testing).
-        fused: Execute through compiled :class:`~repro.sim.compile.
-            ExecutionPlan` objects — unitary fusion between noise
-            insertion points, precomposed per-wire channel
-            superoperators, diagonal/permutation kernels — cached per
-            post-transpile structure in :attr:`plan_cache`.  ``None``
-            (default) resolves the ``REPRO_FUSED`` environment toggle;
-            ``fused=False`` keeps the bit-identical per-gate seed path
-            (fused observed distributions match it within 1e-10).
         plan_cache_size: LRU capacity of :attr:`plan_cache`.
         transpile_cache_size: LRU capacity of :attr:`transpile_cache`
             (used only with ``transpile=True``).
@@ -84,8 +72,6 @@ class NoisyBackend(Backend):
         transpile: bool = False,
         noise_scale: float = 1.0,
         include_coherent: bool = True,
-        batched: bool = True,
-        fused: bool | None = None,
         plan_cache_size: int = 128,
         transpile_cache_size: int = 256,
     ):
@@ -93,10 +79,6 @@ class NoisyBackend(Backend):
         self.calibration = calibration
         self.name = calibration.name
         self.transpile = bool(transpile)
-        self.batched = bool(batched)
-        self.fused = (
-            _compile.fused_enabled() if fused is None else bool(fused)
-        )
         self.noise_model = NoiseModel(
             calibration,
             level="physical" if transpile else "logical",
@@ -116,9 +98,6 @@ class NoisyBackend(Backend):
     def from_device_name(cls, name: str, **kwargs) -> "NoisyBackend":
         """Build a backend from a device name like ``"ibmq_santiago"``."""
         return cls(get_calibration(name), **kwargs)
-
-    def supports_batching(self) -> bool:
-        return self.batched
 
     # -- execution --------------------------------------------------------
 
@@ -147,15 +126,13 @@ class NoisyBackend(Backend):
         self.transpile_cache.put(key, prepared)
         return prepared
 
-    def _plan_for(self, physical) -> "_compile.ExecutionPlan | None":
-        """Cached fused density plan for a *post-transpile* circuit.
+    def _plan_for(self, physical) -> "_compile.ExecutionPlan":
+        """Cached compiled density plan for a *post-transpile* circuit.
 
         Keyed by the physical circuit's structure signature; the noise
         model (and, through it, the logical/physical channel level) is
         fixed per backend, so it never enters the key.
         """
-        if not self.fused:
-            return None
         return self.plan_cache.get_or_compile(
             physical.structure_signature(),
             lambda: _compile.compile_circuit(
@@ -163,43 +140,21 @@ class NoisyBackend(Backend):
             ),
         )
 
-    def _observed_from_physical(self, rho_probs, physical_qubits, layout,
-                                logical_qubits):
-        """Readout post-processing of one exact distribution (sequential)."""
-        confusions = self.noise_model.readout_confusions(physical_qubits)
-        probs = _measurement.apply_readout_error(rho_probs, confusions)
-        marginal = _layout_to_marginalize(
-            physical_qubits, layout, logical_qubits
-        )
-        if marginal is not None:
-            probs = _marginalize_layout(
-                probs, physical_qubits, marginal, logical_qubits
-            )
-        return probs
-
     def observed_probabilities(self, circuit) -> np.ndarray:
         """Exact *observed* outcome distribution (noise + readout error).
 
         This is the distribution shots are drawn from; exposed separately
         so analyses can separate systematic error from shot noise.
         """
-        physical, layout = self._prepare(circuit)
-        rho = DensityMatrix(physical.n_qubits)
-        rho.evolve(
-            physical,
-            noise_model=self.noise_model,
-            plan=self._plan_for(physical),
-        )
-        return self._observed_from_physical(
-            rho.probabilities(), physical.n_qubits, layout, circuit.n_qubits
-        )
+        return self.observed_probabilities_batch([circuit])[0]
 
     def observed_probabilities_batch(self, circuits) -> np.ndarray:
         """Stacked observed distributions for same-structure circuits.
 
         Row ``i`` is bit-identical to ``observed_probabilities(
-        circuits[i])``.  Circuits are grouped by *post-transpile*
-        structure signature and layout (routing is deterministic, so
+        circuits[i])`` (a batch of one).  Circuits are grouped by
+        *post-transpile* structure signature and layout (routing is
+        deterministic, so
         one logical structure normally yields one group — but the
         batched evolution contract requires identical physical template
         sequences, so this groups rather than assumes) and each group
@@ -232,11 +187,7 @@ class NoisyBackend(Backend):
             layout = prepared[indices[0]][1]
             batch = CircuitBatch(physicals)
             rho = BatchedDensityMatrix(batch.n_qubits, batch.size)
-            rho.evolve(
-                batch,
-                noise_model=self.noise_model,
-                plan=self._plan_for(physicals[0]),
-            )
+            rho.evolve(batch, plan=self._plan_for(physicals[0]))
             confusions = self.noise_model.readout_confusions(batch.n_qubits)
             probs = _measurement.apply_readout_error_batch(
                 rho.probabilities(), confusions
@@ -252,16 +203,7 @@ class NoisyBackend(Backend):
         return rows
 
     def _execute(self, circuit, shots: int) -> ExecutionResult:
-        probs = self.observed_probabilities(circuit)
-        counts = _measurement.sample_from_probabilities(
-            probs, shots, self._rng
-        )
-        expectations = _measurement.expectation_z_from_counts(
-            counts, circuit.n_qubits
-        )
-        return ExecutionResult(
-            counts=counts, expectations=expectations, shots=shots
-        )
+        return self._execute_batch([circuit], shots)[0]
 
     def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
         """Vectorized noisy execution of one same-structure group.
@@ -269,8 +211,8 @@ class NoisyBackend(Backend):
         One batched density evolution, then a single vectorized
         multinomial draw over the stacked observed distributions — the
         RNG stream is consumed row by row in group order, so a
-        single-structure submission samples bit-identically to the
-        sequential loop.
+        single-structure submission samples bit-identically to
+        submitting its circuits one by one.
         """
         probs = self.observed_probabilities_batch(circuits)
         outcomes = _measurement.sample_outcome_matrix(
@@ -319,45 +261,16 @@ def _layout_to_marginalize(
     return None
 
 
-def _marginalize_layout(
-    probs: np.ndarray,
-    physical_qubits: int,
-    layout: tuple[int, ...],
-    logical_qubits: int,
-) -> np.ndarray:
-    """Extract the logical qubits' joint distribution from physical probs.
-
-    ``layout[k]`` is the physical wire holding logical qubit ``k``; all
-    other physical wires are traced out.
-    """
-    tensor = probs.reshape((2,) * physical_qubits)
-    keep = list(layout[:logical_qubits])
-    drop = [q for q in range(physical_qubits) if q not in keep]
-    if drop:
-        tensor = tensor.sum(axis=tuple(drop))
-    # Remaining axes are the kept wires in ascending physical order; put
-    # them into logical order (output axis k = physical wire layout[k]).
-    remaining_positions = {
-        physical: position
-        for position, physical in enumerate(sorted(keep))
-    }
-    perm = [remaining_positions[physical] for physical in keep]
-    if perm != list(range(len(keep))):
-        tensor = np.transpose(tensor, axes=perm)
-    return tensor.reshape(-1)
-
-
 def _marginalize_layout_batch(
     probs: np.ndarray,
     physical_qubits: int,
     layout: tuple[int, ...],
     logical_qubits: int,
 ) -> np.ndarray:
-    """Batched :func:`_marginalize_layout` over a ``(B, 2^p)`` stack.
+    """Extract the logical qubits' joint distributions from physical rows.
 
-    Same trace-out and axis permutation with every axis offset past the
-    batch dimension; each row reduces element-for-element like the
-    single-distribution version.
+    ``layout[k]`` is the physical wire holding logical qubit ``k``; all
+    other physical wires of the ``(B, 2^p)`` stack are traced out.
     """
     batch = probs.shape[0]
     tensor = probs.reshape((batch,) + (2,) * physical_qubits)
@@ -370,6 +283,8 @@ def _marginalize_layout_batch(
         for position, physical in enumerate(sorted(keep))
     }
     perm = [remaining_positions[physical] + 1 for physical in keep]
+    # Remaining axes are the kept wires in ascending physical order; put
+    # them into logical order (output axis k = physical wire layout[k]).
     if perm != list(range(1, len(keep) + 1)):
         tensor = np.transpose(tensor, axes=[0] + perm)
     return tensor.reshape(batch, -1)

@@ -136,7 +136,6 @@ class ShardedBackend(Backend):
             self.workers,
             min_shard_cost=min_shard_cost,
             density=spec.kind == "noisy",
-            fused=spec.fused,
         )
         self.pool = WorkerPool(
             spec,

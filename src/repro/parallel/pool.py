@@ -76,15 +76,12 @@ from time import monotonic as _monotonic
 
 import numpy as np
 
-from repro.circuits.batch import CircuitBatch
 from repro.hardware.backend import Backend, ExecutionResult
-from repro.hardware.noisy_backend import NoisyBackend
 from repro.parallel.shard import Shard
 from repro.parallel.spec import BackendSpec
 from repro.resilience import faults as _faults
 from repro.resilience.errors import TransientError
 from repro.sim import measurement as _measurement
-from repro.sim.batched import BatchedStatevector
 
 
 class WorkerCrashError(TransientError):
@@ -139,18 +136,16 @@ class _WorkerHung(Exception):
 def batch_probabilities(backend: Backend, circuits: list) -> np.ndarray:
     """Stacked outcome distributions for one same-structure group.
 
-    For a :class:`NoisyBackend` these are the *observed* distributions
-    (noise + readout error) — exactly what its sampler draws from; for
-    an :class:`IdealBackend`, the exact Born-rule distributions.  Rows
-    are bit-identical to the corresponding single-circuit computation
-    (the batched engines' contract), which is what keeps sharded
-    results independent of how a group was chunked.
+    The replica's ``observed_probabilities_batch``: for a
+    :class:`~repro.hardware.NoisyBackend` the *observed* distributions
+    (noise + readout error), for an :class:`~repro.hardware.
+    IdealBackend` the exact Born-rule ones — in both cases what the
+    backend's own sampler draws from, computed by replaying the
+    replica's cached plan.  Rows are bit-identical to the same circuits
+    evaluated in any other grouping (a batch of one included), which is
+    what keeps sharded results independent of how a group was chunked.
     """
-    if isinstance(backend, NoisyBackend):
-        return backend.observed_probabilities_batch(circuits)
-    batch = CircuitBatch(circuits)
-    state = BatchedStatevector(batch.n_qubits, batch.size).evolve(batch)
-    return state.probabilities()
+    return backend.observed_probabilities_batch(circuits)
 
 
 def _meter_window(backend: Backend, before: dict, purpose: str) -> dict:

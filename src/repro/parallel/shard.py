@@ -130,14 +130,14 @@ class ShardPlanner:
             chunks (useful for equivalence tests).
         density: Cost circuits as density-matrix evolutions (the noisy
             backend) rather than statevector ones.
-        fused: The worker replicas execute compiled fused plans
-            (:mod:`repro.sim.compile`) — cost each structure by its
-            plan's fused step sequence rather than one GEMM per gate,
-            so a heavily-fused structure is not over-costed (and
-            therefore over-split) by the per-gate model.  Costing
-            plans are compiled (without a noise model — channel
-            structure does not change how many circuits are worth one
-            pipe round-trip) and cached per structure signature.
+
+    The worker replicas execute compiled plans (:mod:`repro.sim.
+    compile`), so each structure is costed by its plan's fused step
+    sequence rather than one GEMM per gate — a heavily-fused structure
+    is not over-costed (and therefore over-split) by the per-gate
+    model.  Costing plans are compiled (without a noise model — channel
+    structure does not change how many circuits are worth one pipe
+    round-trip) and cached per structure signature.
     """
 
     #: Default split floor: ~a few hundred microseconds of NumPy work,
@@ -149,7 +149,6 @@ class ShardPlanner:
         n_workers: int,
         min_shard_cost: float | None = None,
         density: bool = False,
-        fused: bool = False,
     ):
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -162,15 +161,12 @@ class ShardPlanner:
         if self.min_shard_cost < 0:
             raise ValueError("min_shard_cost cannot be negative")
         self.density = bool(density)
-        self.fused = bool(fused)
         from repro.sim import compile as _compile
 
         self._plan_cache = _compile.PlanCache(maxsize=256)
 
     def _costing_plan(self, circuit):
-        """Cached fused plan of a structure, for costing only."""
-        if not self.fused:
-            return None
+        """Cached compiled plan of a structure, for costing only."""
         from repro.sim import compile as _compile
 
         return self._plan_cache.get_or_compile(

@@ -40,13 +40,6 @@ class BackendSpec:
             by each shard (see :mod:`repro.parallel.shard`) rather
             than the replica's own stream, so this mostly matters for
             specs built and run outside a pool.
-        batched: Whether the replica uses its vectorized batch path.
-        fused: Whether the replica executes through compiled fused
-            plans (each worker owns its own plan cache, so a replica
-            compiles every structure at most once for the pool's
-            lifetime).  Captured as the *resolved* flag — a facade
-            built under ``REPRO_FUSED=0`` rebuilds unfused replicas
-            even when workers inherit a different environment.
         device: Registry name of the calibration (``None`` when the
             calibration is carried inline).
         calibration: Inline :class:`DeviceCalibration` for noisy
@@ -60,8 +53,6 @@ class BackendSpec:
     kind: str
     exact: bool = True
     seed: int | None = None
-    batched: bool = True
-    fused: bool = True
     device: str | None = None
     calibration: DeviceCalibration | None = None
     transpile: bool = False
@@ -100,8 +91,6 @@ class BackendSpec:
                 kind="ideal",
                 exact=backend.exact,
                 seed=backend._seed,
-                batched=backend.batched,
-                fused=backend.fused,
             )
         if type(backend) is NoisyBackend:
             calibration = backend.calibration
@@ -117,8 +106,6 @@ class BackendSpec:
                 kind="noisy",
                 exact=False,
                 seed=backend._seed,
-                batched=backend.batched,
-                fused=backend.fused,
                 device=device,
                 calibration=calibration,
                 transpile=backend.transpile,
@@ -142,23 +129,16 @@ class BackendSpec:
         """
         seed = self.seed if seed is None else seed
         if self.kind == "ideal":
-            return IdealBackend(
-                exact=self.exact,
-                seed=seed,
-                batched=self.batched,
-                fused=self.fused,
-            )
+            return IdealBackend(exact=self.exact, seed=seed)
         calibration = self.calibration
         if calibration is None:
             calibration = get_calibration(self.device)
         return NoisyBackend(
             calibration,
             seed=seed,
-            batched=self.batched,
             transpile=self.transpile,
             noise_scale=self.noise_scale,
             include_coherent=self.include_coherent,
-            fused=self.fused,
         )
 
     # -- queries ---------------------------------------------------------

@@ -2,15 +2,15 @@
 
 Four engines (``Statevector`` / ``BatchedStatevector`` /
 ``DensityMatrix`` / ``BatchedDensityMatrix``) share one gate library
-(:mod:`~repro.sim.gates`), one set of tensor kernels
-(:mod:`~repro.sim.apply`), and one compilation layer
-(:mod:`~repro.sim.compile`): a circuit *structure* lowers once into a
-fused :class:`~repro.sim.compile.ExecutionPlan` (gate fusion, constant
-folding, diagonal/permutation kernels, precomposed noise
-superoperators) that every engine can replay via ``evolve(...,
-plan=...)`` — within 1e-10 of the per-gate walk, deterministic per
-seed, and cached per structure by the backends (``REPRO_FUSED=0``
-disables plans process-wide).
+(:mod:`~repro.sim.gates`) and one way to evolve a state: a circuit
+*structure* lowers once into a fused :class:`~repro.sim.compile.
+ExecutionPlan` (gate fusion, constant folding, diagonal/permutation
+kernels, precomposed noise superoperators) that every engine replays on
+a ``(B, 2, ..., 2)`` tensor via ``evolve(..., plan=...)``.  The
+single-state engines are batches of one; ``plan=None`` compiles the
+circuit's plan for that call, while the backends cache plans per
+structure.  Results agree with a dense reference within 1e-10 and are
+deterministic per seed.
 """
 
 from repro.sim.adjoint import (
@@ -30,7 +30,6 @@ from repro.sim.apply import (
     apply_permutation_batched,
     apply_permutation_to_density_batched,
     apply_superop_to_density,
-    apply_superop_to_density_batched,
     expand_matrix,
     kraus_to_superop,
 )
@@ -42,7 +41,6 @@ from repro.sim.compile import (
     ExecutionPlan,
     PlanCache,
     compile_circuit,
-    fused_enabled,
 )
 from repro.sim.density import DensityMatrix
 from repro.sim.gates import (
@@ -98,7 +96,6 @@ __all__ = [
     "apply_readout_error",
     "apply_readout_error_batch",
     "apply_superop_to_density",
-    "apply_superop_to_density_batched",
     "compile_circuit",
     "counts_to_probabilities",
     "expand_matrix",
@@ -106,7 +103,6 @@ __all__ = [
     "expectation_z_from_prob_matrix",
     "expectation_z_from_probabilities",
     "fixed_gate_matrix",
-    "fused_enabled",
     "get_gate",
     "kraus_to_superop",
     "readout_confusion_matrix",

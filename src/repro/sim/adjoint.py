@@ -13,101 +13,31 @@ Derivation: with ``|psi_j> = U_j ... U_1 |0>`` and
 ``f = <psi_N|O|psi_N>`` w.r.t. the parameter of gate ``j`` (of generator
 ``G``, ``U_j = exp(-i theta G / 2)``) is ``Im(<b_j| G |psi_j>)``.
 
-Two sweep implementations coexist:
-
-* :func:`adjoint_expectation_and_jacobian_batch` — the batched kernel.
-  ``B`` same-structure circuits run one vectorized forward pass through
-  a compiled :class:`~repro.sim.compile.ExecutionPlan` on a
-  :class:`~repro.sim.batched.BatchedStatevector`, then one backward
-  reverse-replay of the plan's :meth:`~repro.sim.compile.ExecutionPlan.
-  adjoint` lowering advances the ket and every observable bra of every
-  circuit together in a single ``((1 + T) * B,) + (2,)*n`` stack.  Each
-  per-circuit slice is bit-identical to running the same plan as a
-  batch of one — the kernels reduce each slice to the same GEMMs and
-  reductions regardless of batch size.
-* The sequential seed sweep (``plan=None``) — the original per-gate
-  implementation, kept op-for-op intact as the ``REPRO_FUSED=0`` escape
-  path; its results are bit-identical to the pre-batching code.
+One sweep implementation serves every entry point:
+:func:`adjoint_expectation_and_jacobian_batch`.  ``B`` same-structure
+circuits run one vectorized forward pass through a compiled
+:class:`~repro.sim.compile.ExecutionPlan` on a
+:class:`~repro.sim.batched.BatchedStatevector`, then one backward
+reverse-replay of the plan's :meth:`~repro.sim.compile.ExecutionPlan.
+adjoint` lowering advances the ket and every observable bra of every
+circuit together in a single ``((1 + T) * B,) + (2,)*n`` stack.  Each
+per-circuit slice is bit-identical to running the same plan as a batch
+of one — the kernels reduce each slice to the same GEMMs and reductions
+regardless of batch size.  The single-circuit entry points are batches
+of one, and ``plan=None`` compiles the structure's plan for the call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import apply as _apply
-from repro.sim import gates as _gates
+from repro.sim import compile as _compile
 from repro.sim.batched import BatchedStatevector
-from repro.sim.statevector import Statevector
 
 
 def _default_observables(n_qubits: int) -> tuple[tuple[int, ...], ...]:
     """Per-qubit ``Z_k`` — the measurement layer of the paper's QNN."""
     return tuple((k,) for k in range(n_qubits))
-
-
-def _check_shift_rule(ops) -> None:
-    for op in ops:
-        if op.param_index is not None:
-            spec = _gates.get_gate(op.name)
-            if not spec.shift_rule:
-                raise ValueError(
-                    f"adjoint differentiation requires Pauli-rotation "
-                    f"trainable gates, got {op.name!r}"
-                )
-
-
-def _seed_sweep(
-    circuit, observables: tuple[tuple[int, ...], ...], ket=None
-) -> np.ndarray:
-    """The sequential per-gate adjoint sweep (seed implementation).
-
-    Kept operation-for-operation identical to the pre-batching code so
-    its results stay bit-identical to the seed; generalized only in
-    letting the caller pass a pre-evolved forward state (avoiding a
-    second simulation) and letting each observable be a Z *word* over
-    several wires instead of one ``Z_k``.
-
-    Returns the ``(T, n_params)`` Jacobian.
-    """
-    n_params = circuit.num_parameters
-    jacobian = np.zeros((len(observables), n_params), dtype=np.float64)
-
-    ops = list(circuit.operations)
-    _check_shift_rule(ops)
-
-    # Forward pass (unless the caller already ran it).
-    if ket is None:
-        ket = Statevector(circuit.n_qubits)
-        for op in ops:
-            ket.apply_gate(op.name, op.wires, *op.params)
-    else:
-        ket = ket.copy()
-
-    # One adjoint state per observable.
-    bras = []
-    for wires in observables:
-        bra = ket.copy()
-        for wire in wires:
-            bra.apply_matrix(_gates.Z, [wire])
-        bras.append(bra)
-
-    # Backward sweep.
-    for op in reversed(ops):
-        if op.param_index is not None:
-            spec = _gates.get_gate(op.name)
-            generator = _gates.pauli_word_matrix(spec.generator)
-            g_ket = _apply.apply_matrix(ket.tensor, generator, op.wires)
-            for index, bra in enumerate(bras):
-                overlap = np.vdot(bra.tensor, g_ket)
-                jacobian[index, op.param_index] += float(np.imag(overlap))
-        # Un-apply the gate from ket and all bras.
-        matrix = _gates.get_gate(op.name).matrix(*op.params)
-        inverse = matrix.conj().T
-        ket.apply_matrix(inverse, op.wires)
-        for bra in bras:
-            bra.apply_matrix(inverse, op.wires)
-
-    return jacobian
 
 
 def _observable_signs(
@@ -146,9 +76,8 @@ def adjoint_expectation_and_jacobian_batch(
         circuits: Non-empty sequence of structurally identical
             :class:`~repro.circuits.QuantumCircuit` objects.
         plan: Compiled statevector :class:`~repro.sim.compile.
-            ExecutionPlan` for the shared structure.  ``None`` selects
-            the unbatched escape path: one sequential seed sweep per
-            circuit, bit-identical to the seed implementation.
+            ExecutionPlan` for the shared structure; ``None`` compiles
+            one for this call.
         observables: Optional sequence of Z-word wire tuples (e.g.
             ``[(0,), (1, 3)]`` for ``Z_0`` and ``Z_1 Z_3``); defaults to
             the per-qubit ``Z_k`` measurement layer.
@@ -168,26 +97,16 @@ def adjoint_expectation_and_jacobian_batch(
     else:
         obs = tuple(tuple(int(w) for w in wires) for wires in observables)
 
-    if plan is None:
-        expectations = np.empty((len(circuits), len(obs)), dtype=np.float64)
-        jacobians = np.empty(
-            (len(circuits), len(obs), n_params), dtype=np.float64
-        )
-        for index, circuit in enumerate(circuits):
-            state = Statevector(n_qubits).evolve(circuit)
-            expectations[index] = _state_expectations(state, obs, n_qubits)
-            jacobians[index] = _seed_sweep(circuit, obs, ket=state)
-        return expectations, jacobians
-
     # Deferred import: repro.circuits pulls the gate registry out of
     # repro.sim at package-init time, so a module-level import here
     # would be circular.
     from repro.circuits.batch import CircuitBatch
 
     batch = CircuitBatch(circuits)
+    if plan is None:
+        plan = _compile.compile_circuit(batch, mode="statevector")
     # Build (and thereby validate) the backward lowering before paying
-    # for the forward pass — unsupported trainable gates fail up front,
-    # matching the seed sweep's error ordering.
+    # for the forward pass — unsupported trainable gates fail up front.
     adjoint = plan.adjoint()
     size = batch.size
     state = BatchedStatevector(n_qubits, size).evolve(batch, plan=plan)
@@ -216,23 +135,6 @@ def adjoint_expectation_and_jacobian_batch(
     return expectations, jacobian.transpose(1, 0, 2)
 
 
-def _state_expectations(
-    state: Statevector, obs: tuple[tuple[int, ...], ...], n_qubits: int
-) -> np.ndarray:
-    """Observable expectations of one state, seed-path readout.
-
-    Per-qubit Z observables go through :meth:`Statevector.
-    expectation_z` — the exact readout the backends use, keeping the
-    escape path's forward values bit-identical to a backend forward
-    run.  General Z words contract the probability vector against the
-    observables' sign diagonals.
-    """
-    if obs == _default_observables(n_qubits):
-        return np.asarray(state.expectation_z(), dtype=np.float64)
-    signs = _observable_signs(n_qubits, obs)
-    return state.probabilities() @ signs.reshape(len(obs), -1).T
-
-
 def adjoint_jacobian(circuit, plan=None) -> np.ndarray:
     """Exact Jacobian of per-qubit Z expectations w.r.t. trainable params.
 
@@ -240,20 +142,16 @@ def adjoint_jacobian(circuit, plan=None) -> np.ndarray:
         circuit: a :class:`repro.circuits.QuantumCircuit`.  All trainable
             operations must use shift-rule gates (single-parameter Pauli
             rotations), which is true of every ansatz in the paper.
-        plan: Optional compiled statevector plan for the circuit's
-            structure; when given the circuit rides the batched adjoint
-            kernel as a batch of one (bit-identical to its slice of any
-            larger batch).  ``None`` runs the sequential seed sweep.
+        plan: Compiled statevector plan for the circuit's structure
+            (``None`` compiles one).  The circuit rides the batched
+            adjoint kernel as a batch of one, bit-identical to its slice
+            of any larger batch.
 
     Returns:
         Array of shape ``(n_qubits, n_params)`` where entry ``(k, i)`` is
         ``d<Z_k>/d theta_i``.  Multiple occurrences of one parameter are
         summed, matching Sec. 3.1's multi-occurrence rule.
     """
-    if plan is None:
-        return _seed_sweep(
-            circuit, _default_observables(circuit.n_qubits)
-        )
     _, jacobians = adjoint_expectation_and_jacobian_batch(
         [circuit], plan=plan
     )
@@ -265,16 +163,8 @@ def adjoint_expectation_and_jacobian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``<Z>`` vector and its Jacobian from one forward pass.
 
-    The forward state is computed once and reused by the backward sweep
-    (the seed version simulated the circuit twice).
+    The forward state is computed once and reused by the backward sweep.
     """
-    if plan is None:
-        state = Statevector(circuit.n_qubits).evolve(circuit)
-        expectations = np.asarray(state.expectation_z(), dtype=np.float64)
-        jacobian = _seed_sweep(
-            circuit, _default_observables(circuit.n_qubits), ket=state
-        )
-        return expectations, jacobian
     expectations, jacobians = adjoint_expectation_and_jacobian_batch(
         [circuit], plan=plan
     )

@@ -356,33 +356,6 @@ def apply_kraus_to_density_batched(
     return out
 
 
-def apply_superop_to_density_batched(
-    rhos: np.ndarray, superop: np.ndarray, wire: int
-) -> np.ndarray:
-    """Apply a single-qubit channel superoperator across a density stack.
-
-    Args:
-        rhos: Stacked density tensor ``(B,) + (2,) * 2n``.
-        superop: 4x4 channel matrix from :func:`kraus_to_superop`,
-            shared by the whole batch.
-        wire: Target qubit.
-
-    Returns:
-        New stacked density tensor; each slice bit-identical to
-        :func:`apply_superop_to_density`.
-    """
-    n_qubits = (rhos.ndim - 1) // 2
-    if not 0 <= wire < n_qubits:
-        raise ValueError(f"wire {wire} out of range for {n_qubits} qubits")
-    if superop.shape != (4, 4):
-        raise ValueError("superop must be 4x4 (single-qubit channels only)")
-    # The (ket, bra) index pair of `wire` flattens to one length-4 axis,
-    # exactly the contraction apply_superop_to_density's tensordot does.
-    return matmul_on_axes(
-        rhos, superop, [wire + 1, n_qubits + wire + 1]
-    )
-
-
 def kraus_to_superop(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized channel matrix ``S = sum_k K_k (x) conj(K_k)``.
 

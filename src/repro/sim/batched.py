@@ -3,25 +3,21 @@
 The training loop's hot path is thousands of *structurally identical*
 circuits — parameter-shifted clones and re-encoded mini-batch examples
 differ only in angles.  ``BatchedStatevector`` stacks ``B`` such states
-into one ``(B, 2, ..., 2)`` tensor and pushes every gate through all of
-them with a single stacked contraction (``(B, 2^k, 2^k)`` matrices via
-batched matmul), turning ``B x n_ops`` Python-level ``tensordot`` calls
-into ``n_ops`` NumPy calls.
+into one ``(B, 2, ..., 2)`` tensor and replays the structure's compiled
+:class:`~repro.sim.compile.ExecutionPlan` over all of them at once.
 
 Numerical contract: every per-circuit slice of the batched evolution
-and readout is **bit-identical** to what :class:`~repro.sim.statevector.
-Statevector` computes for the same circuit — each batch slice reduces
-to the same GEMMs and reductions in the same order.  The equivalence
-tests in ``tests/test_batched_exec.py`` pin this down.
+and readout is **bit-identical** to the same circuit run as a batch of
+one (or through :class:`~repro.sim.statevector.Statevector`) under the
+same plan — each slice reduces to the same GEMMs and reductions in the
+same order — and agrees with a dense-unitary reference within 1e-10.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import apply as _apply
 from repro.sim import compile as _compile
-from repro.sim import gates as _gates
 from repro.sim import measurement as _measurement
 
 
@@ -75,31 +71,18 @@ class BatchedStatevector:
 
     # -- evolution ------------------------------------------------------
 
-    def apply_matrices(
-        self, matrices: np.ndarray, wires
-    ) -> "BatchedStatevector":
-        """Apply stacked ``(B, 2^k, 2^k)`` (or one shared ``(2^k, 2^k)``)
-        matrices in place; returns self for chaining."""
-        self._tensor = _apply.apply_matrix_batched(
-            self._tensor, matrices, wires
-        )
-        return self
-
     def evolve(self, batch, plan=None) -> "BatchedStatevector":
         """Run a :class:`~repro.circuits.batch.CircuitBatch` on the stack.
 
-        Per operation: parameterless gates and angle-uniform ops apply
-        one shared (LRU-cached where fixed) matrix broadcast over the
-        batch; everything else builds the ``(B, 2^k, 2^k)`` stack with
-        the vectorized closed form of :func:`repro.sim.gates.
-        stacked_matrices`.
+        Replays the batch structure's compiled :class:`~repro.sim.
+        compile.ExecutionPlan`: the plan prepares every parameterized
+        gate matrix for all ``B`` rows in one vectorized build per gate
+        type, then runs its fused steps over the whole stack.
 
         Args:
             batch: The stacked circuits to run.
-            plan: Optional compiled :class:`~repro.sim.compile.
-                ExecutionPlan` for the batch's structure; when given,
-                the fused step sequence replaces the per-gate walk
-                (matching it within 1e-10, not bit-exactly).
+            plan: Compiled statevector plan for the batch's structure;
+                ``None`` compiles one for this call.
         """
         if batch.n_qubits != self.n_qubits:
             raise ValueError(
@@ -111,23 +94,12 @@ class BatchedStatevector:
                 f"batch has {batch.size} circuits, stack has "
                 f"{self.batch_size} states"
             )
-        if plan is not None:
-            _compile.check_plan(
-                plan, "statevector", self.n_qubits, len(batch.templates)
-            )
-            self._tensor = plan.run_statevector(self._tensor, batch)
-            return self
-        for position, template in enumerate(batch.templates):
-            params = batch.op_params(position)
-            if params is None:
-                matrices = _gates.fixed_gate_matrix(template.name)
-            elif batch.op_is_uniform(position):
-                matrices = _gates.get_gate(template.name).matrix(
-                    *params[0]
-                )
-            else:
-                matrices = _gates.stacked_matrices(template.name, params)
-            self.apply_matrices(matrices, template.wires)
+        if plan is None:
+            plan = _compile.compile_circuit(batch, mode="statevector")
+        _compile.check_plan(
+            plan, "statevector", self.n_qubits, len(batch.templates)
+        )
+        self._tensor = plan.run_statevector(self._tensor, batch)
         return self
 
     # -- readout --------------------------------------------------------

@@ -1,32 +1,26 @@
 """Structure-grouped batched density-matrix simulation.
 
-The noisy device emulator's hot path is the same one PR 1 vectorized
-for pure states: thousands of *structurally identical* circuits —
-parameter-shifted clones and re-encoded mini-batch examples — that
-differ only in angles.  ``BatchedDensityMatrix`` stacks ``B`` such
+The noisy device emulator's hot path is the same as the ideal one's:
+thousands of *structurally identical* circuits — parameter-shifted
+clones and re-encoded mini-batch examples — that differ only in
+angles.  ``BatchedDensityMatrix`` stacks ``B`` such
 mixed states into one ``(B, 2, ..., 2, 2, ..., 2)`` tensor (ket axes
 first, then bra axes, mirroring :class:`~repro.sim.density.
-DensityMatrix`) and pushes every gate *and every noise channel* through
-all of them at once: one batched unitary conjugation per gate, one
-batched Kraus (or composed-superoperator) application per channel.
+DensityMatrix`) and replays the structure's compiled density plan —
+gates and noise channels together — over all of them at once.
 
 Numerical contract: every per-circuit slice of the batched evolution
-and readout is **bit-identical** to what :class:`~repro.sim.density.
-DensityMatrix` computes for the same circuit under the same noise
-model — each batch slice reduces to the same GEMMs and reductions in
-the same order (see :func:`repro.sim.apply.matmul_on_axes`).  The
-equivalence tests in ``tests/test_batched_exec.py`` pin this down.
+and readout is **bit-identical** to the same circuit run as a batch of
+one (or through :class:`~repro.sim.density.DensityMatrix`) under the
+same plan, and agrees with a dense-superoperator reference within
+1e-10.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.sim import apply as _apply
 from repro.sim import compile as _compile
-from repro.sim import gates as _gates
 from repro.sim import measurement as _measurement
 
 
@@ -96,56 +90,25 @@ class BatchedDensityMatrix:
 
     # -- evolution ------------------------------------------------------
 
-    def apply_matrices(
-        self, matrices: np.ndarray, wires
-    ) -> "BatchedDensityMatrix":
-        """Conjugate by stacked ``(B, 2^k, 2^k)`` (or one shared
-        ``(2^k, 2^k)``) unitaries in place; returns self."""
-        self._tensor = _apply.apply_matrix_to_density_batched(
-            self._tensor, matrices, wires
-        )
-        return self
-
-    def apply_channel(
-        self, kraus_ops: Sequence[np.ndarray], wires
-    ) -> "BatchedDensityMatrix":
-        """Apply one Kraus channel to every state in place; returns self."""
-        self._tensor = _apply.apply_kraus_to_density_batched(
-            self._tensor, kraus_ops, wires
-        )
-        return self
-
-    def apply_superop(
-        self, superop: np.ndarray, wire: int
-    ) -> "BatchedDensityMatrix":
-        """Apply a composed single-qubit channel superoperator in place."""
-        self._tensor = _apply.apply_superop_to_density_batched(
-            self._tensor, superop, wire
-        )
-        return self
-
     def evolve(
         self, batch, noise_model=None, plan=None
     ) -> "BatchedDensityMatrix":
         """Run a :class:`~repro.circuits.batch.CircuitBatch` on the stack.
 
-        Gate matrices are built exactly like :meth:`~repro.sim.batched.
-        BatchedStatevector.evolve` (shared LRU-cached matrix for
-        parameterless / angle-uniform ops, vectorized closed form
-        otherwise).  Noise follows :meth:`~repro.sim.density.
-        DensityMatrix.evolve`: after each gate, the noise model's
-        ``superop_for`` fast path (one composed 4x4 per touched qubit,
-        shared batch-wide — channels depend on the gate type, never on
-        angles) or the generic ``channels_for`` Kraus interface.
+        Replays the batch structure's compiled density :class:`~repro.
+        sim.compile.ExecutionPlan`, whose steps interleave the gates
+        with the noise model's channels (precomposed per-wire
+        superoperators, or generic Kraus steps for models without the
+        ``superop_for`` fast path).
 
         Args:
             batch: The stacked circuits to run.
-            noise_model: Optional noise model, interleaved per gate.
-            plan: Optional compiled :class:`~repro.sim.compile.
-                ExecutionPlan` (density mode, compiled against the
-                *same* noise model — ``noise_model`` is ignored when a
-                plan is given).  Fused results match the per-gate walk
-                within 1e-10, not bit-exactly.
+            noise_model: Optional noise model, compiled into the plan
+                when ``plan`` is ``None``.
+            plan: Compiled density plan for the batch's structure,
+                built against the *same* noise model (``noise_model``
+                is ignored when a plan is given); ``None`` compiles one
+                for this call.
         """
         if batch.n_qubits != self.n_qubits:
             raise ValueError(
@@ -157,34 +120,14 @@ class BatchedDensityMatrix:
                 f"batch has {batch.size} circuits, stack has "
                 f"{self.batch_size} states"
             )
-        if plan is not None:
-            _compile.check_plan(
-                plan, "density", self.n_qubits, len(batch.templates)
+        if plan is None:
+            plan = _compile.compile_circuit(
+                batch, mode="density", noise_model=noise_model
             )
-            self._tensor = plan.run_density(self._tensor, batch)
-            return self
-        fast = getattr(noise_model, "superop_for", None)
-        for position, template in enumerate(batch.templates):
-            params = batch.op_params(position)
-            if params is None:
-                matrices = _gates.fixed_gate_matrix(template.name)
-            elif batch.op_is_uniform(position):
-                matrices = _gates.get_gate(template.name).matrix(
-                    *params[0]
-                )
-            else:
-                matrices = _gates.stacked_matrices(template.name, params)
-            self.apply_matrices(matrices, template.wires)
-            if noise_model is None:
-                continue
-            if fast is not None:
-                superop = fast(template)
-                if superop is not None:
-                    for wire in template.wires:
-                        self.apply_superop(superop, wire)
-                continue
-            for kraus_ops, wires in noise_model.channels_for(template):
-                self.apply_channel(kraus_ops, wires)
+        _compile.check_plan(
+            plan, "density", self.n_qubits, len(batch.templates)
+        )
+        self._tensor = plan.run_density(self._tensor, batch)
         return self
 
     # -- readout --------------------------------------------------------

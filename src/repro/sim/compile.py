@@ -1,12 +1,11 @@
 """Compiled execution plans: gate fusion and kernel specialization.
 
-Every simulation engine used to walk a circuit gate-by-gate, issuing one
-(batched) GEMM per operation — even for parameterless runs whose product
-is a constant, and for diagonal or permutation gates that need no matmul
-at all.  This module lowers a circuit *structure* once into an
-:class:`ExecutionPlan` — a short list of specialized steps — that every
-structurally identical circuit (parameter-shift clones, re-encoded
-mini-batch rows, serving flushes, worker-pool shards) then replays:
+Plan replay is the only way any state in the simulator evolves.  This
+module lowers a circuit *structure* once into an :class:`ExecutionPlan`
+— a short list of specialized steps — that every structurally identical
+circuit (parameter-shift clones, re-encoded mini-batch rows, serving
+flushes, worker-pool shards) then replays on a ``(B, 2, ..., 2)``
+tensor, instead of one GEMM per gate:
 
 * **Fusion** — adjacent gates whose combined wire support stays within
   ``FUSE_MAX`` qubits collapse into one stacked unitary: fewer, fatter
@@ -51,16 +50,15 @@ mode), never on angle values.  Backends keep plans in a
 backend pins down the noise-model / layout identity), so a training
 epoch or parameter-shift sweep compiles each structure exactly once.
 
-Numerical contract: fused execution matches the unfused per-gate path
-within ``1e-10`` on observed distributions and is deterministic (same
-plan, same inputs → same bits).  The bit-identical seed path stays
-available via ``fused=False`` / ``REPRO_FUSED=0`` on the backends.
+Numerical contract: plan replay agrees with a dense reference (full
+``2^n`` unitaries and ``4^n`` superoperators) within ``1e-10`` and is
+deterministic (same plan, same inputs → same bits).  A circuit's row is
+bit-identical whatever batch it rides in, including a batch of one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
@@ -80,20 +78,6 @@ _EYE2 = np.eye(2, dtype=np.complex128)
 
 #: Basis permutation swapping the two wires of a 4x4 matrix.
 _SWAP_PERM = np.array([0, 2, 1, 3], dtype=np.intp)
-
-
-def fused_enabled(default: bool = True) -> bool:
-    """Resolve the ``REPRO_FUSED`` environment toggle.
-
-    ``REPRO_FUSED=0`` (or ``false``/``no``/``off``) disables compiled
-    execution plans process-wide, restoring the bit-identical per-gate
-    path; unset or anything else keeps the default.  Backends read this
-    at construction time, so tests can flip it per-instance.
-    """
-    raw = os.environ.get("REPRO_FUSED")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +101,6 @@ class SingleCircuitParams:
 
     def op_params(self, position: int) -> np.ndarray | None:
         return self._params[position]
-
-    def op_is_uniform(self, position: int) -> bool:
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -1466,9 +1447,9 @@ def _compile_noisy_superop(
 def _compile_noisy_kraus(ops: list[_Op], noise_model) -> list:
     """Per-gate lowering for generic Kraus-only noise models.
 
-    No fusion: the exact gate/channel interleaving of the sequential
-    path is preserved, each gate becoming its own (still specialized)
-    single-op step.
+    No fusion: the circuit's exact gate/channel interleaving is
+    preserved, each gate becoming its own (still specialized) single-op
+    step.
     """
     steps: list = []
     for op in ops:

@@ -2,7 +2,8 @@
 
 The noisy-hardware substrate executes circuits by exact channel evolution of
 the density matrix: every unitary is followed by the noise channels the
-device's :class:`repro.noise.NoiseModel` attaches to it.  For the paper's
+device's :class:`repro.noise.NoiseModel` attaches to it, precomposed into
+the circuit's compiled plan (see :mod:`repro.sim.compile`).  For the paper's
 4-qubit QNNs the density matrix is 16x16, so exact evolution is cheap and —
 given a seed for the shot sampler — fully reproducible.
 """
@@ -82,15 +83,6 @@ class DensityMatrix:
         )
         return self
 
-    def apply_matrix(
-        self, matrix: np.ndarray, wires: Sequence[int]
-    ) -> "DensityMatrix":
-        """Apply an explicit unitary in place; returns self."""
-        self._tensor = _apply.apply_matrix_to_density(
-            self._tensor, matrix, wires
-        )
-        return self
-
     def apply_channel(
         self, kraus_ops: Sequence[np.ndarray], wires: Sequence[int]
     ) -> "DensityMatrix":
@@ -100,56 +92,39 @@ class DensityMatrix:
         )
         return self
 
-    def apply_superop(self, superop: np.ndarray, wire: int) -> "DensityMatrix":
-        """Apply a composed single-qubit channel superoperator in place."""
-        self._tensor = _apply.apply_superop_to_density(
-            self._tensor, superop, wire
-        )
-        return self
-
     def evolve(self, circuit, noise_model=None, plan=None) -> "DensityMatrix":
         """Run a circuit, optionally interleaving a noise model.
 
+        The state replays the circuit's compiled density
+        :class:`~repro.sim.compile.ExecutionPlan` as a batch of one, so
+        the result is bit-identical to the circuit's row of any
+        :class:`~repro.sim.batched_density.BatchedDensityMatrix`
+        evolution under the same plan.
+
         Args:
             circuit: a :class:`repro.circuits.QuantumCircuit`.
-            noise_model: optional :class:`repro.noise.NoiseModel`.  When it
-                offers the ``superop_for`` fast path (composed per-qubit
-                4x4 channel matrices), that is used; otherwise the generic
-                ``channels_for`` Kraus interface.
-            plan: optional compiled :class:`~repro.sim.compile.
-                ExecutionPlan` (density mode).  The plan must have been
-                compiled against the *same* noise model — its channel
-                steps are baked in at compile time, so ``noise_model``
-                is ignored when a plan is given.  Fused results match
-                the per-gate walk within 1e-10, not bit-exactly.
+            noise_model: optional :class:`repro.noise.NoiseModel` (or any
+                object with ``channels_for``), compiled into the plan
+                when ``plan`` is ``None``.
+            plan: compiled density plan for the circuit's structure.  Its
+                channel steps are baked in at compile time, so
+                ``noise_model`` is ignored when a plan is given; ``None``
+                compiles one (with ``noise_model``) for this call.
         """
         if circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"circuit acts on {circuit.n_qubits} qubits, state has "
                 f"{self.n_qubits}"
             )
-        if plan is not None:
-            _compile.check_plan(
-                plan, "density", self.n_qubits, len(circuit.templates)
+        if plan is None:
+            plan = _compile.compile_circuit(
+                circuit, mode="density", noise_model=noise_model
             )
-            params = _compile.SingleCircuitParams(circuit)
-            self._tensor = plan.run_density(
-                self._tensor[np.newaxis], params
-            )[0]
-            return self
-        fast = getattr(noise_model, "superop_for", None)
-        for op in circuit.operations:
-            self.apply_gate(op.name, op.wires, *op.params)
-            if noise_model is None:
-                continue
-            if fast is not None:
-                superop = fast(op)
-                if superop is not None:
-                    for wire in op.wires:
-                        self.apply_superop(superop, wire)
-                continue
-            for kraus_ops, wires in noise_model.channels_for(op):
-                self.apply_channel(kraus_ops, wires)
+        _compile.check_plan(
+            plan, "density", self.n_qubits, len(circuit.templates)
+        )
+        params = _compile.SingleCircuitParams(circuit)
+        self._tensor = plan.run_density(self._tensor[np.newaxis], params)[0]
         return self
 
     # -- readout --------------------------------------------------------

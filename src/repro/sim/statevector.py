@@ -1,9 +1,9 @@
 """Exact statevector simulation.
 
-``Statevector`` is the noise-free workhorse used by the Classical-Train
-baseline and by every correctness test: it evolves a ``(2,)*n`` complex
-tensor through a circuit, and exposes exact probabilities, Pauli-Z
-expectations, and finite-shot sampling.
+``Statevector`` is the single-state view of the plan-replay engine: it
+evolves a ``(2,)*n`` complex tensor through a circuit's compiled plan as
+a batch of one, and exposes exact probabilities, Pauli-Z expectations,
+and finite-shot sampling.
 """
 
 from __future__ import annotations
@@ -92,40 +92,34 @@ class Statevector:
         self._tensor = _apply.apply_matrix(self._tensor, matrix, wires)
         return self
 
-    def apply_matrix(
-        self, matrix: np.ndarray, wires: Sequence[int]
-    ) -> "Statevector":
-        """Apply an explicit unitary matrix in place and return self."""
-        self._tensor = _apply.apply_matrix(self._tensor, matrix, wires)
-        return self
-
     def evolve(self, circuit, plan=None) -> "Statevector":
         """Run a :class:`repro.circuits.QuantumCircuit` on this state.
 
+        The state replays the circuit's compiled :class:`~repro.sim.
+        compile.ExecutionPlan` as a batch of one, so the result is
+        bit-identical to the circuit's row of any
+        :class:`~repro.sim.batched.BatchedStatevector` evolution under
+        the same plan.
+
         Args:
             circuit: The circuit to run.
-            plan: Optional compiled :class:`~repro.sim.compile.
-                ExecutionPlan` for the circuit's structure; when given,
-                the state rides the fused batched kernels as a batch of
-                one (matching the per-gate walk within 1e-10, not
-                bit-exactly).
+            plan: Compiled statevector plan for the circuit's structure;
+                ``None`` compiles one for this call.
         """
         if circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"circuit acts on {circuit.n_qubits} qubits, state has "
                 f"{self.n_qubits}"
             )
-        if plan is not None:
-            _compile.check_plan(
-                plan, "statevector", self.n_qubits, len(circuit.templates)
-            )
-            params = _compile.SingleCircuitParams(circuit)
-            self._tensor = plan.run_statevector(
-                self._tensor[np.newaxis], params
-            )[0]
-            return self
-        for op in circuit.operations:
-            self.apply_gate(op.name, op.wires, *op.params)
+        if plan is None:
+            plan = _compile.compile_circuit(circuit, mode="statevector")
+        _compile.check_plan(
+            plan, "statevector", self.n_qubits, len(circuit.templates)
+        )
+        params = _compile.SingleCircuitParams(circuit)
+        self._tensor = plan.run_statevector(
+            self._tensor[np.newaxis], params
+        )[0]
         return self
 
     # -- readout --------------------------------------------------------

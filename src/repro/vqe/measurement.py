@@ -82,19 +82,20 @@ def measure_hamiltonian(
     results = backend.run(measured, shots=shots, purpose=purpose)
 
     energy = 0.0
-    for basis, result in zip(bases, results):
+    for basis, rotated, result in zip(bases, measured, results):
         if result.counts:
             probabilities = _measurement.counts_to_probabilities(
                 result.counts, circuit.n_qubits
             )
         else:
             # Exact backends return expectations but no counts; fall back
-            # to an exact statevector evaluation of this rotated circuit.
+            # to an exact statevector evaluation of this rotated circuit,
+            # replaying the backend's cached plan when it has one.
+            from repro.gradients.adjoint_engine import adjoint_plan_for
             from repro.sim.statevector import Statevector
 
-            rotated = circuit.compose(basis_rotation_circuit(basis))
             probabilities = Statevector(circuit.n_qubits).evolve(
-                rotated
+                rotated, plan=adjoint_plan_for(rotated, backend)
             ).probabilities()
         for term in groups[basis]:
             energy += term.coefficient * pauli_product_expectation(

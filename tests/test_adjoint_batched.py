@@ -1,19 +1,19 @@
 """Batched, plan-aware adjoint gradients: agreement and bit-identity.
 
-The contracts under test (the correctness spine of the compiled adjoint
-path):
+The contracts under test (the correctness spine of the adjoint path):
 
 * the batched sweep over ``B`` same-structure circuits is bit-identical
   to running each circuit as a batch of one through the same plan;
-* plan-path Jacobians agree with the sequential seed sweep and with
+* forward values agree with the dense reference oracle within 1e-10,
+  and Jacobians agree with central differences of the oracle and with
   parameter shift within 1e-8, on logical and transpiled circuits,
   including multi-occurrence parameters;
-* ``param_indices`` masking zeroes exactly the unselected columns;
-* the ``fused=False`` escape path is bit-identical to the seed
-  implementation.
+* ``param_indices`` masking zeroes exactly the unselected columns.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,8 +40,13 @@ from repro.vqe import (
     transverse_field_ising,
 )
 
+import dense_reference as ref
+
 N_QUBITS = 3
 BATCH = 3
+#: Central-difference step for the oracle Jacobian (truncation error
+#: ~h^2, rounding ~1e-16 / h: both far below the 1e-8 tolerance).
+ORACLE_STEP = 1e-5
 
 LAYER_SETS = st.lists(
     st.sampled_from(["rx", "ry", "rz", "rzz", "rxx", "rzx", "cz"]),
@@ -58,6 +63,23 @@ def make_batch(layers, seed: int, n_qubits: int = N_QUBITS) -> list:
         base.bound(rng.uniform(-np.pi, np.pi, base.num_parameters))
         for _ in range(BATCH)
     ]
+
+
+def oracle_expectations(circuit) -> np.ndarray:
+    return ref.expectations_z(ref.probabilities(circuit))
+
+
+def oracle_jacobian(circuit) -> np.ndarray:
+    """``d<Z_k>/d theta_i`` by central differences of the dense oracle."""
+    theta = np.asarray(circuit.parameters, dtype=np.float64)
+    jacobian = np.empty((circuit.n_qubits, theta.size))
+    for index in range(theta.size):
+        step = np.zeros_like(theta)
+        step[index] = ORACLE_STEP
+        plus = oracle_expectations(circuit.bound(theta + step))
+        minus = oracle_expectations(circuit.bound(theta - step))
+        jacobian[:, index] = (plus - minus) / (2 * ORACLE_STEP)
+    return jacobian
 
 
 def shared_param_circuit() -> QuantumCircuit:
@@ -90,14 +112,18 @@ class TestBatchedBitIdentity:
             )
             assert np.array_equal(expectations[index], single_exp[0])
             assert np.array_equal(jacobians[index], single_jac[0])
-            # Agreement with the sequential seed sweep.
+            # Agreement with the dense oracle.
             assert np.allclose(
-                jacobians[index], adjoint_jacobian(circuit), atol=1e-10
+                expectations[index], oracle_expectations(circuit),
+                atol=1e-10,
+            )
+            assert np.allclose(
+                jacobians[index], oracle_jacobian(circuit), atol=1e-8
             )
 
         if circuits[0].num_parameters:
             # Agreement with parameter shift on the exact backend.
-            backend = IdealBackend(exact=True, fused=True)
+            backend = IdealBackend(exact=True)
             shift = parameter_shift_jacobian_batch(circuits, backend)
             for index in range(len(circuits)):
                 assert np.allclose(jacobians[index], shift[index], atol=1e-8)
@@ -106,9 +132,9 @@ class TestBatchedBitIdentity:
         circuit = shared_param_circuit()
         plan = sim_compile.compile_circuit(circuit, mode="statevector")
         batched = adjoint_jacobian(circuit, plan=plan)
-        assert np.allclose(batched, adjoint_jacobian(circuit), atol=1e-12)
+        assert np.allclose(batched, oracle_jacobian(circuit), atol=1e-8)
         shift = parameter_shift_jacobian_batch(
-            [circuit], IdealBackend(exact=True, fused=True)
+            [circuit], IdealBackend(exact=True)
         )
         assert np.allclose(batched, shift[0], atol=1e-8)
 
@@ -143,16 +169,16 @@ class TestTranspiledCircuits:
         assert np.array_equal(batched.shape,
                               (N_QUBITS, physical.num_parameters))
         shift = parameter_shift_jacobian_batch(
-            [physical], IdealBackend(exact=True, fused=True)
+            [physical], IdealBackend(exact=True)
         )
         assert np.allclose(batched, shift[0], atol=1e-8)
-        assert np.allclose(batched, adjoint_jacobian(physical), atol=1e-10)
+        assert np.allclose(batched, oracle_jacobian(physical), atol=1e-8)
 
 
 class TestEngineEntryPoints:
     def test_param_indices_masking(self):
         circuits = make_batch(["ry", "rzz", "rx"], seed=3)
-        backend = IdealBackend(exact=True, fused=True)
+        backend = IdealBackend(exact=True)
         full = adjoint_engine_jacobian_batch(circuits, backend)
         selected = [0, 2]
         masked = adjoint_engine_jacobian_batch(
@@ -169,17 +195,24 @@ class TestEngineEntryPoints:
                     assert np.all(masked_jac[:, column] == 0.0)
 
     def test_unfused_backend_bit_identical_to_seed(self):
-        """fused=False resolves plan=None -> the seed sweep, verbatim."""
+        """The engine's grouped sweep equals the single-circuit
+        ``adjoint_jacobian`` entry point bit for bit, and replays the
+        backend's cached plan rather than compiling its own."""
         circuits = make_batch(["ry", "rzz", "rx", "cz"], seed=7)
-        backend = IdealBackend(exact=True, fused=False)
-        assert adjoint_plan_for(circuits[0], backend) is None
+        backend = IdealBackend(exact=True)
+        plan = adjoint_plan_for(circuits[0], backend)
+        assert backend.plan_cache.stats()["misses"] == 1
         jacobians = adjoint_engine_jacobian_batch(circuits, backend)
+        assert backend.plan_cache.stats()["misses"] == 1
         for jacobian, circuit in zip(jacobians, circuits):
             assert np.array_equal(jacobian, adjoint_jacobian(circuit))
+            assert np.array_equal(
+                jacobian, adjoint_jacobian(circuit, plan=plan)
+            )
 
     def test_forward_values_match_backend_and_metering(self):
         circuits = make_batch(["ry", "rzz", "rx"], seed=9)
-        backend = IdealBackend(exact=True, fused=True)
+        backend = IdealBackend(exact=True)
         reference = backend.expectations(circuits, purpose="reference")
         before = dict(backend.meter.by_purpose)
         expectations, jacobians = adjoint_forward_and_jacobian_batch(
@@ -204,12 +237,10 @@ class TestEngineEntryPoints:
         b = make_batch(["rx", "cz", "rz"], seed=2)
         mixed = [a[0], b[0], a[1], b[1]]
         jacobians = adjoint_engine_jacobian_batch(
-            mixed, IdealBackend(exact=True, fused=True)
+            mixed, IdealBackend(exact=True)
         )
         for jacobian, circuit in zip(jacobians, mixed):
-            assert np.allclose(
-                jacobian, adjoint_jacobian(circuit), atol=1e-10
-            )
+            assert np.array_equal(jacobian, adjoint_jacobian(circuit))
 
 
 class TestValidation:
@@ -241,13 +272,13 @@ class TestDownstreamEngines:
     def test_vqe_adjoint_gradient_matches_parameter_shift(self):
         model = transverse_field_ising(3)
         ansatz = hardware_efficient_ansatz(3, n_layers=1, seed=2)
-        backend = IdealBackend(exact=True, fused=True)
+        backend = IdealBackend(exact=True)
         indices = np.arange(ansatz.num_parameters)
         adjoint = VqeEngine(
             model, ansatz, backend, gradient_engine="adjoint"
         ).gradient(indices)
         shift = VqeEngine(
-            model, ansatz, IdealBackend(exact=True, fused=True),
+            model, ansatz, IdealBackend(exact=True),
             gradient_engine="parameter_shift",
         ).gradient(indices)
         assert np.allclose(adjoint, shift, atol=1e-8)
@@ -260,24 +291,26 @@ class TestDownstreamEngines:
             VqeEngine(model, ansatz, noisy, gradient_engine="adjoint")
 
     def test_training_step_fused_matches_unfused(self):
-        """The compiled adjoint path trains identically to the seed path."""
+        """Training on the compiled adjoint sweep coincides with the
+        parameter-shift reference step on an exact backend."""
         config = TrainingConfig(
             task="mnist2", steps=3, batch_size=4, shots=512,
             gradient_engine="adjoint", eval_every=0, eval_size=30, seed=0,
         )
-        fused = TrainingEngine(config, IdealBackend(exact=True, fused=True))
-        unfused = TrainingEngine(
-            config, IdealBackend(exact=True, fused=False)
+        adjoint = TrainingEngine(config, IdealBackend(exact=True))
+        shift = TrainingEngine(
+            dataclasses.replace(config, gradient_engine="parameter_shift"),
+            IdealBackend(exact=True),
         )
         for _ in range(config.steps):
-            fused_record = fused.train_step()
-            unfused_record = unfused.train_step()
+            adjoint_record = adjoint.train_step()
+            shift_record = shift.train_step()
             assert np.isclose(
-                fused_record.loss, unfused_record.loss, atol=1e-8
+                adjoint_record.loss, shift_record.loss, atol=1e-8
             )
-        assert np.allclose(fused.theta, unfused.theta, atol=1e-8)
+        assert np.allclose(adjoint.theta, shift.theta, atol=1e-8)
         # One forward submission per step, no gradient circuits.
-        by_purpose = fused.backend.meter.by_purpose
+        by_purpose = adjoint.backend.meter.by_purpose
         assert by_purpose.get("forward", 0) == (
             config.steps * config.batch_size
         )

@@ -1,10 +1,16 @@
-"""Batched-vs-sequential execution equivalence.
+"""Batched execution: oracle agreement and batch invariances.
 
-The batched engine's contract is strict: exact-mode results are
-*bit-identical* to the per-circuit path for arbitrary same- and
-mixed-structure submissions, sampled-mode results consume the seeded
-RNG stream per circuit exactly like sequential execution within each
-structure group, and metering / purpose accounting is unchanged.
+The batched engines are the only execution path, so their contract is
+checked two ways:
+
+* **oracle agreement** — results match the dense reference
+  (``tests/dense_reference.py``) within 1e-10;
+* **bit-exact invariances** — a circuit's exact result does not depend
+  on the batch it rides in (a batch of one equals its row of a larger
+  batch, single-state engines equal their batched row), sampled results
+  consume the seeded RNG stream row by row so a group reproduces
+  one-by-one submission, and metering / purpose accounting does not
+  depend on how a submission was grouped.
 """
 
 from __future__ import annotations
@@ -20,7 +26,12 @@ from repro.circuits import (
 )
 from repro.gradients.finite_difference import finite_difference_jacobian
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
-from repro.hardware import IdealBackend, NoiseInjectionBackend, NoisyBackend
+from repro.hardware import (
+    Backend,
+    IdealBackend,
+    NoiseInjectionBackend,
+    NoisyBackend,
+)
 from repro.noise.calibration import get_calibration
 from repro.noise.model import NoiseModel
 from repro.sim import (
@@ -31,6 +42,30 @@ from repro.sim import (
     run_circuit_batch,
     run_density_batch,
 )
+
+import dense_reference as ref
+
+class Sequential(Backend):
+    """Circuit-by-circuit execution: each circuit runs alone, as a batch
+    of one, on ``inner`` (an exact ``IdealBackend`` by default)."""
+
+    def __init__(self, inner=None):
+        super().__init__()
+        self.inner = IdealBackend(exact=True) if inner is None else inner
+
+    def exact_execution(self) -> bool:
+        return self.inner.exact_execution()
+
+    def _execute(self, circuit, shots):
+        return self.inner._execute(circuit, shots)
+
+
+class KrausOnly:
+    """Noise model view without the superop fast path."""
+
+    def __init__(self, model):
+        self.channels_for = model.channels_for
+
 
 #: Gate vocabulary for random structure generation.
 _ONE_QUBIT = ["h", "x", "s", "sx", "ry", "rx", "rz", "phase"]
@@ -122,12 +157,16 @@ class TestCircuitBatch:
         assert batch.angles.shape == (3, base.num_operations())
 
     def test_uniform_detection(self):
+        """A literal angle stacks as one value batch-wide; a trainable
+        slot carries each row's own bound theta."""
         base = QuantumCircuit(2)
         base.add("ry", 0, 0.5).add_trainable("rz", 1, 0)
         other = base.bound([1.0])
         batch = CircuitBatch([base, other])
-        assert batch.op_is_uniform(0)       # same literal angle
-        assert not batch.op_is_uniform(1)   # different bound theta
+        literal, trainable = batch.op_params(0), batch.op_params(1)
+        assert np.array_equal(literal, [[0.5], [0.5]])
+        assert trainable[1, 0] == 1.0
+        assert trainable[0, 0] != trainable[1, 0]
 
 
 class TestBatchedStatevector:
@@ -140,6 +179,10 @@ class TestBatchedStatevector:
         for row, circuit in zip(stacked, circuits):
             single = Statevector(n_qubits).evolve(circuit)
             assert np.array_equal(row, single.vector)
+            assert np.max(np.abs(row - ref.statevector(circuit))) < 1e-10
+        # A batch of one equals its row of the larger batch.
+        alone = run_circuit_batch(CircuitBatch(circuits[2:3])).vectors
+        assert np.array_equal(alone[0], stacked[2])
 
     def test_readout_bit_identical(self):
         rng = np.random.default_rng(20)
@@ -185,23 +228,22 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_mixed_structure_bit_identical(self, seed):
         circuits = self.make_mixed(np.random.default_rng(40 + seed))
-        sequential = IdealBackend(exact=True, batched=False).expectations(
-            circuits, purpose="test"
-        )
-        batched = IdealBackend(exact=True).expectations(
-            circuits, purpose="test"
-        )
-        assert np.array_equal(sequential, batched)
+        backend = IdealBackend(exact=True)
+        grouped = backend.expectations(circuits, purpose="test")
+        for row, circuit in zip(grouped, circuits):
+            alone = backend.expectations([circuit], purpose="test")[0]
+            assert np.array_equal(row, alone)
+            want = ref.expectations_z(ref.probabilities(circuit))
+            assert np.max(np.abs(row - want)) < 1e-10
 
     def test_sampled_same_structure_stream_identical(self):
         rng = np.random.default_rng(50)
         base = random_structure(rng, 3)
         circuits = [rebind(base, rng) for _ in range(6)]
-        sequential = IdealBackend(exact=False, seed=7, batched=False).run(
-            circuits, shots=512
-        )
-        batched = IdealBackend(exact=False, seed=7).run(circuits, shots=512)
-        for a, b in zip(sequential, batched):
+        one_by_one = IdealBackend(exact=False, seed=7)
+        singles = [one_by_one.run([c], shots=512)[0] for c in circuits]
+        grouped = IdealBackend(exact=False, seed=7).run(circuits, shots=512)
+        for a, b in zip(singles, grouped):
             assert a.counts == b.counts
             assert np.array_equal(a.expectations, b.expectations)
 
@@ -215,9 +257,13 @@ class TestBackendEquivalence:
         assert np.max(np.abs(sampled - exact)) < 0.1
 
     def test_single_circuit_uses_sequential_path(self):
+        """A one-circuit submission skips grouping and runs as a batch
+        of one through the cached plan."""
         circuit = QuantumCircuit(2).add("h", 0).add("cx", (0, 1))
-        result = IdealBackend(exact=True).run([circuit])[0]
+        backend = IdealBackend(exact=True)
+        result = backend.run([circuit])[0]
         assert np.allclose(result.expectations, [0.0, 0.0], atol=1e-12)
+        assert backend.plan_cache.stats()["misses"] == 1
 
     def test_gradients_bit_identical(self):
         rng = np.random.default_rng(70)
@@ -227,14 +273,11 @@ class TestBackendEquivalence:
             arch.full_circuit(rng.uniform(0, np.pi, arch.n_features), theta)
             for _ in range(3)
         ]
-        sequential = parameter_shift_jacobian_batch(
-            circuits, IdealBackend(exact=True, batched=False)
-        )
-        batched = parameter_shift_jacobian_batch(
-            circuits, IdealBackend(exact=True)
-        )
-        for a, b in zip(sequential, batched):
-            assert np.array_equal(a, b)
+        backend = IdealBackend(exact=True)
+        together = parameter_shift_jacobian_batch(circuits, backend)
+        for circuit, jacobian in zip(circuits, together):
+            alone = parameter_shift_jacobian_batch([circuit], backend)[0]
+            assert np.array_equal(jacobian, alone)
 
     def test_finite_difference_bit_identical(self):
         rng = np.random.default_rng(80)
@@ -243,13 +286,13 @@ class TestBackendEquivalence:
         circuit = arch.full_circuit(
             rng.uniform(0, np.pi, arch.n_features), theta
         )
-        sequential = finite_difference_jacobian(
-            circuit, IdealBackend(exact=True, batched=False)
-        )
-        batched = finite_difference_jacobian(
-            circuit, IdealBackend(exact=True)
-        )
-        assert np.array_equal(sequential, batched)
+        backend = IdealBackend(exact=True)
+        grouped = finite_difference_jacobian(circuit, backend)
+        sequential = finite_difference_jacobian(circuit, Sequential())
+        assert np.array_equal(grouped, sequential)
+        finite = finite_difference_jacobian(circuit, backend, eps=1e-5)
+        shift = parameter_shift_jacobian_batch([circuit], backend)[0]
+        assert np.max(np.abs(finite - shift)) < 1e-8
 
 
 class TestMeterAccounting:
@@ -272,40 +315,41 @@ class TestMeterAccounting:
         circuits = [
             rebind(random_structure(rng, 2, n_ops=6), rng) for _ in range(3)
         ]
-        meters = []
-        for batched in (False, True):
-            backend = IdealBackend(exact=True, batched=batched)
-            backend.run(circuits[:2], purpose="forward")
-            backend.run(circuits, purpose="gradient")
-            meters.append(backend.meter.snapshot())
-        assert meters[0] == meters[1]
+        grouped = IdealBackend(exact=True)
+        grouped.run(circuits[:2], purpose="forward")
+        grouped.run(circuits, purpose="gradient")
+        one_by_one = IdealBackend(exact=True)
+        for circuit in circuits[:2]:
+            one_by_one.run([circuit], purpose="forward")
+        for circuit in circuits:
+            one_by_one.run([circuit], purpose="gradient")
+        assert grouped.meter.snapshot() == one_by_one.meter.snapshot()
+        assert grouped.meter.by_purpose == {"forward": 2, "gradient": 3}
 
     def test_noisy_backend_batches_by_default(self):
-        backend = NoisyBackend.from_device_name("ibmq_santiago", seed=0)
-        assert backend.supports_batching()
-        sequential = NoisyBackend.from_device_name(
-            "ibmq_santiago", seed=0, batched=False
-        )
-        assert not sequential.supports_batching()
+        assert IdealBackend(exact=True).supports_batching()
+        noisy = NoisyBackend.from_device_name("ibmq_santiago")
+        assert noisy.supports_batching()
+        assert not Sequential(noisy).supports_batching()
 
     def test_noise_injection_follows_inner(self):
         ideal = NoiseInjectionBackend(IdealBackend(exact=True), seed=0)
         assert ideal.supports_batching()
-        sequential = NoiseInjectionBackend(
-            IdealBackend(exact=True, batched=False), seed=0
-        )
+        sequential = NoiseInjectionBackend(Sequential(), seed=0)
         assert not sequential.supports_batching()
 
 
-def noisy_pair(device="ibmq_lima", transpile=False, seed=7):
-    """(sequential, batched) NoisyBackend twins with one seed."""
-    sequential = NoisyBackend.from_device_name(
-        device, seed=seed, transpile=transpile, batched=False
+def noisy_twins(device="ibmq_lima", transpile=False, seed=7):
+    """Two identically seeded NoisyBackends: one fed circuit by circuit,
+    one fed whole groups."""
+    return tuple(
+        NoisyBackend.from_device_name(device, seed=seed, transpile=transpile)
+        for _ in range(2)
     )
-    batched = NoisyBackend.from_device_name(
-        device, seed=seed, transpile=transpile
-    )
-    return sequential, batched
+
+
+def run_one_by_one(backend, circuits, shots):
+    return [backend.run([circuit], shots=shots)[0] for circuit in circuits]
 
 
 def device_circuit(rng, n_qubits=4):
@@ -333,6 +377,7 @@ class TestBatchedDensityMatrix:
         for row, circuit in zip(stacked.matrices, circuits):
             single = DensityMatrix(3).evolve(circuit)
             assert np.array_equal(row, single.matrix)
+            assert np.max(np.abs(row - ref.density_matrix(circuit))) < 1e-10
 
     def test_evolution_bit_identical_with_noise_model(self):
         rng = np.random.default_rng(101)
@@ -347,14 +392,10 @@ class TestBatchedDensityMatrix:
             assert np.array_equal(
                 stacked.probabilities()[row], single.probabilities()
             )
+            want = ref.density_matrix(circuits[row], model)
+            assert np.max(np.abs(stacked.matrices[row] - want)) < 1e-10
 
     def test_generic_kraus_path_bit_identical(self):
-        class KrausOnly:
-            """Noise model view without the superop fast path."""
-
-            def __init__(self, model):
-                self.channels_for = model.channels_for
-
         rng = np.random.default_rng(102)
         model = NoiseModel(get_calibration("ibmq_manila"))
         base = random_structure(rng, 2)
@@ -369,6 +410,8 @@ class TestBatchedDensityMatrix:
             assert np.array_equal(
                 stacked.probabilities()[row], single.probabilities()
             )
+            want = ref.density_matrix(circuits[row], KrausOnly(model))
+            assert np.max(np.abs(stacked.matrices[row] - want)) < 1e-10
 
     def test_sampling_matches_sequential_stream(self):
         rng = np.random.default_rng(103)
@@ -402,36 +445,34 @@ class TestBatchedDensityMatrix:
 
 
 class TestNoisyBatchedEquivalence:
-    """NoisyBackend's vectorized path vs its sequential loop."""
+    """NoisyBackend's grouped execution vs one-by-one submission."""
 
     @pytest.mark.parametrize("transpile", [False, True])
     def test_observed_probabilities_bit_identical(self, transpile):
         rng = np.random.default_rng(110)
         circuits = [device_circuit(rng) for _ in range(6)]
-        sequential, batched = noisy_pair(transpile=transpile)
-        stacked = batched.observed_probabilities_batch(circuits)
+        backend, _ = noisy_twins(transpile=transpile)
+        stacked = backend.observed_probabilities_batch(circuits)
         for row, circuit in zip(stacked, circuits):
-            assert np.array_equal(
-                row, sequential.observed_probabilities(circuit)
-            )
+            assert np.array_equal(row, backend.observed_probabilities(circuit))
 
     @pytest.mark.parametrize("transpile", [False, True])
     def test_single_structure_counts_identical(self, transpile):
         rng = np.random.default_rng(111)
         circuits = [device_circuit(rng) for _ in range(5)]
-        sequential, batched = noisy_pair(transpile=transpile)
-        seq_results = sequential.run(circuits, shots=512)
-        bat_results = batched.run(circuits, shots=512)
-        for a, b in zip(seq_results, bat_results):
+        one_by_one, grouped = noisy_twins(transpile=transpile)
+        singles = run_one_by_one(one_by_one, circuits, 512)
+        results = grouped.run(circuits, shots=512)
+        for a, b in zip(singles, results):
             assert a.counts == b.counts
             assert np.array_equal(a.expectations, b.expectations)
             assert a.shots == b.shots == 512
-        assert sequential.meter.snapshot() == batched.meter.snapshot()
+        assert one_by_one.meter.snapshot() == grouped.meter.snapshot()
 
     def test_mixed_structures_follow_group_order_contract(self):
-        # Batched execution consumes the RNG stream group by group in
-        # first-appearance order; the sequential reference reproduces
-        # that by running the circuits re-ordered into group order.
+        # Grouped execution consumes the RNG stream group by group in
+        # first-appearance order; one-by-one submission reproduces that
+        # by running the circuits re-ordered into group order.
         rng = np.random.default_rng(112)
         structure_a = device_circuit(rng)
         structure_b = QuantumCircuit(4, num_parameters=1)
@@ -446,55 +487,57 @@ class TestNoisyBatchedEquivalence:
         ]
         group_order = [mixed[0], mixed[2], mixed[1], mixed[3]]
 
-        sequential, batched = noisy_pair()
+        one_by_one, grouped = noisy_twins()
         reference = {
             id(circuit): result
             for circuit, result in zip(
-                group_order, sequential.run(group_order, shots=256)
+                group_order, run_one_by_one(one_by_one, group_order, 256)
             )
         }
-        results = batched.run(mixed, shots=256)
+        results = grouped.run(mixed, shots=256)
         for circuit, result in zip(mixed, results):
             assert result.counts == reference[id(circuit)].counts
 
     def test_exact_expectations_unchanged(self):
+        """Exact expectations are the oracle's, through readout error."""
         rng = np.random.default_rng(113)
         circuit = device_circuit(rng)
-        sequential, batched = noisy_pair()
-        assert np.array_equal(
-            sequential.exact_expectations(circuit),
-            batched.exact_expectations(circuit),
+        backend, _ = noisy_twins()
+        want = ref.expectations_z(
+            ref.observed_probabilities(circuit, backend.noise_model)
+        )
+        assert np.max(np.abs(backend.exact_expectations(circuit) - want)) < (
+            1e-10
         )
 
     def test_parameter_shift_gradients_identical(self):
         rng = np.random.default_rng(114)
         circuits = [device_circuit(rng) for _ in range(2)]
-        jac_seq = parameter_shift_jacobian_batch(
-            circuits,
-            NoisyBackend.from_device_name(
-                "ibmq_santiago", seed=5, batched=False
-            ),
-            shots=256,
-        )
-        jac_bat = parameter_shift_jacobian_batch(
+        together = parameter_shift_jacobian_batch(
             circuits,
             NoisyBackend.from_device_name("ibmq_santiago", seed=5),
             shots=256,
         )
-        for a, b in zip(jac_seq, jac_bat):
-            assert np.array_equal(a, b)
+        backend = NoisyBackend.from_device_name("ibmq_santiago", seed=5)
+        for circuit, jacobian in zip(circuits, together):
+            alone = parameter_shift_jacobian_batch(
+                [circuit], backend, shots=256
+            )[0]
+            assert np.array_equal(jacobian, alone)
 
     def test_noise_scale_zero_still_batches(self):
         rng = np.random.default_rng(115)
         circuits = [device_circuit(rng) for _ in range(3)]
-        sequential = NoisyBackend.from_device_name(
-            "ibmq_lima", seed=3, noise_scale=0.0, batched=False
-        )
-        batched = NoisyBackend.from_device_name(
-            "ibmq_lima", seed=3, noise_scale=0.0
+        one_by_one, grouped = (
+            NoisyBackend.from_device_name("ibmq_lima", seed=3, noise_scale=0.0)
+            for _ in range(2)
         )
         for a, b in zip(
-            sequential.run(circuits, shots=128),
-            batched.run(circuits, shots=128),
+            run_one_by_one(one_by_one, circuits, 128),
+            grouped.run(circuits, shots=128),
         ):
             assert a.counts == b.counts
+        assert grouped.supports_batching()
+        stacked = grouped.observed_probabilities_batch(circuits)
+        for row, circuit in zip(stacked, circuits):
+            assert np.max(np.abs(row - ref.probabilities(circuit))) < 1e-10

@@ -1,12 +1,14 @@
-"""Compiled execution plans: fusion, specialization, caching, parity.
+"""Compiled execution plans: fusion, specialization, caching, accuracy.
 
-The fused layer's contract has three legs:
+The plan layer's contract has three legs:
 
-* fused observed results match the unfused per-gate path within 1e-10
-  on every engine (statevector / density, single / batched, logical /
-  transpiled, ideal / noisy), and are deterministic per seed;
-* ``fused=False`` (and ``REPRO_FUSED=0``) keeps the seed path
-  bit-identical — nothing about the unfused kernels changed;
+* plan replay agrees with the dense reference oracle
+  (``tests/dense_reference.py``) within 1e-10 on every engine
+  (statevector / density, single / batched, logical / transpiled, ideal
+  / noisy with superoperator or Kraus-only noise models), and is
+  deterministic per seed;
+* a single-state engine is a batch of one: its result is bit-identical
+  to the circuit's row of a larger batch under the same plan;
 * plans are compiled once per structure and cached (LRU with hit/miss
   counters), as is transpilation (fingerprint-keyed).
 """
@@ -18,6 +20,7 @@ import pytest
 
 from repro.circuits import CircuitBatch, QuantumCircuit
 from repro.circuits.layers import build_layered_ansatz
+from repro.circuits.transpile import transpile as transpile_circuit
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
 from repro.hardware import IdealBackend, NoisyBackend
 from repro.noise.calibration import get_calibration
@@ -31,7 +34,6 @@ from repro.sim import (
     PlanCache,
     Statevector,
     compile_circuit,
-    fused_enabled,
 )
 from repro.sim.compile import (
     ConstantStep,
@@ -41,6 +43,8 @@ from repro.sim.compile import (
     PermutationStep,
     WireChainStep,
 )
+
+import dense_reference as ref
 
 #: Gate vocabulary for the property test: mixes matmul, diagonal, and
 #: permutation gates, trainable / literal / parameterless flavours.
@@ -84,6 +88,29 @@ def sweep_circuit(n_qubits=4, layers=("ry", "rzz", "rz", "cz"), reps=3, seed=5):
         circuit.add("ry", wire, float(rng.uniform(0, np.pi)))
     full = circuit.compose(ansatz)
     return full.bind(rng.uniform(-np.pi, np.pi, full.num_parameters))
+
+
+class KrausOnly:
+    """Noise model view without the ``superop_for`` fast path."""
+
+    def __init__(self, model):
+        self.channels_for = model.channels_for
+
+
+def oracle_shift_jacobian(circuit) -> np.ndarray:
+    """Parameter-shift Jacobian (shifts of +-pi/2) on the dense oracle;
+    exact for circuits whose parameters each drive one rotation."""
+    theta = np.asarray(circuit.parameters, dtype=np.float64)
+    jacobian = np.empty((circuit.n_qubits, theta.size))
+    for index in range(theta.size):
+        shift = np.zeros_like(theta)
+        shift[index] = np.pi / 2
+        plus = ref.probabilities(circuit.bound(theta + shift))
+        minus = ref.probabilities(circuit.bound(theta - shift))
+        jacobian[:, index] = (
+            ref.expectations_z(plus) - ref.expectations_z(minus)
+        ) / 2
+    return jacobian
 
 
 class TestCompilerLowering:
@@ -147,10 +174,6 @@ class TestCompilerLowering:
         assert any(isinstance(s, WireChainStep) for s in plan.steps)
 
     def test_kraus_only_model_gets_kraus_steps(self):
-        class KrausOnly:
-            def __init__(self, model):
-                self.channels_for = model.channels_for
-
         model = NoiseModel(get_calibration("ibmq_manila"))
         plan = compile_circuit(
             sweep_circuit(), mode="density", noise_model=KrausOnly(model)
@@ -189,7 +212,9 @@ class TestCompilerLowering:
 
 
 class TestFusedEquivalence:
-    """Fused vs unfused within 1e-10 on all four engines."""
+    """Fused plan replay vs the unfused dense reference, which builds
+    every gate as a full Kronecker-product operator: within 1e-10 on all
+    engines."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_statevector_property(self, seed):
@@ -199,45 +224,49 @@ class TestFusedEquivalence:
         circuits = [rebind(base, rng) for _ in range(5)]
         plan = compile_circuit(base)
         batch = CircuitBatch(circuits)
-        fused = BatchedStatevector(n_qubits, 5).evolve(batch, plan=plan)
-        for row, circuit in zip(fused.vectors, circuits):
-            reference = Statevector(n_qubits).evolve(circuit)
-            assert np.max(np.abs(row - reference.vector)) < 1e-10
-            # Single-circuit fused path rides the same kernels as a
-            # batch of one -> bit-identical rows.
+        stacked = BatchedStatevector(n_qubits, 5).evolve(batch, plan=plan)
+        for row, circuit in zip(stacked.vectors, circuits):
+            assert np.max(np.abs(row - ref.statevector(circuit))) < 1e-10
+            # The single-state engine is a batch of one: bit-identical.
             single = Statevector(n_qubits).evolve(circuit, plan=plan)
             assert np.array_equal(single.vector, row)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_density_property_with_noise(self, seed):
+    @staticmethod
+    def check_density_property(seed, kraus_only):
         rng = np.random.default_rng(2000 + seed)
         n_qubits = int(rng.integers(1, 4))
         model = NoiseModel(get_calibration("ibmq_santiago"))
+        if kraus_only:
+            model = KrausOnly(model)
         base = random_structure(rng, n_qubits, n_ops=int(rng.integers(4, 18)))
         circuits = [rebind(base, rng) for _ in range(4)]
         plan = compile_circuit(base, mode="density", noise_model=model)
+        if kraus_only:
+            assert any(isinstance(s, KrausStep) for s in plan.steps)
         batch = CircuitBatch(circuits)
-        fused = BatchedDensityMatrix(n_qubits, 4).evolve(batch, plan=plan)
-        probs = fused.probabilities()
-        for row in range(4):
-            reference = DensityMatrix(n_qubits).evolve(
-                circuits[row], noise_model=model
-            )
-            assert np.max(
-                np.abs(probs[row] - reference.probabilities())
-            ) < 1e-10
-            single = DensityMatrix(n_qubits).evolve(
-                circuits[row], plan=plan
-            )
-            assert np.array_equal(single.probabilities(), probs[row])
+        stacked = BatchedDensityMatrix(n_qubits, 4).evolve(batch, plan=plan)
+        for row, circuit in enumerate(circuits):
+            want = ref.density_matrix(circuit, model)
+            assert np.max(np.abs(stacked.matrices[row] - want)) < 1e-10
+            single = DensityMatrix(n_qubits).evolve(circuit, plan=plan)
+            assert np.array_equal(single.matrix, stacked.matrices[row])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_density_property_with_noise(self, seed):
+        self.check_density_property(seed, kraus_only=False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_density_property_with_kraus_only_noise(self, seed):
+        self.check_density_property(seed, kraus_only=True)
 
     def test_ideal_backend_fused_vs_unfused(self):
         rng = np.random.default_rng(30)
         base = random_structure(rng, 4, n_ops=20)
         circuits = [rebind(base, rng) for _ in range(6)]
-        fused = IdealBackend(exact=True, fused=True).expectations(circuits)
-        unfused = IdealBackend(exact=True, fused=False).expectations(circuits)
-        assert np.max(np.abs(fused - unfused)) < 1e-10
+        got = IdealBackend(exact=True).expectations(circuits)
+        for row, circuit in zip(got, circuits):
+            want = ref.expectations_z(ref.probabilities(circuit))
+            assert np.max(np.abs(row - want)) < 1e-10
 
     @pytest.mark.parametrize("transpile", [False, True])
     def test_noisy_backend_fused_vs_unfused(self, transpile):
@@ -249,26 +278,30 @@ class TestFusedEquivalence:
         circuit.add_trainable("ry", 2, 1)
         circuit.add("cx", (1, 2))
         circuits = [
-            circuit.bound(rng.uniform(-np.pi, np.pi, 2)) for _ in range(5)
+            circuit.bound(rng.uniform(-np.pi, np.pi, 2)) for _ in range(3)
         ]
-        fused = NoisyBackend.from_device_name(
-            "ibmq_lima", seed=0, transpile=transpile, fused=True
+        backend = NoisyBackend.from_device_name(
+            "ibmq_lima", seed=0, transpile=transpile
         )
-        unfused = NoisyBackend.from_device_name(
-            "ibmq_lima", seed=0, transpile=transpile, fused=False
-        )
-        stacked = fused.observed_probabilities_batch(circuits)
-        for row, c in zip(stacked, circuits):
-            reference = unfused.observed_probabilities(c)
-            assert np.max(np.abs(row - reference)) < 1e-10
+        stacked = backend.observed_probabilities_batch(circuits)
+        calibration = backend.calibration
+        for row, logical in zip(stacked, circuits):
+            physical, layout = logical, None
+            if transpile:
+                routed = transpile_circuit(
+                    logical, calibration.coupling_map, calibration.n_qubits
+                )
+                physical, layout = routed.circuit, routed.final_layout
+            want = ref.observed_probabilities(
+                physical, backend.noise_model, layout, logical.n_qubits
+            )
+            assert np.max(np.abs(row - want)) < 1e-10
 
     def test_fused_sampling_deterministic_per_seed(self):
         circuits = [sweep_circuit(seed=s) for s in range(3)]
         runs = []
         for _ in range(2):
-            backend = NoisyBackend.from_device_name(
-                "ibmq_lima", seed=42, fused=True
-            )
+            backend = NoisyBackend.from_device_name("ibmq_lima", seed=42)
             runs.append(backend.run(circuits, shots=512))
         for a, b in zip(*runs):
             assert a.counts == b.counts
@@ -276,24 +309,23 @@ class TestFusedEquivalence:
 
     def test_fused_gradients_close_to_unfused(self):
         circuits = [sweep_circuit(seed=s) for s in range(2)]
-        fused = parameter_shift_jacobian_batch(
-            circuits, IdealBackend(exact=True, fused=True)
+        got = parameter_shift_jacobian_batch(
+            circuits, IdealBackend(exact=True)
         )
-        unfused = parameter_shift_jacobian_batch(
-            circuits, IdealBackend(exact=True, fused=False)
-        )
-        for a, b in zip(fused, unfused):
-            assert np.max(np.abs(a - b)) < 1e-10
+        for jacobian, circuit in zip(got, circuits):
+            want = oracle_shift_jacobian(circuit)
+            assert np.max(np.abs(jacobian - want)) < 1e-10
 
 
 class TestSeedPathBitIdentity:
-    """``fused=False`` is the untouched seed path, bit for bit."""
+    """Backends reproduce direct single-state evolution bit for bit, and
+    both match the unfused dense reference."""
 
     def test_unfused_ideal_matches_direct_statevector(self):
         rng = np.random.default_rng(40)
         base = random_structure(rng, 3, n_ops=14)
         circuits = [rebind(base, rng) for _ in range(4)]
-        backend = IdealBackend(exact=True, fused=False)
+        backend = IdealBackend(exact=True)
         results = backend.run(circuits, shots=0)
         for circuit, result in zip(circuits, results):
             direct = Statevector(3).evolve(circuit)
@@ -301,38 +333,27 @@ class TestSeedPathBitIdentity:
                 result.expectations,
                 np.asarray(direct.expectation_z(), dtype=np.float64),
             )
+            want = ref.expectations_z(ref.probabilities(circuit))
+            assert np.max(np.abs(result.expectations - want)) < 1e-10
 
     def test_unfused_noisy_matches_direct_density(self):
-        circuit = sweep_circuit()
-        backend = NoisyBackend.from_device_name(
-            "ibmq_lima", seed=1, fused=False
-        )
+        circuits = [sweep_circuit(seed=s) for s in range(2)]
+        backend = NoisyBackend.from_device_name("ibmq_lima", seed=1)
         model = backend.noise_model
-        direct = DensityMatrix(4).evolve(circuit, noise_model=model)
-        # observed_probabilities applies readout error on top of the
-        # raw evolution; compare the raw diagonals via the internal
-        # path by scaling readout error away.
-        clean = NoisyBackend(
-            get_calibration("ibmq_lima"), seed=1, fused=False
+        plan = compile_circuit(circuits[0], mode="density", noise_model=model)
+        stacked = BatchedDensityMatrix(4, 2).evolve(
+            CircuitBatch(circuits), plan=plan
         )
+        for row, circuit in enumerate(circuits):
+            direct = DensityMatrix(4).evolve(circuit, noise_model=model)
+            assert np.array_equal(direct.matrix, stacked.matrices[row])
+            want = ref.density_matrix(circuit, model)
+            assert np.max(np.abs(direct.matrix - want)) < 1e-10
+        # Readout on top: one circuit alone equals its row of the group.
+        grouped = backend.observed_probabilities_batch(circuits)
         assert np.array_equal(
-            clean.observed_probabilities(circuit),
-            backend.observed_probabilities(circuit),
+            backend.observed_probabilities(circuits[1]), grouped[1]
         )
-        assert direct.probabilities().shape == (16,)
-
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        assert not fused_enabled()
-        assert not IdealBackend(exact=True).fused
-        assert not NoisyBackend.from_device_name("ibmq_lima").fused
-        monkeypatch.setenv("REPRO_FUSED", "1")
-        assert IdealBackend(exact=True).fused
-        monkeypatch.delenv("REPRO_FUSED")
-        assert fused_enabled()
-        # Explicit argument beats the environment.
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        assert IdealBackend(exact=True, fused=True).fused
 
 
 class TestPlanCache:
@@ -357,7 +378,7 @@ class TestPlanCache:
         assert cache.stats()["misses"] == 0
 
     def test_sweep_compiles_once(self):
-        backend = IdealBackend(exact=True, fused=True)
+        backend = IdealBackend(exact=True)
         circuits = [sweep_circuit(seed=s) for s in range(3)]
         parameter_shift_jacobian_batch(circuits, backend)
         stats = backend.plan_cache.stats()
@@ -369,7 +390,7 @@ class TestPlanCache:
 
     def test_transpile_cache_hits_on_resubmission(self):
         backend = NoisyBackend.from_device_name(
-            "ibmq_lima", seed=0, transpile=True, fused=True
+            "ibmq_lima", seed=0, transpile=True
         )
         circuits = [sweep_circuit(seed=s) for s in range(2)]
         backend.run(circuits, shots=64)
@@ -380,15 +401,15 @@ class TestPlanCache:
         assert second["misses"] == 2
         assert second["hits"] == 2
 
-    def test_spec_captures_fused_flag(self):
-        spec = BackendSpec.from_backend(IdealBackend(exact=True, fused=False))
-        assert spec.fused is False
-        assert spec.build().fused is False
-        spec = BackendSpec.from_backend(
-            NoisyBackend.from_device_name("ibmq_lima", fused=True)
-        )
-        assert spec.fused is True
-        assert spec.build().fused is True
+    def test_spec_rebuilt_replica_compiles_each_structure_once(self):
+        replica = BackendSpec.from_backend(
+            NoisyBackend.from_device_name("ibmq_lima")
+        ).build()
+        circuits = [sweep_circuit(seed=s) for s in range(3)]
+        replica.run(circuits, shots=64)
+        replica.run(circuits[:1], shots=64)
+        stats = replica.plan_cache.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
 
 
 class TestFusedCostModel:
@@ -398,20 +419,16 @@ class TestFusedCostModel:
         assert circuit_cost(circuit, plan=plan) < circuit_cost(circuit)
 
     def test_planner_splits_less_under_fusion(self):
-        # Calibrate the split floor so the per-gate estimate wants more
-        # shards than the fused estimate for the same group.
+        # A split floor between the plan's cost and the per-gate
+        # estimate: the planner splits by what the workers replay.
         circuit = sweep_circuit()
         group = [circuit.copy() for _ in range(8)]
         per_gate = circuit_cost(circuit)
-        fused_cost = circuit_cost(
-            circuit, plan=compile_circuit(circuit)
-        )
-        floor = (fused_cost + per_gate) / 2.0  # between the two
-        unfused_planner = ShardPlanner(8, min_shard_cost=floor)
-        fused_planner = ShardPlanner(8, min_shard_cost=floor, fused=True)
-        assert fused_planner.n_shards(group) < unfused_planner.n_shards(
-            group
-        )
+        planned = circuit_cost(circuit, plan=compile_circuit(circuit))
+        floor = (planned + per_gate) / 2.0
+        planner = ShardPlanner(8, min_shard_cost=floor)
+        assert planner.n_shards(group) == int(8 * planned // floor)
+        assert planner.n_shards(group) < int(8 * per_gate // floor)
 
     def test_plan_provides_describe(self):
         plan = compile_circuit(sweep_circuit())

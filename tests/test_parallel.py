@@ -26,6 +26,14 @@ from repro.parallel import (
     circuit_cost,
     default_workers,
 )
+from repro.parallel.pool import batch_probabilities, execute_shard
+from repro.parallel.shard import Shard
+from repro.sim import compile_circuit, sample_from_probabilities
+
+
+def planned_cost(circuit):
+    """The per-circuit cost the planner charges: its compiled plan's."""
+    return circuit_cost(circuit, plan=compile_circuit(circuit))
 
 
 def ring_circuits(n, n_qubits=3, seed=3):
@@ -196,7 +204,7 @@ class TestShardPlanner:
 
     def test_cost_floor_limits_splitting(self):
         circuits = ring_circuits(4)
-        group_cost = 4 * circuit_cost(circuits[0])
+        group_cost = 4 * planned_cost(circuits[0])
         # A floor above the whole group's cost: no split at all.
         planner = ShardPlanner(4, min_shard_cost=group_cost * 2)
         assert len(planner.plan(circuits)) == 1
@@ -206,7 +214,7 @@ class TestShardPlanner:
 
     def test_density_costing_splits_smaller_groups(self):
         circuits = ring_circuits(4)
-        floor = 4 * circuit_cost(circuits[0]) * 2
+        floor = 4 * planned_cost(circuits[0]) * 2
         assert len(ShardPlanner(4, min_shard_cost=floor).plan(circuits)) == 1
         planner = ShardPlanner(4, min_shard_cost=floor, density=True)
         assert len(planner.plan(circuits)) > 1
@@ -388,6 +396,32 @@ class TestShardedBackendSampling:
                     r.counts for r in sharded.run(circuits, shots=128)
                 ]
         assert per_workers[1] == per_workers[2] == per_workers[4]
+
+    def test_sampled_ideal_shard_replays_the_replica_plan(self):
+        """The sampled kernel evolves through the replica's cached plan
+        and draws from exactly the in-process distributions."""
+        circuits = ring_circuits(5)
+        seeds = list(np.random.SeedSequence(8).spawn(len(circuits)))
+        shard = Shard(
+            worker=0,
+            positions=list(range(len(circuits))),
+            circuits=circuits,
+            seeds=seeds,
+        )
+        replica = IdealBackend(exact=False, seed=3)
+        results, _ = execute_shard(replica, shard, shots=64, purpose="run")
+        assert replica.plan_cache.stats()["misses"] > 0
+        want = IdealBackend(
+            exact=False, seed=3
+        ).observed_probabilities_batch(circuits)
+        assert np.array_equal(
+            batch_probabilities(replica, circuits), want
+        )
+        for row, seed, result in zip(want, seeds, results):
+            counts = sample_from_probabilities(
+                row, 64, np.random.default_rng(seed)
+            )
+            assert result.counts == counts
 
     def test_reseeding_resets_the_substream_tree(self):
         circuits = ring_circuits(3)

@@ -663,10 +663,8 @@ class TestServingResilience:
         executed = []
 
         class Recording(IdealBackend):
-            def _execute(self, circuit, shots):
-                executed.append(circuit)
-                return super()._execute(circuit, shots)
-
+            # Single circuits run as a batch of one, so every execution
+            # passes through _execute_batch.
             def _execute_batch(self, circuits, shots):
                 executed.extend(circuits)
                 return super()._execute_batch(circuits, shots)
