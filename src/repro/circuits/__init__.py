@@ -27,6 +27,7 @@ from repro.circuits.layers import (
     ring_pairs,
 )
 from repro.circuits.operation import BoundOp, OpTemplate
+from repro.circuits.sweep import Sweep, SweepTemplate
 from repro.circuits.transpile import (
     BASIS_GATES,
     CX_COST,
@@ -47,6 +48,8 @@ __all__ = [
     "OpTemplate",
     "QnnArchitecture",
     "QuantumCircuit",
+    "Sweep",
+    "SweepTemplate",
     "TranspileResult",
     "build_layered_ansatz",
     "chain_pairs",

@@ -9,12 +9,14 @@ the paper's layer vocabulary, and (c) the number of classes:
 * Vowel-4:              2 x (RZZ + RXX) layers                (16 params)
 
 ``QnnArchitecture`` bundles all of it and builds the full (encoder compose
-ansatz) circuit for a given input example.
+ansatz) circuit for a given input example — or, for a whole mini-batch,
+one :class:`~repro.circuits.sweep.Sweep` over a cached template.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from repro.circuits import encoders as _encoders
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.layers import build_layered_ansatz
+from repro.circuits.sweep import Sweep, SweepTemplate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,7 +49,7 @@ class QnnArchitecture:
         """Fresh trainable ansatz (parameters initialized to zero)."""
         return build_layered_ansatz(self.n_qubits, list(self.layer_names))
 
-    @property
+    @functools.cached_property
     def num_parameters(self) -> int:
         """Trainable parameter count of the ansatz."""
         return self.build_ansatz().num_parameters
@@ -67,6 +70,68 @@ class QnnArchitecture:
         """Encoder + ansatz circuit, ansatz bound to ``theta``."""
         ansatz = self.build_ansatz().bind(theta)
         return self.encode(x).compose(ansatz)
+
+    @functools.cached_property
+    def sweep_template(self) -> SweepTemplate:
+        """The validated structure of :meth:`full_circuit`, built once.
+
+        Checks the layout :meth:`sweep` relies on: the encoder's ops
+        come first, one fixed single-angle op per feature, in feature
+        order.
+        """
+        n_features = self.n_features
+        probe = np.arange(1.0, n_features + 1.0)
+        template = SweepTemplate(
+            self.full_circuit(probe, np.zeros(self.num_parameters))
+        )
+        encoder = template.templates[:n_features]
+        if not np.array_equal(template.literals[:n_features], probe) or any(
+            t.param_index is not None or len(t.params) != 1 for t in encoder
+        ):
+            raise ValueError(
+                f"encoder {self.encoder_name!r} does not place one angle "
+                f"per feature in feature order"
+            )
+        template.validate()
+        return template
+
+    def sweep(
+        self,
+        features: Sequence[Sequence[float]] | np.ndarray,
+        theta: Sequence[float] | np.ndarray,
+    ) -> Sweep:
+        """The :meth:`full_circuit` of every feature row, as one sweep.
+
+        The encoder's angles fill the first ``n_features`` columns in
+        feature order; the trainable columns resolve to ``theta[i] +
+        offset`` with zero offsets.  Row ``b`` executes bit-identically
+        to ``full_circuit(features[b], theta)``.
+
+        Args:
+            features: ``(B, n_features)`` inputs (a single row may be
+                given as a 1-D array).
+            theta: The shared trainable parameter vector.
+        """
+        template = self.sweep_template
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim == 1:
+            features = features[None, :]
+        n_features = self.n_features
+        if features.ndim != 2 or features.shape[1] != n_features:
+            raise ValueError(
+                f"{self.encoder_name} encoder expects {n_features} "
+                f"features per row, got shape {features.shape}"
+            )
+        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+        if theta.size != template.num_parameters:
+            raise ValueError(
+                f"expected {template.num_parameters} parameters, got "
+                f"{theta.size}"
+            )
+        size = features.shape[0]
+        literals = np.tile(template.literals, (size, 1))
+        literals[:, :n_features] = features
+        return Sweep(template, literals, np.tile(theta, (size, 1)))
 
     def init_parameters(
         self, rng: np.random.Generator, scale: float = 0.1

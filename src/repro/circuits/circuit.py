@@ -127,10 +127,21 @@ class QuantumCircuit:
         (already validated), and the gradient engines mint thousands of
         copies per training step.
         """
+        return self._with(list(self._templates), self._parameters.copy())
+
+    def _with(
+        self, templates: list[OpTemplate], parameters: np.ndarray
+    ) -> "QuantumCircuit":
+        """Same-structure circuit with the given templates and theta.
+
+        The caller guarantees ``templates`` differ from this circuit's
+        only in values (offsets, literal params), so the cached
+        structure signature, key and occurrence map carry over.
+        """
         out = object.__new__(QuantumCircuit)
         out.n_qubits = self.n_qubits
-        out._templates = list(self._templates)
-        out._parameters = self._parameters.copy()
+        out._templates = templates
+        out._parameters = parameters
         out._structure = self._structure
         out._structure_hash = self._structure_hash
         out._occurrences = self._occurrences

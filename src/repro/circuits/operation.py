@@ -96,6 +96,26 @@ class OpTemplate:
         object.__setattr__(clone, "offset", self.offset + delta)
         return clone
 
+    def revalued(self, values: tuple[float, ...]) -> "OpTemplate":
+        """Copy carrying new values: a trainable op's ``(offset,)``, a
+        fixed op's literal ``params``.
+
+        Built like :meth:`shifted`, without re-validation — a
+        :class:`~repro.circuits.sweep.Sweep` materializes its rows into
+        circuits through this, one call per distinct value.
+        """
+        clone = object.__new__(OpTemplate)
+        object.__setattr__(clone, "name", self.name)
+        object.__setattr__(clone, "wires", self.wires)
+        object.__setattr__(clone, "param_index", self.param_index)
+        if self.param_index is None:
+            object.__setattr__(clone, "params", tuple(values))
+            object.__setattr__(clone, "offset", self.offset)
+        else:
+            object.__setattr__(clone, "params", self.params)
+            object.__setattr__(clone, "offset", values[0])
+        return clone
+
 
 @dataclasses.dataclass(frozen=True)
 class BoundOp:

@@ -15,6 +15,8 @@ from repro.gradients.parameter_shift import (
     check_shiftable,
     parameter_shift_forward_and_jacobian,
     parameter_shift_jacobian,
+    parameter_shift_jacobian_batch,
+    shift_sweep,
 )
 from repro.gradients.spsa import spsa_jacobian
 
@@ -31,5 +33,7 @@ __all__ = [
     "finite_difference_jacobian",
     "parameter_shift_forward_and_jacobian",
     "parameter_shift_jacobian",
+    "parameter_shift_jacobian_batch",
+    "shift_sweep",
     "spsa_jacobian",
 ]

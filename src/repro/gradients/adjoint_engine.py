@@ -7,7 +7,8 @@ executions — it is the engine behind the Classical-Train baseline.
 
 The batch entry points mirror :func:`~repro.gradients.parameter_shift.
 parameter_shift_jacobian_batch`: circuits are grouped by cached
-structure signature (exactly like ``Backend.run``), each group pulls
+structure signature (exactly like ``Backend.run``; a
+:class:`~repro.circuits.sweep.Sweep` is one group), each group pulls
 its compiled :class:`~repro.sim.compile.ExecutionPlan` from a
 structure-keyed :class:`~repro.sim.compile.PlanCache`, and one batched
 forward pass plus one backward reverse-replay serves the whole group.
@@ -19,7 +20,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.circuits.batch import group_by_structure
+from repro.circuits.batch import CircuitBatch, group_by_structure
+from repro.circuits.sweep import Sweep
 from repro.sim import compile as _compile
 from repro.sim.adjoint import adjoint_expectation_and_jacobian_batch
 from repro.sim.statevector import Statevector
@@ -57,7 +59,7 @@ def adjoint_plan_for(circuit, backend=None):
 
 
 def _mask_columns(
-    jacobian: np.ndarray, circuit, param_indices: Sequence[int] | None
+    jacobian: np.ndarray, param_indices: Sequence[int] | None
 ) -> np.ndarray:
     """Zero the columns of unselected parameters (pruning semantics).
 
@@ -66,7 +68,7 @@ def _mask_columns(
     """
     if param_indices is None:
         return jacobian
-    mask = np.zeros(circuit.num_parameters, dtype=bool)
+    mask = np.zeros(jacobian.shape[-1], dtype=bool)
     mask[list(param_indices)] = True
     return jacobian * mask[None, :]
 
@@ -74,20 +76,28 @@ def _mask_columns(
 def _sweep_groups(circuits, backend):
     """One batched adjoint sweep per structure group, scattered back.
 
+    ``circuits`` is a sequence of circuits or one
+    :class:`~repro.circuits.sweep.Sweep` (a single structure group).
+
     Returns ``(expectations, jacobians)`` in submission order —
     ``(N, n_qubits)`` stacked expectations and a list of
     ``(n_qubits, n_params)`` Jacobians.
     """
-    expectations: np.ndarray | None = None
-    jacobians: list = [None] * len(circuits)
-    for positions, members in group_by_structure(circuits):
+    if isinstance(circuits, Sweep):
+        groups = [(range(circuits.size), circuits)]
+    else:
+        groups = [
+            (positions, CircuitBatch(members))
+            for positions, members in group_by_structure(list(circuits))
+        ]
+    total = sum(len(positions) for positions, _ in groups)
+    width = groups[0][1].n_qubits if groups else 0
+    expectations = np.empty((total, width), dtype=np.float64)
+    jacobians: list = [None] * total
+    for positions, sweep in groups:
         exp, jac = adjoint_expectation_and_jacobian_batch(
-            members, plan=adjoint_plan_for(members[0], backend)
+            sweep, plan=adjoint_plan_for(sweep, backend)
         )
-        if expectations is None:
-            expectations = np.empty(
-                (len(circuits), exp.shape[1]), dtype=np.float64
-            )
         for row, position in enumerate(positions):
             expectations[position] = exp[row]
             jacobians[position] = jac[row]
@@ -104,18 +114,13 @@ def adjoint_engine_jacobian_batch(
     """Exact Jacobians for a mixed-structure submission, one per circuit.
 
     Groups by cached structure signature (like ``Backend.run``) and runs
-    one batched sweep per group; ``backend``/``shots``/``purpose`` keep
-    API parity with the sampling estimators (adjoint executes no
-    backend circuits, so nothing is metered).
+    one batched sweep per group — a :class:`~repro.circuits.sweep.
+    Sweep` is one group; ``backend``/``shots``/``purpose`` keep API
+    parity with the sampling estimators (adjoint executes no backend
+    circuits, so nothing is metered).
     """
-    circuits = list(circuits)
-    if not circuits:
-        return []
     _, jacobians = _sweep_groups(circuits, backend)
-    return [
-        _mask_columns(jacobian, circuit, param_indices)
-        for jacobian, circuit in zip(jacobians, circuits)
-    ]
+    return [_mask_columns(jacobian, param_indices) for jacobian in jacobians]
 
 
 def adjoint_forward_and_jacobian_batch(
@@ -128,22 +133,17 @@ def adjoint_forward_and_jacobian_batch(
 
     The combined entry point of the adjoint training step: the batched
     forward state is reused by the backward sweep, so each circuit is
-    simulated exactly once per step instead of twice.  The forward
+    simulated exactly once per step instead of twice.  ``circuits``
+    may be a :class:`~repro.circuits.sweep.Sweep`.  The forward
     values are metered on ``backend`` under the ``"forward"`` purpose —
     the same accounting a separate ``backend.expectations`` call would
     have produced — keeping the paper's inference counts comparable
     across gradient engines.
     """
-    circuits = list(circuits)
-    if not circuits:
-        return np.zeros((0, 0), dtype=np.float64), []
     expectations, jacobians = _sweep_groups(circuits, backend)
-    masked = [
-        _mask_columns(jacobian, circuit, param_indices)
-        for jacobian, circuit in zip(jacobians, circuits)
-    ]
-    if backend is not None:
-        backend.meter.record(len(circuits), 0, "forward")
+    masked = [_mask_columns(jacobian, param_indices) for jacobian in jacobians]
+    if backend is not None and jacobians:
+        backend.meter.record(len(jacobians), 0, "forward")
     return expectations, masked
 
 

@@ -17,18 +17,20 @@ Cost: ``2 * (number of shifted gate occurrences)`` circuit executions per
 Jacobian — linear in parameter count, which is what makes on-chip training
 scale where classical simulation cannot.
 
-All shifted clones of one circuit share its structure signature (a shift
-changes an offset, never a template), so every function here submits its
-whole circuit list in a single ``backend.run`` call and lets the
-backend's structure-grouped fast path evolve the clones as one stacked
-tensor — on :class:`~repro.hardware.IdealBackend`, a handful of batched
-einsum-style contractions instead of thousands of per-circuit
-``tensordot`` passes.
+A Jacobian sweep never builds the shifted circuits one by one: the
+base rows are stacked into one :class:`~repro.circuits.sweep.Sweep`
+(an angle matrix over a shared structure template), and
+:func:`shift_sweep` repeats every row ``2 x |shifted occurrences|``
+times and writes the ``± pi/2`` offsets into the shifted occurrence
+columns — the rows :func:`build_shifted_circuits` would build, in its
+order, executing bit-identically.  The whole sweep goes to the backend
+in one ``run_sweep`` call, which on the simulator backends evolves it
+as one stacked tensor.
 
 ``backend`` may equally be a :class:`~repro.serving.ServiceExecutor`:
-the submission then flows through the shared
+the rows then flow, as circuits, through the shared
 :class:`~repro.serving.ExecutionService`, whose scheduler coalesces
-this caller's shifted clones with every other client's same-structure
+this caller's shifted rows with every other client's same-structure
 traffic before executing — the service-backed gradient path.
 """
 
@@ -38,6 +40,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.circuits.batch import CircuitBatch, group_by_structure
+from repro.circuits.sweep import Sweep
+from repro.hardware.backend import sweep_expectations
 from repro.sim import gates as _gates
 
 #: The two-term shift for generators with eigenvalues +/-1 (Eq. 2).
@@ -86,6 +91,44 @@ def build_shifted_circuits(
     return circuits, index_map
 
 
+def shift_sweep(
+    sweep: Sweep, param_indices: Sequence[int]
+) -> tuple[Sweep, list[tuple[int, int]]]:
+    """:func:`build_shifted_circuits` for every row of a sweep, as a sweep.
+
+    Row ``b`` of ``sweep`` expands to ``2 x len(index_map)`` rows,
+    alternating ``plus, minus`` per shifted occurrence: the offset
+    column of that occurrence carries ``offset ± pi/2`` — exactly the
+    float64 offset :meth:`~repro.circuits.OpTemplate.shifted` stores —
+    and every other value is the base row's.
+
+    Returns:
+        ``(shifted, index_map)``; ``index_map[k]`` is the
+        ``(param_index, occurrence_position)`` of each row's k-th pair.
+    """
+    template = sweep.template
+    index_map = [
+        (index, position)
+        for index in param_indices
+        for position in template.occurrences_of(index)
+    ]
+    repeats = 2 * len(index_map)
+    literals = np.repeat(sweep.literals, repeats, axis=0)
+    params = np.repeat(sweep.params, repeats, axis=0)
+    # A trainable op's offset lives in the column of its own position.
+    columns = np.tile(
+        np.array([position for _, position in index_map], dtype=np.intp),
+        sweep.size,
+    )
+    plus = (
+        np.arange(sweep.size)[:, None] * repeats
+        + 2 * np.arange(len(index_map))
+    ).ravel()
+    literals[plus, columns] += SHIFT
+    literals[plus + 1, columns] -= SHIFT
+    return Sweep(template, literals, params), index_map
+
+
 def parameter_shift_jacobian(
     circuit,
     backend,
@@ -110,78 +153,65 @@ def parameter_shift_jacobian(
         Array of shape ``(n_qubits, n_params)``; columns not in
         ``param_indices`` are zero.
     """
-    if param_indices is None:
-        param_indices = list(range(circuit.num_parameters))
-    param_indices = [int(i) for i in param_indices]
-    check_shiftable(circuit, param_indices)
-
-    jacobian = np.zeros(
-        (circuit.n_qubits, circuit.num_parameters), dtype=np.float64
-    )
-    if not param_indices:
-        return jacobian
-
-    circuits, index_map = build_shifted_circuits(circuit, param_indices)
-    expectations = backend.expectations(
-        circuits, shots=shots, purpose=purpose
-    )
-    for pair, (param_index, _) in enumerate(index_map):
-        f_plus = expectations[2 * pair]
-        f_minus = expectations[2 * pair + 1]
-        jacobian[:, param_index] += 0.5 * (f_plus - f_minus)
-    return jacobian
+    return parameter_shift_jacobian_batch(
+        [circuit], backend, shots=shots,
+        param_indices=param_indices, purpose=purpose,
+    )[0]
 
 
 def parameter_shift_jacobian_batch(
-    circuits: Sequence,
+    circuits,
     backend,
     shots: int = 1024,
     param_indices: Sequence[int] | None = None,
     purpose: str = "gradient",
 ) -> list[np.ndarray]:
-    """Jacobians for several circuits with a single backend submission.
+    """Jacobians for several circuits, one backend submission per structure.
 
     The TrainingEngine differentiates every example of a mini-batch with
-    the same pruned parameter subset; batching all shifted circuits into
-    one ``backend.run`` call mirrors how jobs are batched to real devices
-    and amortizes per-call overhead.  Because every clone shares the base
-    circuits' structure, the whole submission collapses into one stacked
-    evolution per distinct base structure on batch-capable backends.
+    the same pruned parameter subset; all shifted rows of a structure
+    go to the backend as one :func:`shift_sweep`, which mirrors how
+    jobs are batched to real devices and amortizes per-call overhead.
+
+    Args:
+        circuits: A :class:`~repro.circuits.sweep.Sweep` (one row per
+            example) or a sequence of circuits, which are grouped by
+            structure — each group runs as one sweep, in first-
+            appearance order, the order ``Backend.run`` executes a
+            mixed submission's groups in.
 
     Returns:
-        One ``(n_qubits, n_params)`` Jacobian per input circuit.
+        One ``(n_qubits, n_params)`` Jacobian per input row.
     """
-    if not circuits:
-        return []
-    all_shifted: list = []
-    layouts: list[tuple[int, list[tuple[int, int]]]] = []
-    for circuit in circuits:
+    if isinstance(circuits, Sweep):
+        groups = [(range(circuits.size), circuits)]
+    else:
+        groups = [
+            (positions, CircuitBatch(members))
+            for positions, members in group_by_structure(list(circuits))
+        ]
+    jacobians: list = [None] * sum(len(p) for p, _ in groups)
+    for positions, sweep in groups:
         indices = (
-            list(range(circuit.num_parameters))
+            list(range(sweep.num_parameters))
             if param_indices is None
             else [int(i) for i in param_indices]
         )
-        check_shiftable(circuit, indices)
-        shifted, index_map = build_shifted_circuits(circuit, indices)
-        layouts.append((len(all_shifted), index_map))
-        all_shifted.extend(shifted)
-
-    jacobians = [
-        np.zeros((c.n_qubits, c.num_parameters), dtype=np.float64)
-        for c in circuits
-    ]
-    if not all_shifted:
-        return jacobians
-    expectations = backend.expectations(
-        all_shifted, shots=shots, purpose=purpose
-    )
-    for circuit_pos, (base, index_map) in enumerate(layouts):
-        for pair, (param_index, _) in enumerate(index_map):
-            f_plus = expectations[base + 2 * pair]
-            f_minus = expectations[base + 2 * pair + 1]
-            jacobians[circuit_pos][:, param_index] += 0.5 * (
-                f_plus - f_minus
-            )
+        check_shiftable(sweep.template, indices)
+        jacobian = np.zeros(
+            (sweep.size, sweep.n_qubits, sweep.num_parameters),
+            dtype=np.float64,
+        )
+        if indices:
+            shifted, index_map = shift_sweep(sweep, indices)
+            expectations = sweep_expectations(
+                backend, shifted, shots=shots, purpose=purpose
+            ).reshape(sweep.size, len(index_map), 2, sweep.n_qubits)
+            halves = 0.5 * (expectations[:, :, 0] - expectations[:, :, 1])
+            for pair, (param_index, _) in enumerate(index_map):
+                jacobian[:, :, param_index] += halves[:, pair]
+        for position, row in zip(positions, jacobian):
+            jacobians[position] = row
     return jacobians
 
 

@@ -12,13 +12,19 @@ every execution — Fig. 6's x-axis is *#inferences*, i.e. circuits run.
 
 Batched execution
 -----------------
-A backend that can evolve many same-structure circuits at once (stacked
-tensors, a vendor batch API, ...) overrides :meth:`Backend._execute_batch`.
-:meth:`Backend.run` then partitions each submission into same-structure
+:meth:`Backend.run` partitions each submission into same-structure
 groups via :meth:`QuantumCircuit.structure_signature` and hands every
-group to ``_execute_batch`` in one call — the parameter-shift gradient
-engine's thousands of shifted clones arrive as a handful of stacked
-evolutions instead of a Python loop.
+group to :meth:`Backend._execute_batch` in one call.  A backend that
+can evolve many same-structure rows at once implements
+:meth:`Backend._execute_sweep` instead: it receives a
+:class:`~repro.circuits.sweep.Sweep` — one structure template plus a
+``(B, n_columns)`` angle matrix — and the base ``_execute_batch``
+adapts circuit groups onto it (stacked into a
+:class:`~repro.circuits.CircuitBatch`).  :meth:`Backend.run_sweep`
+hands callers that already hold a sweep (the training loop, the
+parameter-shift engine) to the same kernel with no circuit objects and
+no counts dicts; executors without a native kernel run the sweep's
+circuits instead.
 
 Both simulator backends execute every circuit the same way: each
 structure compiles once into a fused :class:`~repro.sim.compile.
@@ -56,6 +62,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.circuits.batch import CircuitBatch, group_by_structure
+from repro.circuits.sweep import Sweep
 from repro.resilience import faults as _faults
 from repro.sim import compile as _compile
 from repro.sim import measurement as _measurement
@@ -237,27 +244,78 @@ class Backend(abc.ABC):
     def _execute(self, circuit, shots: int) -> ExecutionResult:
         """Run a single circuit (implemented by subclasses)."""
 
+    def _execute_sweep(
+        self, sweep: Sweep, shots: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Run every row of a sweep; override to execute natively.
+
+        The one kernel hook of the simulator backends: both
+        :meth:`run` (through the :meth:`_execute_batch` adapter) and
+        :meth:`run_sweep` land here.
+
+        Returns:
+            ``(expectations, outcomes)`` — ``(B, n_qubits)`` per-row Z
+            expectations and the ``(B, 2^n)`` sampled outcome matrix,
+            or ``None`` for exact execution (no shots drawn).
+        """
+        raise NotImplementedError
+
     def _execute_batch(self, circuits: Sequence, shots: int) -> list[ExecutionResult]:
         """Run several *same-structure* circuits; override to vectorize.
 
         :meth:`run` only calls this with circuits sharing one
         :meth:`~repro.circuits.QuantumCircuit.structure_signature`, in
-        submission order within the group.  The default falls back to
-        per-circuit :meth:`_execute`, so subclasses keep working
-        unchanged until they opt in.
+        submission order within the group.  On a backend implementing
+        :meth:`_execute_sweep` this is the adapter onto it: the group
+        is stacked into a :class:`~repro.circuits.CircuitBatch` and
+        each row's counts dict is built from the outcome matrix.
+        Otherwise it falls back to per-circuit :meth:`_execute`.
         """
-        return [self._execute(circuit, shots) for circuit in circuits]
+        if type(self)._execute_sweep is Backend._execute_sweep:
+            return [self._execute(circuit, shots) for circuit in circuits]
+        expectations, outcomes = self._execute_sweep(
+            CircuitBatch(circuits), shots
+        )
+        if outcomes is None:
+            return [
+                ExecutionResult(counts={}, expectations=row.copy(), shots=0)
+                for row in expectations
+            ]
+        counts_list = _measurement.outcome_matrix_to_counts(outcomes)
+        return [
+            ExecutionResult(
+                counts=counts, expectations=row.copy(), shots=shots
+            )
+            for counts, row in zip(counts_list, expectations)
+        ]
 
     def supports_batching(self) -> bool:
         """Whether :meth:`run` should use the structure-grouped fast path.
 
-        True exactly when the subclass overrides :meth:`_execute_batch`.
-        Backends with sequential semantics (per-circuit RNG consumption
-        in submission order) stay on the plain loop, so enabling the
-        fast path for one backend never perturbs another's seeded
-        streams.
+        True exactly when the subclass overrides :meth:`_execute_batch`
+        or :meth:`_execute_sweep`.  Backends with sequential semantics
+        (per-circuit RNG consumption in submission order) stay on the
+        plain loop, so enabling the fast path for one backend never
+        perturbs another's seeded streams.
         """
-        return type(self)._execute_batch is not Backend._execute_batch
+        cls = type(self)
+        return (
+            cls._execute_batch is not Backend._execute_batch
+            or cls._execute_sweep is not Backend._execute_sweep
+        )
+
+    def supports_sweeps(self) -> bool:
+        """Whether :meth:`run_sweep` executes the angle matrix natively.
+
+        True when the subclass implements :meth:`_execute_sweep` and
+        keeps the base :meth:`_execute_batch` adapter — a subclass that
+        hooks ``_execute_batch`` sees every sweep as circuits instead.
+        """
+        cls = type(self)
+        return (
+            cls._execute_sweep is not Backend._execute_sweep
+            and cls._execute_batch is Backend._execute_batch
+        )
 
     def results_deterministic(self) -> bool:
         """Whether repeated runs of one circuit give bit-identical results.
@@ -320,11 +378,7 @@ class Backend(abc.ABC):
         explicit 0 was a contradiction.  Sampling backends still reject
         any ``shots < 1``.
         """
-        if shots < 0 or (shots == 0 and not self.exact_execution()):
-            raise ValueError(
-                "shots must be positive (shots=0 is allowed only on "
-                "backends whose execution is exact)"
-            )
+        self._check_shots(shots)
         circuits = list(circuits)
         if self.supports_batching() and len(circuits) > 1:
             groups = group_by_structure(circuits)
@@ -370,6 +424,40 @@ class Backend(abc.ABC):
             len(circuits), sum(r.shots for r in results), purpose
         )
         return results
+
+    def run_sweep(
+        self, sweep: Sweep, shots: int = 1024, purpose: str = "run"
+    ) -> np.ndarray:
+        """Per-row Z expectations of a sweep, ``(B, n_qubits)``.
+
+        The angle-matrix twin of :meth:`expectations`: the same shots
+        rule, fault site, metering and results, but no
+        ``ExecutionResult`` or counts dict per row.  The template is
+        validated once (not once per row).  Backends that cannot run
+        the matrix natively (:meth:`supports_sweeps` is False)
+        materialize the rows' circuits (:meth:`Sweep.circuits
+        <repro.circuits.sweep.Sweep.circuits>`) and run those.
+        """
+        if not self.supports_sweeps():
+            return self.expectations(
+                sweep.circuits(), shots=shots, purpose=purpose
+            )
+        self._check_shots(shots)
+        sweep.template.validate()
+        if _faults.ACTIVE is not None:
+            _faults.ACTIVE.fire(_faults.SITE_EXECUTE_BATCH, backend=self.name)
+        expectations, outcomes = self._execute_sweep(sweep, shots)
+        self._record_run(
+            sweep.size, 0 if outcomes is None else shots * sweep.size, purpose
+        )
+        return expectations
+
+    def _check_shots(self, shots: int) -> None:
+        if shots < 0 or (shots == 0 and not self.exact_execution()):
+            raise ValueError(
+                "shots must be positive (shots=0 is allowed only on "
+                "backends whose execution is exact)"
+            )
 
     def _record_run(
         self, n_circuits: int, total_shots: int, purpose: str
@@ -451,10 +539,9 @@ class IdealBackend(Backend):
     def exact_execution(self) -> bool:
         return self.exact
 
-    def _evolve(self, circuits) -> BatchedStatevector:
-        batch = CircuitBatch(circuits)
-        return BatchedStatevector(batch.n_qubits, batch.size).evolve(
-            batch, plan=self._plan_for(circuits[0])
+    def _evolve(self, sweep: Sweep) -> BatchedStatevector:
+        return BatchedStatevector(sweep.n_qubits, sweep.size).evolve(
+            sweep, plan=self._plan_for(sweep)
         )
 
     def observed_probabilities_batch(self, circuits) -> np.ndarray:
@@ -468,37 +555,39 @@ class IdealBackend(Backend):
         Returns:
             ``(len(circuits), 2^n)`` distributions, in submission order.
         """
-        return self._evolve(list(circuits)).probabilities()
+        return self._evolve(CircuitBatch(circuits)).probabilities()
 
     def _execute(self, circuit, shots: int) -> ExecutionResult:
         return self._execute_batch([circuit], shots)[0]
 
-    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
-        state = self._evolve(circuits)
+    def _execute_sweep(self, sweep: Sweep, shots: int):
+        state = self._evolve(sweep)
         if self.exact:
-            expectations = state.expectation_z()
-            return [
-                ExecutionResult(
-                    counts={}, expectations=expectations[row].copy(), shots=0
-                )
-                for row in range(state.batch_size)
-            ]
-        # Sample and read out from the outcome matrix directly: the
-        # per-row expectations are computed with one vectorized pass
-        # (bit-identical to expectation_z_from_counts on each row's
-        # counts dict — see expectation_z_from_outcome_matrix).
+            return state.expectation_z(), None
+        # Read out from the outcome matrix directly: one vectorized
+        # pass, bit-identical to expectation_z_from_counts on each
+        # row's counts dict (see expectation_z_from_outcome_matrix).
         outcomes = _measurement.sample_outcome_matrix(
             state.probabilities(), shots, self._rng
         )
-        counts_list = _measurement.outcome_matrix_to_counts(outcomes)
-        expectations = _measurement.expectation_z_from_outcome_matrix(
-            outcomes
+        return (
+            _measurement.expectation_z_from_outcome_matrix(outcomes),
+            outcomes,
         )
-        return [
-            ExecutionResult(
-                counts=counts,
-                expectations=expectations[row].copy(),
-                shots=shots,
-            )
-            for row, counts in enumerate(counts_list)
-        ]
+
+
+def sweep_expectations(
+    executor, sweep: Sweep, shots: int = 1024, purpose: str = "run"
+) -> np.ndarray:
+    """``executor.run_sweep(...)``, for any executor.
+
+    Executors without a ``run_sweep`` member (a duck-typed object
+    offering only the ``run`` / ``expectations`` / ``meter`` surface)
+    get the sweep's circuits instead — the same results and metering.
+    """
+    run_sweep = getattr(executor, "run_sweep", None)
+    if run_sweep is None:
+        return executor.expectations(
+            sweep.circuits(), shots=shots, purpose=purpose
+        )
+    return run_sweep(sweep, shots=shots, purpose=purpose)

@@ -23,7 +23,9 @@ Two fidelity levels:
 
 Execution
 ---------
-Every submission is grouped by structure and each group replays its
+Every submission is grouped by structure (a
+:class:`~repro.circuits.sweep.Sweep` is one group) and each group
+replays its
 cached compiled density plan (:mod:`repro.sim.compile`) on one stacked
 :class:`~repro.sim.batched_density.BatchedDensityMatrix` — unitary
 fusion between noise insertion points and precomposed per-wire channel
@@ -42,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits.batch import CircuitBatch
+from repro.circuits.sweep import Sweep
 from repro.circuits.transpile import transpile as _transpile
 from repro.hardware.backend import Backend, ExecutionResult
 from repro.noise.calibration import DeviceCalibration, get_calibration
@@ -183,53 +186,61 @@ class NoisyBackend(Backend):
             (len(circuits), 2**logical_qubits), dtype=np.float64
         )
         for indices in groups.values():
-            physicals = [prepared[i][0] for i in indices]
-            layout = prepared[indices[0]][1]
-            batch = CircuitBatch(physicals)
-            rho = BatchedDensityMatrix(batch.n_qubits, batch.size)
-            rho.evolve(batch, plan=self._plan_for(physicals[0]))
-            confusions = self.noise_model.readout_confusions(batch.n_qubits)
-            probs = _measurement.apply_readout_error_batch(
-                rho.probabilities(), confusions
+            rows[indices] = self._observed_rows(
+                CircuitBatch([prepared[i][0] for i in indices]),
+                prepared[indices[0]][1],
+                logical_qubits,
             )
-            marginal = _layout_to_marginalize(
-                batch.n_qubits, layout, logical_qubits
-            )
-            if marginal is not None:
-                probs = _marginalize_layout_batch(
-                    probs, batch.n_qubits, marginal, logical_qubits
-                )
-            rows[indices] = probs
         return rows
+
+    def _observed_rows(
+        self, sweep: Sweep, layout: tuple[int, ...], logical_qubits: int
+    ) -> np.ndarray:
+        """Observed distributions of one post-transpile structure group.
+
+        One batched density evolution, readout confusion applied
+        batch-wide, then the layout traced down to the logical qubits.
+        """
+        rho = BatchedDensityMatrix(sweep.n_qubits, sweep.size)
+        rho.evolve(sweep, plan=self._plan_for(sweep))
+        confusions = self.noise_model.readout_confusions(sweep.n_qubits)
+        probs = _measurement.apply_readout_error_batch(
+            rho.probabilities(), confusions
+        )
+        marginal = _layout_to_marginalize(
+            sweep.n_qubits, layout, logical_qubits
+        )
+        if marginal is not None:
+            probs = _marginalize_layout_batch(
+                probs, sweep.n_qubits, marginal, logical_qubits
+            )
+        return probs
 
     def _execute(self, circuit, shots: int) -> ExecutionResult:
         return self._execute_batch([circuit], shots)[0]
 
-    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
-        """Vectorized noisy execution of one same-structure group.
+    def _execute_sweep(self, sweep: Sweep, shots: int):
+        """Vectorized noisy execution of one same-structure sweep.
 
         One batched density evolution, then a single vectorized
         multinomial draw over the stacked observed distributions — the
-        RNG stream is consumed row by row in group order, so a
-        single-structure submission samples bit-identically to
-        submitting its circuits one by one.
+        RNG stream is consumed row by row, so a single-structure
+        submission samples bit-identically to submitting its circuits
+        one by one.  Transpiled execution routes each row's circuit
+        (routing bakes in angles), so it materializes the rows first.
         """
-        probs = self.observed_probabilities_batch(circuits)
+        if self.transpile:
+            probs = self.observed_probabilities_batch(sweep.circuits())
+        else:
+            identity = tuple(range(sweep.n_qubits))
+            probs = self._observed_rows(sweep, identity, sweep.n_qubits)
         outcomes = _measurement.sample_outcome_matrix(
             probs, shots, self._rng
         )
-        counts_list = _measurement.outcome_matrix_to_counts(outcomes)
-        expectations = _measurement.expectation_z_from_outcome_matrix(
-            outcomes
+        return (
+            _measurement.expectation_z_from_outcome_matrix(outcomes),
+            outcomes,
         )
-        return [
-            ExecutionResult(
-                counts=counts,
-                expectations=expectations[row].copy(),
-                shots=shots,
-            )
-            for row, counts in enumerate(counts_list)
-        ]
 
     def exact_expectations(self, circuit) -> np.ndarray:
         """Noisy-but-shot-free expectations (infinite-shot limit)."""

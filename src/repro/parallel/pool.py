@@ -17,10 +17,11 @@ Execution of one shard inside a worker:
 * sampling backends split the work: the *expensive* part — the stacked
   statevector / density evolution and readout post-processing — is
   computed batch-wide via the replica's vectorized path, then each
-  circuit's counts are drawn from its own
-  :class:`~numpy.random.SeedSequence` substream carried by the shard,
-  so sampled results are keyed to the circuit, not to the worker that
-  happened to execute it.
+  circuit's outcomes are drawn from its own
+  :class:`~numpy.random.SeedSequence` substream carried by the shard
+  into one outcome matrix, read out (counts and expectations) in one
+  vectorized pass.  Sampled results are keyed to the circuit, not to
+  the worker that happened to execute it.
 
 Every response ships the replica's meter window
 (:meth:`~repro.hardware.CircuitRunMeter.diff`) for the facade to merge.
@@ -80,7 +81,7 @@ from repro.hardware.backend import Backend, ExecutionResult
 from repro.parallel.shard import Shard
 from repro.parallel.spec import BackendSpec
 from repro.resilience import faults as _faults
-from repro.resilience.errors import TransientError
+from repro.resilience.errors import InvalidCircuitError, TransientError
 from repro.sim import measurement as _measurement
 
 
@@ -199,19 +200,21 @@ def execute_shard(
             "sampling execution needs per-circuit seed substreams"
         )
     probs = batch_probabilities(backend, shard.circuits)
-    results = []
-    for row, seed, circuit in zip(probs, shard.seeds, shard.circuits):
-        rng = np.random.default_rng(seed)
-        counts = _measurement.sample_from_probabilities(row, shots, rng)
-        results.append(
-            ExecutionResult(
-                counts=counts,
-                expectations=_measurement.expectation_z_from_counts(
-                    counts, circuit.n_qubits
-                ),
-                shots=shots,
-            )
+    # Every row draws from its own substream into one outcome matrix,
+    # which is read out in one vectorized pass.
+    outcomes = np.stack(
+        [
+            np.random.default_rng(seed).multinomial(shots, row / row.sum())
+            for row, seed in zip(probs, shard.seeds)
+        ]
+    )
+    expectations = _measurement.expectation_z_from_outcome_matrix(outcomes)
+    results = [
+        ExecutionResult(counts=counts, expectations=row, shots=shots)
+        for counts, row in zip(
+            _measurement.outcome_matrix_to_counts(outcomes), expectations
         )
+    ]
     backend.meter.record(len(results), shots * len(results), purpose)
     return results, _meter_window(backend, before, purpose)
 
@@ -623,10 +626,15 @@ class WorkerPool:
                 self.shards_executed += 1
         if failure is not None:
             name, message, worker_traceback = failure
-            raise WorkerError(
+            error = WorkerError(
                 f"worker raised {name}: {message}\n"
                 f"--- worker traceback ---\n{worker_traceback}"
             )
+            if name == InvalidCircuitError.__name__:
+                # Keep the admission error's type across the pipe, so
+                # callers see the same error as in-process execution.
+                raise InvalidCircuitError(message) from error
+            raise error
         return responses
 
     def _recv(

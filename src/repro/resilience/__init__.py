@@ -29,6 +29,7 @@ from repro.resilience.errors import (
     DeadlineExceeded,
     FlushError,
     InjectedFault,
+    InvalidCircuitError,
     JobCancelled,
     ResilienceWarning,
     TransientError,
@@ -54,6 +55,7 @@ __all__ = [
     "FlushError",
     "HALF_OPEN",
     "InjectedFault",
+    "InvalidCircuitError",
     "JobCancelled",
     "OPEN",
     "ResilienceWarning",

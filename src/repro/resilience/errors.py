@@ -33,6 +33,18 @@ class InjectedFault(TransientError):
     """
 
 
+class InvalidCircuitError(ValueError):
+    """A circuit the simulators cannot run, rejected before execution.
+
+    Raised when a submission's stacked angle matrix holds a NaN or an
+    infinity: such a circuit would otherwise come back as NaN
+    expectations (exact mode) or as a raw NumPy sampling error.  A
+    ``ValueError``, not a :class:`TransientError` — it fails the same
+    way on every attempt, so retry policies never retry it and the
+    serving tier bisects it out of its flush.
+    """
+
+
 class DeadlineExceeded(RuntimeError):
     """A job's per-submission deadline elapsed before it finished."""
 

@@ -62,7 +62,6 @@ from repro.sim.measurement import (
     expectation_z_from_probabilities,
     readout_confusion_matrix,
     sample_counts_batch,
-    sample_from_probabilities,
 )
 from repro.sim.statevector import Statevector, run_statevector
 
@@ -110,6 +109,5 @@ __all__ = [
     "run_density_batch",
     "run_statevector",
     "sample_counts_batch",
-    "sample_from_probabilities",
     "stacked_matrices",
 ]

@@ -74,7 +74,8 @@ def adjoint_expectation_and_jacobian_batch(
 
     Args:
         circuits: Non-empty sequence of structurally identical
-            :class:`~repro.circuits.QuantumCircuit` objects.
+            :class:`~repro.circuits.QuantumCircuit` objects, or a
+            :class:`~repro.circuits.sweep.Sweep` (one structure group).
         plan: Compiled statevector :class:`~repro.sim.compile.
             ExecutionPlan` for the shared structure; ``None`` compiles
             one for this call.
@@ -87,22 +88,26 @@ def adjoint_expectation_and_jacobian_batch(
         ``(B, T, n_params)``; multiple occurrences of one parameter are
         summed, matching Sec. 3.1's multi-occurrence rule.
     """
-    circuits = list(circuits)
-    if not circuits:
-        raise ValueError("need at least one circuit")
-    n_qubits = circuits[0].n_qubits
-    n_params = circuits[0].num_parameters
+    # Deferred import: repro.circuits pulls the gate registry out of
+    # repro.sim at package-init time, so a module-level import here
+    # would be circular.
+    from repro.circuits.batch import CircuitBatch
+    from repro.circuits.sweep import Sweep
+
+    if isinstance(circuits, Sweep):
+        batch = circuits
+    else:
+        circuits = list(circuits)
+        if not circuits:
+            raise ValueError("need at least one circuit")
+        batch = CircuitBatch(circuits)
+    n_qubits = batch.n_qubits
+    n_params = batch.num_parameters
     if observables is None:
         obs = _default_observables(n_qubits)
     else:
         obs = tuple(tuple(int(w) for w in wires) for wires in observables)
 
-    # Deferred import: repro.circuits pulls the gate registry out of
-    # repro.sim at package-init time, so a module-level import here
-    # would be circular.
-    from repro.circuits.batch import CircuitBatch
-
-    batch = CircuitBatch(circuits)
     if plan is None:
         plan = _compile.compile_circuit(batch, mode="statevector")
     # Build (and thereby validate) the backward lowering before paying

@@ -249,19 +249,3 @@ def apply_readout_error_batch(
     out = np.ascontiguousarray(tensor.reshape(batch, -1))
     out[out < 0] = 0.0
     return out / out.sum(axis=1, keepdims=True)
-
-
-def sample_from_probabilities(
-    probs: np.ndarray, shots: int, rng: np.random.Generator
-) -> dict[str, int]:
-    """Draw ``shots`` multinomial samples; returns a counts dict."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    probs = np.asarray(probs, dtype=np.float64)
-    probs = probs / probs.sum()
-    n_qubits = int(np.log2(probs.size))
-    outcomes = rng.multinomial(shots, probs)
-    counts: dict[str, int] = {}
-    for index in np.nonzero(outcomes)[0]:
-        counts[format(index, f"0{n_qubits}b")] = int(outcomes[index])
-    return counts

@@ -17,11 +17,13 @@ shift on the quantum device, (2) downstream gradient via classical
 softmax/cross-entropy backprop, (3) chain-rule dot product and optimizer
 update.
 
-Both the forward pass and the gradient pass submit their whole
-mini-batch (and all of its parameter-shifted clones) in single
-``backend.run`` calls; every circuit of a task shares one structure
-signature, so on batch-capable backends each training step executes as
-a few stacked-tensor evolutions rather than ``O(batch x params)``
+Every circuit of a task shares one structure, so a step never builds
+circuits one by one: the mini-batch is one
+:meth:`~repro.circuits.QnnArchitecture.sweep` (an angle matrix over the
+architecture's cached template), and the parameter-shift rows are a
+vectorized expansion of it.  The forward pass and the gradient pass
+are one ``run_sweep`` call each, which the simulator backends execute
+as one stacked-tensor evolution rather than ``O(batch x params)``
 individual simulations.
 """
 
@@ -39,6 +41,7 @@ from repro.gradients.adjoint_engine import (
 from repro.gradients.finite_difference import finite_difference_jacobian
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
 from repro.gradients.spsa import spsa_jacobian
+from repro.hardware.backend import sweep_expectations
 from repro.ml.loss import cross_entropy
 from repro.ml.optim import make_optimizer
 from repro.ml.schedulers import CosineScheduler
@@ -145,19 +148,17 @@ class TrainingEngine:
 
     # -- gradient dispatch --------------------------------------------------
 
-    def _jacobians(
-        self, circuits: list, selected: np.ndarray
-    ) -> list[np.ndarray]:
+    def _jacobians(self, sweep, selected: np.ndarray) -> list[np.ndarray]:
         engine = self.config.gradient_engine
         indices = [int(i) for i in selected]
         if engine == "parameter_shift":
             return parameter_shift_jacobian_batch(
-                circuits, self.backend,
+                sweep, self.backend,
                 shots=self.config.shots, param_indices=indices,
             )
         if engine == "adjoint":
             return adjoint_engine_jacobian_batch(
-                circuits, self.backend, param_indices=indices
+                sweep, self.backend, param_indices=indices
             )
         if engine == "finite_difference":
             return [
@@ -165,7 +166,7 @@ class TrainingEngine:
                     c, self.backend,
                     shots=self.config.shots, param_indices=indices,
                 )
-                for c in circuits
+                for c in sweep.circuits()
             ]
         if engine == "spsa":
             return [
@@ -173,7 +174,7 @@ class TrainingEngine:
                     c, self.backend,
                     shots=self.config.shots, rng=self._spsa_rng,
                 )
-                for c in circuits
+                for c in sweep.circuits()
             ]
         raise ValueError(f"unknown gradient engine {engine!r}")
 
@@ -189,10 +190,7 @@ class TrainingEngine:
         mask = np.zeros(self.architecture.num_parameters, dtype=bool)
         mask[selected] = True
 
-        circuits = [
-            self.architecture.full_circuit(row, self.theta)
-            for row in features
-        ]
+        sweep = self.architecture.sweep(features, self.theta)
 
         # Parts 1 + 2 (Fig. 4): forward expectations and Jacobians.  The
         # adjoint engine computes both from a single batched sweep per
@@ -202,15 +200,15 @@ class TrainingEngine:
         # gradient circuits.
         if config.gradient_engine == "adjoint":
             expectations, jacobians = adjoint_forward_and_jacobian_batch(
-                circuits,
+                sweep,
                 backend=self.backend,
                 param_indices=[int(i) for i in selected],
             )
         else:
-            expectations = self.backend.expectations(
-                circuits, shots=config.shots, purpose="forward"
+            expectations = sweep_expectations(
+                self.backend, sweep, shots=config.shots, purpose="forward"
             )
-            jacobians = self._jacobians(circuits, selected)
+            jacobians = self._jacobians(sweep, selected)
 
         # Part 2 (Fig. 4 right): classical loss backprop.
         logits = logits_from_expectations(

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.circuits.ansatz import QnnArchitecture
 from repro.data.dataset import Dataset
+from repro.hardware.backend import sweep_expectations
 from repro.ml.metrics import accuracy as _accuracy
 from repro.training.heads import logits_from_expectations
 
@@ -20,20 +21,17 @@ def predict_logits(
 ) -> np.ndarray:
     """Class logits for a batch of examples on the given backend.
 
-    Builds one encoder+ansatz circuit per example and submits them as a
-    single batch.
+    Submits the examples as one :meth:`~repro.circuits.QnnArchitecture.
+    sweep` (one ``run_sweep`` call).
 
     Returns:
         ``(batch, n_classes)`` logits.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[None, :]
-    circuits = [
-        architecture.full_circuit(row, theta) for row in features
-    ]
-    expectations = backend.expectations(
-        circuits, shots=shots, purpose=purpose
+    expectations = sweep_expectations(
+        backend,
+        architecture.sweep(features, theta),
+        shots=shots,
+        purpose=purpose,
     )
     return logits_from_expectations(expectations, architecture.n_classes)
 

@@ -111,14 +111,14 @@ class TestReadoutError:
 class TestSampling:
     def test_sample_counts_sum(self):
         rng = np.random.default_rng(5)
-        counts = m.sample_from_probabilities(
-            np.array([0.25, 0.25, 0.25, 0.25]), 1000, rng
+        (counts,) = m.sample_counts_batch(
+            np.array([[0.25, 0.25, 0.25, 0.25]]), 1000, rng
         )
         assert sum(counts.values()) == 1000
         assert all(len(k) == 2 for k in counts)
 
     def test_sample_shots_validated(self):
         with pytest.raises(ValueError):
-            m.sample_from_probabilities(
-                np.array([1.0]), 0, np.random.default_rng(0)
+            m.sample_outcome_matrix(
+                np.array([[1.0]]), 0, np.random.default_rng(0)
             )

@@ -28,12 +28,27 @@ from repro.parallel import (
 )
 from repro.parallel.pool import batch_probabilities, execute_shard
 from repro.parallel.shard import Shard
-from repro.sim import compile_circuit, sample_from_probabilities
+from repro.sim import compile_circuit, expectation_z_from_counts
 
 
 def planned_cost(circuit):
     """The per-circuit cost the planner charges: its compiled plan's."""
     return circuit_cost(circuit, plan=compile_circuit(circuit))
+
+
+def per_row_sample(row, shots, seed):
+    """The per-row readout sharded sampling replaced: one multinomial
+    draw from the row's own substream, a counts dict, and expectations
+    from the dict."""
+    outcomes = np.random.default_rng(seed).multinomial(
+        shots, row / row.sum()
+    )
+    n_qubits = int(np.log2(row.size))
+    counts = {
+        format(index, f"0{n_qubits}b"): int(outcomes[index])
+        for index in np.nonzero(outcomes)[0]
+    }
+    return counts, expectation_z_from_counts(counts, n_qubits)
 
 
 def ring_circuits(n, n_qubits=3, seed=3):
@@ -418,10 +433,34 @@ class TestShardedBackendSampling:
             batch_probabilities(replica, circuits), want
         )
         for row, seed, result in zip(want, seeds, results):
-            counts = sample_from_probabilities(
-                row, 64, np.random.default_rng(seed)
-            )
+            counts, _ = per_row_sample(row, 64, seed)
             assert result.counts == counts
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend_kind", ["ideal_sampled", "noisy"])
+    def test_outcome_matrix_readout_matches_per_row_readout(
+        self, backend_kind, workers
+    ):
+        """Counts and expectations read out of the shard's stacked
+        outcome matrix are bit-identical to per-row multinomial draws
+        read out through counts dicts."""
+        circuits = ring_circuits(5)
+
+        def build():
+            if backend_kind == "ideal_sampled":
+                return IdealBackend(exact=False, seed=17)
+            return NoisyBackend.from_device_name("ibmq_lima", seed=17)
+
+        with ShardedBackend(
+            build(), workers=workers, min_shard_cost=0
+        ) as sharded:
+            results = sharded.run(circuits, shots=200)
+        probs = build().observed_probabilities_batch(circuits)
+        seeds = np.random.SeedSequence(17).spawn(len(circuits))
+        for row, seed, result in zip(probs, seeds, results):
+            counts, expectations = per_row_sample(row, 200, seed)
+            assert result.counts == counts
+            assert np.array_equal(result.expectations, expectations)
 
     def test_reseeding_resets_the_substream_tree(self):
         circuits = ring_circuits(3)

@@ -1,0 +1,369 @@
+"""Angle-matrix sweeps against the circuits they stand for.
+
+A :class:`~repro.circuits.sweep.Sweep` replaces per-row circuit
+objects on the training hot path, so every sweep builder and the
+``run_sweep`` execution path are checked against the circuit API they
+replace: the same stacked angles, the same materialized circuits
+(fingerprints included), bit-identical results and identical metering
+on twin-seeded executors, and the dense oracle within 1e-10.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.circuits import (
+    ARCHITECTURES,
+    CircuitBatch,
+    QuantumCircuit,
+    get_architecture,
+)
+from repro.gradients.parameter_shift import (
+    build_shifted_circuits,
+    parameter_shift_jacobian_batch,
+    shift_sweep,
+)
+from repro.hardware import IdealBackend, NoisyBackend, sweep_expectations
+from repro.parallel import ShardedBackend
+from repro.resilience import InvalidCircuitError, RetryPolicy
+from repro.serving import ExecutionService
+from repro.training import TrainingConfig, TrainingEngine
+from repro.pruning import PruningHyperparams
+
+import dense_reference as ref
+
+ANGLES = st.floats(
+    min_value=-2 * np.pi, max_value=2 * np.pi,
+    allow_nan=False, allow_infinity=False,
+)
+
+
+def shared_parameter_circuit(angles) -> QuantumCircuit:
+    """Literal, ``u3`` and parameterless ops, and parameter 0 shared
+    by two gates."""
+    circuit = QuantumCircuit(3)
+    circuit.add("ry", 0, angles[0]).add("u3", 1, *angles[1:4])
+    circuit.add_trainable("rx", 0, 0).add("cz", (0, 1))
+    circuit.add_trainable("rzz", (1, 2), 1)
+    circuit.add_trainable("ry", 2, 0).add("h", 2)
+    return circuit.bind(angles[4:6])
+
+
+def stacked_clones(circuits, indices):
+    clones = []
+    for circuit in circuits:
+        clones.extend(build_shifted_circuits(circuit, indices)[0])
+    return clones
+
+
+class TestSweepBuilders:
+    @pytest.mark.parametrize("task", sorted(ARCHITECTURES))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_architecture_sweep_equals_stacked_full_circuits(
+        self, task, data
+    ):
+        arch = get_architecture(task)
+        rows = data.draw(st.integers(1, 4))
+        features = np.array(
+            data.draw(
+                st.lists(ANGLES, min_size=rows * arch.n_features,
+                         max_size=rows * arch.n_features)
+            )
+        ).reshape(rows, arch.n_features)
+        theta = np.array(
+            data.draw(
+                st.lists(ANGLES, min_size=arch.num_parameters,
+                         max_size=arch.num_parameters)
+            )
+        )
+        sweep = arch.sweep(features, theta)
+        circuits = [arch.full_circuit(x, theta) for x in features]
+        batch = CircuitBatch(circuits)
+        assert np.array_equal(sweep.angles, batch.angles)
+        for position in range(sweep.num_operations()):
+            got, want = sweep.op_params(position), batch.op_params(position)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want)
+        assert [c.fingerprint() for c in sweep.circuits()] == [
+            c.fingerprint() for c in circuits
+        ]
+
+    @given(
+        angles=st.lists(ANGLES, min_size=6, max_size=6),
+        rebound=st.lists(ANGLES, min_size=2, max_size=2),
+        offset=ANGLES,
+        indices=st.lists(st.integers(0, 1), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shift_sweep_equals_stacked_clones(
+        self, angles, rebound, offset, indices
+    ):
+        base = shared_parameter_circuit(angles)
+        # The third row already carries an offset on a shared-parameter
+        # gate, so shifting it must add to that offset exactly.
+        circuits = [base, base.bound(rebound), base.shifted(5, offset)]
+        shifted, index_map = shift_sweep(CircuitBatch(circuits), indices)
+        clones = stacked_clones(circuits, indices)
+        assert index_map == build_shifted_circuits(base, indices)[1]
+        stacked = CircuitBatch(clones)
+        assert np.array_equal(shifted.angles, stacked.angles)
+        assert np.array_equal(shifted.literals, stacked.literals)
+        assert np.array_equal(shifted.params, stacked.params)
+        materialized = shifted.circuits()
+        assert [c.fingerprint() for c in materialized] == [
+            c.fingerprint() for c in clones
+        ]
+        for got, want in zip(materialized, clones):
+            assert got.templates == want.templates
+            assert np.array_equal(got.parameters, want.parameters)
+            assert got.structure_signature() == want.structure_signature()
+
+    def test_feature_width_is_checked(self):
+        arch = get_architecture("vowel4")
+        with pytest.raises(ValueError, match="features"):
+            arch.sweep(np.zeros((2, 16)), np.zeros(arch.num_parameters))
+        with pytest.raises(ValueError, match="parameters"):
+            arch.sweep(np.zeros((2, 10)), np.zeros(3))
+
+
+# -- run_sweep against expectations(circuits) -------------------------------
+
+
+class MinimalExecutor:
+    """Only the ``run`` / ``expectations`` / ``meter`` surface — no
+    ``run_sweep``, so sweeps reach it as circuits."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.meter = backend.meter
+
+    def run(self, circuits, shots=1024, purpose="run"):
+        return self._backend.run(circuits, shots=shots, purpose=purpose)
+
+    def expectations(self, circuits, shots=1024, purpose="run"):
+        return self._backend.expectations(
+            circuits, shots=shots, purpose=purpose
+        )
+
+
+def _noisy(seed, **kwargs):
+    return NoisyBackend.from_device_name("ibmq_lima", seed=seed, **kwargs)
+
+
+EXECUTORS = {
+    "ideal_exact": (lambda: IdealBackend(exact=True), 0),
+    "ideal_sampled": (lambda: IdealBackend(exact=False, seed=5), 1024),
+    "noisy": (lambda: _noisy(5), 1024),
+    "noisy_transpiled": (lambda: _noisy(5, transpile=True), 1024),
+}
+
+
+def _workload():
+    arch = get_architecture("mnist2")
+    rng = np.random.default_rng(4)
+    features = rng.uniform(0, np.pi, (3, arch.n_features))
+    theta = rng.uniform(-1, 1, arch.num_parameters)
+    return arch, features, theta
+
+
+class TestRunSweep:
+    @pytest.mark.parametrize("kind", sorted(EXECUTORS))
+    def test_bit_identical_to_circuit_submission(self, kind):
+        build, shots = EXECUTORS[kind]
+        arch, features, theta = _workload()
+        sweep = arch.sweep(features, theta)
+        shifted, _ = shift_sweep(sweep, [0, 3, 5])
+        native, circuit_path = build(), build()
+        got = [
+            native.run_sweep(sweep, shots=shots, purpose="forward"),
+            native.run_sweep(shifted, shots=shots, purpose="gradient"),
+        ]
+        circuits = [arch.full_circuit(x, theta) for x in features]
+        want = [
+            circuit_path.expectations(
+                circuits, shots=shots, purpose="forward"
+            ),
+            circuit_path.expectations(
+                stacked_clones(circuits, [0, 3, 5]),
+                shots=shots,
+                purpose="gradient",
+            ),
+        ]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert native.meter.snapshot() == circuit_path.meter.snapshot()
+        assert native.meter.by_purpose == {"forward": 3, "gradient": 18}
+
+    def test_exact_results_match_dense_reference(self):
+        arch, features, theta = _workload()
+        sweep = arch.sweep(features, theta)
+        got = IdealBackend(exact=True).run_sweep(sweep, shots=0)
+        for row, circuit in zip(got, sweep.circuits()):
+            want = ref.expectations_z(ref.probabilities(circuit))
+            assert np.max(np.abs(row - want)) < 1e-10
+
+    def test_noisy_distributions_match_dense_reference(self):
+        arch, features, theta = _workload()
+        backend = _noisy(0)
+        circuits = arch.sweep(features, theta).circuits()
+        rows = backend.observed_probabilities_batch(circuits)
+        for row, circuit in zip(rows, circuits):
+            want = ref.observed_probabilities(circuit, backend.noise_model)
+            assert np.max(np.abs(row - want)) < 1e-10
+
+    @pytest.mark.parametrize("shots", [0, 256])
+    def test_sharded_executor(self, shots):
+        arch, features, theta = _workload()
+        sweep = arch.sweep(features, theta)
+
+        def build():
+            return IdealBackend(exact=shots == 0, seed=9)
+
+        with ShardedBackend(build(), workers=2, min_shard_cost=0) as a:
+            got = a.run_sweep(sweep, shots=shots, purpose="forward")
+            got_meter = a.meter.snapshot()
+        with ShardedBackend(build(), workers=2, min_shard_cost=0) as b:
+            want = b.expectations(
+                [arch.full_circuit(x, theta) for x in features],
+                shots=shots,
+                purpose="forward",
+            )
+            want_meter = b.meter.snapshot()
+        assert np.array_equal(got, want)
+        assert got_meter == want_meter
+
+    def test_service_executor(self):
+        arch, features, theta = _workload()
+        sweep = arch.sweep(features, theta)
+        direct = IdealBackend(exact=True).run_sweep(sweep, shots=0)
+        with ExecutionService(IdealBackend(exact=True), workers=0) as svc:
+            executor = svc.executor()
+            got = sweep_expectations(
+                executor, sweep, shots=0, purpose="forward"
+            )
+            # The rows travel as the circuits the circuit API builds:
+            # submitting those is a cache hit.
+            job = svc.submit(
+                [arch.full_circuit(x, theta) for x in features], shots=0
+            )
+            job.result(timeout=30)
+        assert np.array_equal(got, direct)
+        assert executor.meter.by_purpose == {"forward": 3}
+        assert job.cache_hits == 3
+
+    def test_gradients_identical_through_minimal_executor(self):
+        arch, features, theta = _workload()
+        sweep = arch.sweep(features, theta)
+        native, minimal = _noisy(2), MinimalExecutor(_noisy(2))
+        got = parameter_shift_jacobian_batch(
+            sweep, native, param_indices=[1, 4]
+        )
+        want = parameter_shift_jacobian_batch(
+            sweep, minimal, param_indices=[1, 4]
+        )
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert native.meter.snapshot() == minimal.meter.snapshot()
+
+
+class TestTrainingTwins:
+    def test_sweep_and_circuit_paths_reach_identical_theta(self):
+        config = TrainingConfig(
+            task="mnist2",
+            steps=7,
+            batch_size=3,
+            shots=256,
+            pruning=PruningHyperparams(
+                accumulation_window=1, pruning_window=2, ratio=0.5
+            ),
+            eval_every=0,
+            seed=3,
+        )
+        native = TrainingEngine(config, _noisy(1))
+        circuit_path = TrainingEngine(config, MinimalExecutor(_noisy(1)))
+        for _ in range(7):
+            native.train_step()
+            circuit_path.train_step()
+        assert np.array_equal(native.theta, circuit_path.theta)
+        assert (
+            native.backend.meter.snapshot()
+            == circuit_path.backend.meter.snapshot()
+        )
+
+
+# -- admission: non-finite angles ------------------------------------------
+
+
+def nan_circuit(angle=float("nan")) -> QuantumCircuit:
+    return QuantumCircuit(2).add("ry", 0, angle).add("cx", (0, 1))
+
+
+class TestInvalidCircuit:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            IdealBackend(exact=True),
+            IdealBackend(exact=False, seed=0),
+            NoisyBackend.from_device_name("ibmq_lima", seed=0),
+        ],
+        ids=["ideal_exact", "ideal_sampled", "noisy"],
+    )
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf")])
+    def test_non_finite_angle_raises_typed_error(self, backend, angle):
+        with pytest.raises(InvalidCircuitError, match="non-finite"):
+            backend.run([nan_circuit(angle)], shots=64)
+        with pytest.raises(InvalidCircuitError):
+            backend.run([nan_circuit(0.1), nan_circuit(angle)], shots=64)
+        assert backend.meter.circuits == 0
+
+    def test_error_is_a_non_retryable_value_error(self):
+        assert issubclass(InvalidCircuitError, ValueError)
+        assert not RetryPolicy().is_retryable(InvalidCircuitError("x"))
+
+    def test_sweep_rejects_non_finite_theta(self):
+        arch = get_architecture("mnist2")
+        theta = np.zeros(arch.num_parameters)
+        theta[2] = np.nan
+        with pytest.raises(InvalidCircuitError):
+            arch.sweep(np.zeros((1, arch.n_features)), theta)
+
+    def test_sharded_worker_keeps_the_error_type(self):
+        with ShardedBackend(
+            IdealBackend(exact=True), workers=2, min_shard_cost=0
+        ) as sharded:
+            with pytest.raises(InvalidCircuitError):
+                sharded.run([nan_circuit(0.2), nan_circuit()], shots=0)
+
+    def test_service_quarantines_the_poisoned_job(self):
+        with ExecutionService(
+            IdealBackend(exact=True),
+            workers=0,
+            max_delay_s=0.2,  # let every submission coalesce first
+        ) as service:
+            healthy = [
+                service.submit([nan_circuit(angle)], shots=0)
+                for angle in (0.1, 0.2, 0.3)
+            ]
+            poisoned = service.submit([nan_circuit()], shots=0)
+            for job, angle in zip(healthy, (0.1, 0.2, 0.3)):
+                (result,) = job.result(timeout=30)
+                (want,) = IdealBackend(exact=True).run(
+                    [nan_circuit(angle)], shots=0
+                )
+                assert np.array_equal(result.expectations, want.expectations)
+            with pytest.raises(Exception) as excinfo:
+                poisoned.result(timeout=30)
+            cause = excinfo.value
+            while cause is not None and not isinstance(
+                cause, InvalidCircuitError
+            ):
+                cause = cause.__cause__
+            assert isinstance(cause, InvalidCircuitError)
+            assert service.stats()["scheduler"]["bisections"] >= 1
+            assert nan_circuit().fingerprint() not in service.cache
+            assert len(service.cache) == 3
