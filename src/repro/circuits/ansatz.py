@@ -67,7 +67,37 @@ class QnnArchitecture:
     def full_circuit(
         self, x: Sequence[float], theta: Sequence[float] | np.ndarray
     ) -> QuantumCircuit:
-        """Encoder + ansatz circuit, ansatz bound to ``theta``."""
+        """Encoder + ansatz circuit, ansatz bound to ``theta``.
+
+        One row of :meth:`sweep_template`: the encoder's templates
+        revalued with ``x``, every other template (and the structure
+        signature) shared with the template, so serving admission and
+        batching see the structure by identity.  The same circuit
+        :meth:`_compose` builds — fingerprint, signature and theta —
+        and the same errors for wrong feature or parameter counts.
+        """
+        template = self.sweep_template
+        theta = np.asarray(list(theta), dtype=np.float64)
+        if theta.size != template.num_parameters:
+            raise ValueError(
+                f"expected {template.num_parameters} parameters, got "
+                f"{theta.size}"
+            )
+        n_features = self.n_features
+        features = _encoders._as_features(
+            x, n_features, self.encoder_name
+        ).tolist()
+        reference = template.reference
+        templates = list(reference._templates)
+        for pos, value in enumerate(features):
+            templates[pos] = templates[pos].revalued((value,))
+        return reference._with(templates, theta)
+
+    def _compose(
+        self, x: Sequence[float], theta: Sequence[float] | np.ndarray
+    ) -> QuantumCircuit:
+        """Encoder + ansatz built from scratch (:meth:`sweep_template`'s
+        builder)."""
         ansatz = self.build_ansatz().bind(theta)
         return self.encode(x).compose(ansatz)
 
@@ -75,14 +105,14 @@ class QnnArchitecture:
     def sweep_template(self) -> SweepTemplate:
         """The validated structure of :meth:`full_circuit`, built once.
 
-        Checks the layout :meth:`sweep` relies on: the encoder's ops
-        come first, one fixed single-angle op per feature, in feature
-        order.
+        Checks the layout :meth:`sweep` and :meth:`full_circuit` rely
+        on: the encoder's ops come first, one fixed single-angle op per
+        feature, in feature order.
         """
         n_features = self.n_features
         probe = np.arange(1.0, n_features + 1.0)
         template = SweepTemplate(
-            self.full_circuit(probe, np.zeros(self.num_parameters))
+            self._compose(probe, np.zeros(self.num_parameters))
         )
         encoder = template.templates[:n_features]
         if not np.array_equal(template.literals[:n_features], probe) or any(

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.sweep import Sweep, SweepTemplate
 
@@ -49,30 +47,7 @@ class CircuitBatch(Sweep):
                     "structure signature"
                 )
         template = SweepTemplate(circuits[0])
-        # Clones share template objects except where they were edited
-        # (a parameter shift touches one position), so the reference
-        # row is the template's own and only non-identical templates
-        # are patched in.
-        literals = np.tile(template.literals, (len(circuits), 1))
-        reference = circuits[0]._templates
-        valued = [
-            pos
-            for pos, columns in enumerate(template.columns)
-            if columns is not None
-        ]
-        for index, circuit in enumerate(circuits[1:], 1):
-            row = circuit._templates
-            for pos in valued:
-                t = row[pos]
-                if t is reference[pos]:
-                    continue
-                if t.param_index is not None:
-                    literals[index, pos] = t.offset
-                elif len(t.params) == 1:
-                    literals[index, pos] = t.params[0]
-                else:
-                    literals[index, template.columns[pos]] = t.params
-        params = np.stack([c._parameters for c in circuits])
+        literals, params = template.stack(circuits)
         super().__init__(template, literals, params)
         self._circuits = circuits
 

@@ -31,8 +31,12 @@ execution).
 
 from __future__ import annotations
 
+import functools
+import hashlib
+
 import numpy as np
 
+from repro.circuits.fingerprint import FingerprintLayout
 from repro.resilience.errors import InvalidCircuitError
 
 
@@ -45,6 +49,8 @@ class SweepTemplate:
     once per sweep.
 
     Attributes:
+        reference: A private copy of the representative circuit (read
+            only): rows materialize as value-edited copies of it.
         n_qubits: Register width.
         templates: The representative's operation templates.
         num_parameters: Length of each row's ``theta``.
@@ -60,7 +66,7 @@ class SweepTemplate:
         circuit.structure_signature()
         circuit.structure_key()
         circuit.occurrences_of(0)
-        self._circuit = circuit.copy()
+        self.reference = circuit.copy()
         self.n_qubits = circuit.n_qubits
         self.templates = circuit.templates
         self.num_parameters = circuit.num_parameters
@@ -104,21 +110,75 @@ class SweepTemplate:
         self.n_columns = self.literals.size
         self.trainable_columns = np.array(trainable_columns, dtype=np.intp)
         self.trainable_params = np.array(trainable_params, dtype=np.intp)
+        self._valued = [
+            pos for pos, selector in enumerate(columns) if selector is not None
+        ]
         self._validated = False
 
     # -- structure (the circuit-side query surface plans and engines use)
 
     def structure_signature(self) -> tuple:
-        return self._circuit.structure_signature()
+        return self.reference.structure_signature()
 
     def occurrences_of(self, param_index: int) -> list[int]:
-        return self._circuit.occurrences_of(param_index)
+        return self.reference.occurrences_of(param_index)
 
     def validate(self) -> None:
         """Structural checks of :meth:`QuantumCircuit.validate`, once."""
         if not self._validated:
-            self._circuit.validate()
+            self.reference.validate()
             self._validated = True
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """Stable hex name of the structure, across processes.
+
+        Templates of one structure and parameter count share it, and
+        execute any value matrix identically — the worker pool ships a
+        template to each worker once and names it by this afterwards.
+        """
+        identity = repr((self.structure_signature(), self.num_parameters))
+        return hashlib.blake2b(
+            identity.encode("utf-8"), digest_size=16
+        ).hexdigest()
+
+    @functools.cached_property
+    def _fingerprints(self) -> tuple[FingerprintLayout, np.ndarray]:
+        """The byte layout plus the value column of each angle hole."""
+        layout = FingerprintLayout(self.n_qubits, self.templates)
+        columns = [
+            column
+            for pos in range(len(self.templates))
+            for column in self._column_list(pos)
+        ]
+        return layout, np.array(columns, dtype=np.intp)
+
+    def stack(self, circuits) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(literals, params)`` rows of circuits of this structure.
+
+        Circuits share template objects with the reference wherever
+        their values agree — parameter-shift clones differ in one
+        position, :meth:`~repro.circuits.QnnArchitecture.full_circuit`
+        rows in the encoder's — so only non-identical templates are
+        read.  The caller guarantees every circuit has this structure
+        and parameter count.
+        """
+        literals = np.tile(self.literals, (len(circuits), 1))
+        reference = self.reference._templates
+        for index, circuit in enumerate(circuits):
+            row = circuit._templates
+            for pos in self._valued:
+                t = row[pos]
+                if t is reference[pos]:
+                    continue
+                if t.param_index is not None:
+                    literals[index, pos] = t.offset
+                elif len(t.params) == 1:
+                    literals[index, pos] = t.params[0]
+                else:
+                    literals[index, self.columns[pos]] = t.params
+        params = np.stack([circuit._parameters for circuit in circuits])
+        return literals, params
 
     def _column_list(self, position: int) -> list[int]:
         """The value columns of op ``position`` as a list."""
@@ -136,7 +196,7 @@ class SweepTemplate:
         reference template; other positions get one template per
         distinct value, shared between the rows that carry it.
         """
-        reference = self._circuit
+        reference = self.reference
         base = reference._templates
         differs = (
             literals.view(np.int64) != self.literals.view(np.int64)
@@ -248,6 +308,12 @@ class Sweep:
         if selector is None:
             return None
         return self.angles[:, selector]
+
+    def fingerprints(self) -> list[str]:
+        """Every row's :func:`~repro.circuits.circuit_fingerprint`, from
+        one vectorized fill of the template's byte layout."""
+        layout, columns = self.template._fingerprints
+        return layout.digests(self.angles[:, columns])
 
     def circuits(self) -> list:
         """The ``QuantumCircuit`` of every row, in row order."""

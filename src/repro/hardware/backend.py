@@ -273,21 +273,27 @@ class Backend(abc.ABC):
         """
         if type(self)._execute_sweep is Backend._execute_sweep:
             return [self._execute(circuit, shots) for circuit in circuits]
-        expectations, outcomes = self._execute_sweep(
-            CircuitBatch(circuits), shots
+        return _row_results(
+            *self._execute_sweep(CircuitBatch(circuits), shots), shots
         )
-        if outcomes is None:
-            return [
-                ExecutionResult(counts={}, expectations=row.copy(), shots=0)
-                for row in expectations
-            ]
-        counts_list = _measurement.outcome_matrix_to_counts(outcomes)
-        return [
-            ExecutionResult(
-                counts=counts, expectations=row.copy(), shots=shots
-            )
-            for counts, row in zip(counts_list, expectations)
-        ]
+
+    def _run_rows(
+        self, sweep: Sweep, shots: int, purpose: str, validate: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Validate, execute and meter a sweep on the native kernel.
+
+        Shared by :meth:`run` (given a sweep) and :meth:`run_sweep`;
+        the caller has checked shots and :meth:`supports_sweeps`.
+        """
+        if validate:
+            sweep.template.validate()
+        if _faults.ACTIVE is not None:
+            _faults.ACTIVE.fire(_faults.SITE_EXECUTE_BATCH, backend=self.name)
+        expectations, outcomes = self._execute_sweep(sweep, shots)
+        self._record_run(
+            sweep.size, 0 if outcomes is None else shots * sweep.size, purpose
+        )
+        return expectations, outcomes
 
     def supports_batching(self) -> bool:
         """Whether :meth:`run` should use the structure-grouped fast path.
@@ -356,7 +362,12 @@ class Backend(abc.ABC):
         records the shots each execution actually consumed.
 
         Args:
-            circuits: ``QuantumCircuit`` objects.
+            circuits: ``QuantumCircuit`` objects, or a
+                :class:`~repro.circuits.sweep.Sweep` — one already
+                grouped structure group, one result per row (the
+                serving tier's flushes).  Backends that cannot run a
+                sweep natively (:meth:`supports_sweeps` is False) run
+                its circuits.
             shots: Measurement shots per circuit (the paper uses 1024).
             purpose: Free-form tag for the usage meter.
             validate: Set False only for circuits already validated
@@ -370,7 +381,9 @@ class Backend(abc.ABC):
         of the structure signature and the parameter-vector length, so
         a group representative plus a per-member length comparison
         covers the whole group — a parameter-shift sweep validates its
-        thousands of clones at the cost of one.
+        thousands of clones at the cost of one.  A sweep's rows all
+        have its template's parameter count, so validating the
+        template covers them.
 
         ``shots=0`` is accepted exactly when the backend's execution is
         exact (:meth:`exact_execution`) — such backends ignore the shot
@@ -379,6 +392,13 @@ class Backend(abc.ABC):
         any ``shots < 1``.
         """
         self._check_shots(shots)
+        if isinstance(circuits, Sweep):
+            if self.supports_sweeps():
+                return _row_results(
+                    *self._run_rows(circuits, shots, purpose, validate),
+                    shots,
+                )
+            circuits = circuits.circuits()
         circuits = list(circuits)
         if self.supports_batching() and len(circuits) > 1:
             groups = group_by_structure(circuits)
@@ -443,14 +463,7 @@ class Backend(abc.ABC):
                 sweep.circuits(), shots=shots, purpose=purpose
             )
         self._check_shots(shots)
-        sweep.template.validate()
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.fire(_faults.SITE_EXECUTE_BATCH, backend=self.name)
-        expectations, outcomes = self._execute_sweep(sweep, shots)
-        self._record_run(
-            sweep.size, 0 if outcomes is None else shots * sweep.size, purpose
-        )
-        return expectations
+        return self._run_rows(sweep, shots, purpose, validate=True)[0]
 
     def _check_shots(self, shots: int) -> None:
         if shots < 0 or (shots == 0 and not self.exact_execution()):
@@ -490,6 +503,23 @@ class Backend(abc.ABC):
         """Reseed the backend's sampler (for reproducible experiments)."""
         self._rng = np.random.default_rng(seed)
         self._seed = seed
+
+
+def _row_results(
+    expectations: np.ndarray, outcomes: np.ndarray | None, shots: int
+) -> list[ExecutionResult]:
+    """One :class:`ExecutionResult` per row of a sweep's kernel output;
+    counts dicts come from the outcome matrix."""
+    if outcomes is None:
+        return [
+            ExecutionResult(counts={}, expectations=row.copy(), shots=0)
+            for row in expectations
+        ]
+    counts_list = _measurement.outcome_matrix_to_counts(outcomes)
+    return [
+        ExecutionResult(counts=counts, expectations=row.copy(), shots=shots)
+        for counts, row in zip(counts_list, expectations)
+    ]
 
 
 class IdealBackend(Backend):
@@ -552,10 +582,16 @@ class IdealBackend(Backend):
         twin of :meth:`~repro.hardware.noisy_backend.NoisyBackend.
         observed_probabilities_batch`.
 
+        Args:
+            circuits: Same-structure circuits, or a
+                :class:`~repro.circuits.sweep.Sweep` of rows.
+
         Returns:
             ``(len(circuits), 2^n)`` distributions, in submission order.
         """
-        return self._evolve(CircuitBatch(circuits)).probabilities()
+        if not isinstance(circuits, Sweep):
+            circuits = CircuitBatch(circuits)
+        return self._evolve(circuits).probabilities()
 
     def _execute(self, circuit, shots: int) -> ExecutionResult:
         return self._execute_batch([circuit], shots)[0]

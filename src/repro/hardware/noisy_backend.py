@@ -167,12 +167,22 @@ class NoisyBackend(Backend):
         Args:
             circuits: Non-empty sequence sharing one logical
                 :meth:`~repro.circuits.QuantumCircuit.
-                structure_signature`.
+                structure_signature`, or a
+                :class:`~repro.circuits.sweep.Sweep` of rows (evolved
+                as it stands; transpiled execution routes each row's
+                circuit, since routing bakes in angles).
 
         Returns:
             ``(len(circuits), 2^n_logical)`` observed distributions, in
             submission order.
         """
+        if isinstance(circuits, Sweep):
+            if not self.transpile:
+                identity = tuple(range(circuits.n_qubits))
+                return self._observed_rows(
+                    circuits, identity, circuits.n_qubits
+                )
+            circuits = circuits.circuits()
         circuits = list(circuits)
         if not circuits:
             raise ValueError("need at least one circuit")
@@ -229,11 +239,7 @@ class NoisyBackend(Backend):
         one by one.  Transpiled execution routes each row's circuit
         (routing bakes in angles), so it materializes the rows first.
         """
-        if self.transpile:
-            probs = self.observed_probabilities_batch(sweep.circuits())
-        else:
-            identity = tuple(range(sweep.n_qubits))
-            probs = self._observed_rows(sweep, identity, sweep.n_qubits)
+        probs = self.observed_probabilities_batch(sweep)
         outcomes = _measurement.sample_outcome_matrix(
             probs, shots, self._rng
         )

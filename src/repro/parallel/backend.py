@@ -7,11 +7,15 @@ engines, the serving :class:`~repro.serving.Router` — can be handed a
 worker processes.  The facade keeps the base class's whole contract:
 
 * ``run`` validates, groups by structure signature, and reassembles
-  results in submission order (all inherited from ``Backend.run``);
-* ``_execute_batch`` is where the sharding happens: the group is
-  chunked by the :class:`~repro.parallel.ShardPlanner`, scattered over
-  the :class:`~repro.parallel.WorkerPool`, and gathered back into
-  group order;
+  results in submission order (all inherited from ``Backend.run``,
+  which also takes a :class:`~repro.circuits.sweep.Sweep` as one
+  group, and ``run_sweep``);
+* ``_execute_sweep`` is where the sharding happens: the sweep's rows
+  are chunked by the :class:`~repro.parallel.ShardPlanner`, each
+  chunk's slices of the value matrices are scattered over the
+  :class:`~repro.parallel.WorkerPool` (the template goes to each
+  worker once), and the answered expectation and outcome arrays are
+  gathered back into row order;
 * the facade :class:`~repro.hardware.CircuitRunMeter` is fed by
   merging each worker's per-shard meter window — totals *and* the
   ``by_purpose`` / ``shots_by_purpose`` breakdowns — so inference
@@ -23,7 +27,7 @@ worker processes.  The facade keeps the base class's whole contract:
 Determinism: exact-mode results are bit-identical to the
 single-process batched path for *any* worker count (exact execution
 consumes no randomness and the batched kernels are chunk-invariant);
-sampled counts come from per-circuit ``SeedSequence`` substreams
+sampled counts come from per-row ``SeedSequence`` substreams
 spawned in submission order from the facade's root seed, so they are
 reproducible for a fixed seed — and invariant to the worker count too.
 
@@ -35,7 +39,7 @@ lifetime restart budget, the facade warns once
 (:class:`~repro.resilience.ResilienceWarning`), rebuilds a local
 replica from its spec, and executes the *same planned shards with the
 same seeds* in-process.  Because shard seeds are position-keyed and
-the in-process kernel is the very ``execute_shard`` workers run,
+the in-process kernel is the very ``serve_rows`` workers run,
 degraded results are bit-identical (exact) / seed-identical (sampled)
 to what the pool would have produced — slower, never wrong.  Meter
 windows from the failed pool attempt are discarded before the replay,
@@ -50,13 +54,14 @@ import warnings
 
 import numpy as np
 
+from repro.circuits.batch import CircuitBatch
+from repro.circuits.sweep import Sweep
 from repro.hardware.backend import Backend, ExecutionResult
 from repro.parallel.pool import (
     RestartBudgetExhausted,
     WorkerCrashError,
     WorkerPool,
-    batch_probabilities,
-    execute_shard,
+    serve_rows,
 )
 from repro.parallel.shard import ShardPlanner, shard_timeout_s
 from repro.parallel.spec import BackendSpec
@@ -193,16 +198,24 @@ class ShardedBackend(Backend):
         finally:
             self._active_purpose = "run"
 
+    def run_sweep(self, sweep, shots=1024, purpose="run"):
+        """See :meth:`Backend.run_sweep`; the purpose rides along too."""
+        self._active_purpose = purpose
+        try:
+            return super().run_sweep(sweep, shots=shots, purpose=purpose)
+        finally:
+            self._active_purpose = "run"
+
     def _record_run(self, n_circuits, total_shots, purpose) -> None:
         """No-op: worker meter windows were already merged."""
 
     def _spawn_seeds(self, n: int) -> list | None:
-        """Per-circuit substreams for a sampled group (None if exact).
+        """Per-row substreams for a sampled group (None if exact).
 
         ``SeedSequence.spawn`` is stateful: successive groups of one
         submission (and successive submissions) consume successive
         children, so a fixed root seed and submission sequence always
-        yields the same per-circuit streams, no matter how the planner
+        yields the same per-row streams, no matter how the planner
         chunks them or which worker executes each chunk.
         """
         if self.exact_execution():
@@ -216,20 +229,17 @@ class ShardedBackend(Backend):
         """Whether the facade has permanently left the pool behind."""
         return self._degraded
 
-    def _timeouts(self, shards) -> list[float] | None:
-        """Per-shard progress timeouts for the gather loop."""
+    def _timeouts(self, sweep, shards) -> list[float] | None:
+        """Per-shard progress timeouts for the gather loop.
+
+        The cost model prices one row of the group's structure once;
+        each shard's allowance scales with its row count.
+        """
         if self.hang_timeout_s is None:
             return None
         if self.hang_timeout_s == "auto":
-            density = self.spec.kind == "noisy"
-            return [
-                shard_timeout_s(
-                    shard,
-                    density=density,
-                    plan=self.planner._costing_plan(shard.circuits[0]),
-                )
-                for shard in shards
-            ]
+            row_cost = self.planner.row_cost(sweep)
+            return [shard_timeout_s(shard, row_cost) for shard in shards]
         return [float(self.hang_timeout_s)] * len(shards)
 
     def _local_backend(self) -> Backend:
@@ -262,51 +272,81 @@ class ShardedBackend(Backend):
                 stacklevel=4,
             )
 
-    def _execute(self, circuit, shots: int) -> ExecutionResult:
-        """Single-circuit path: one one-circuit shard through the pool."""
-        return self._execute_batch([circuit], shots)[0]
+    def _scatter(self, sweep: Sweep, kind: str, shards, extra) -> list:
+        """Run each shard's rows as one ``kind`` request; gather.
 
-    def _execute_batch(
-        self, circuits, shots: int
-    ) -> list[ExecutionResult]:
-        """Shard one structure group across the pool and reassemble.
-
-        On pool escalation the *same* shards (same seeds, same
-        chunking) re-execute in-process, so degraded output is
-        indistinguishable from pooled output.  Meter windows travel
-        inside the responses and are merged only after the executing
-        path succeeded end to end — a failed pool attempt contributes
-        nothing, so the replay cannot double-count.
+        A request carries the template digest, the shard's rows of the
+        value matrices and ``extra(shard)``.  When the pool gives up,
+        the *same* shards (same seeds, same chunking) re-execute
+        in-process through :func:`~repro.parallel.pool.serve_rows`,
+        the function workers answer requests with, so degraded output
+        is indistinguishable from pooled output.
         """
-        circuits = list(circuits)
-        purpose = self._active_purpose
-        shards = self.planner.plan(
-            circuits, seeds=self._spawn_seeds(len(circuits))
-        )
-        responses = None
+        template = sweep.template
+        rows = [
+            (
+                sweep.literals[shard.positions],
+                sweep.params[shard.positions],
+                *extra(shard),
+            )
+            for shard in shards
+        ]
         if not self._degraded:
             requests = [
-                (shard.worker, ("run", (shard, shots, purpose)))
-                for shard in shards
+                (shard.worker, (kind, (template.digest, *shard_rows)))
+                for shard, shard_rows in zip(shards, rows)
             ]
             try:
-                responses = self.pool.run_shards(
-                    requests, timeouts=self._timeouts(shards)
+                return self.pool.run_shards(
+                    requests,
+                    timeouts=self._timeouts(sweep, shards),
+                    templates={template.digest: template},
                 )
             except WorkerCrashError as exc:
                 self._degrade(exc)
-        if responses is None:
-            local = self._local_backend()
-            responses = [
-                execute_shard(local, shard, shots, purpose)
-                for shard in shards
-            ]
-        results: list[ExecutionResult | None] = [None] * len(circuits)
-        for shard, (shard_results, window) in zip(shards, responses):
-            for position, result in zip(shard.positions, shard_results):
-                results[position] = result
+        local = self._local_backend()
+        return [
+            serve_rows(local, kind, template, shard_rows)
+            for shard_rows in rows
+        ]
+
+    def _execute(self, circuit, shots: int) -> ExecutionResult:
+        """Single-circuit path: one one-row shard through the pool."""
+        return self._execute_batch([circuit], shots)[0]
+
+    def _execute_sweep(self, sweep: Sweep, shots: int):
+        """Shard one sweep's rows across the pool and reassemble.
+
+        Meter windows travel inside the responses and are merged only
+        after the executing path (pool or in-process fallback, see
+        :meth:`_scatter`) succeeded end to end — a failed pool attempt
+        contributes nothing, so the replay cannot double-count.
+        """
+        purpose = self._active_purpose
+        shards = self.planner.plan(
+            sweep, seeds=self._spawn_seeds(sweep.size)
+        )
+        responses = self._scatter(
+            sweep,
+            "sweep",
+            shards,
+            lambda shard: (shard.seeds, shots, purpose),
+        )
+        expectations = np.empty((sweep.size, sweep.n_qubits))
+        outcomes = None
+        for shard, ((shard_expectations, shard_outcomes), window) in zip(
+            shards, responses
+        ):
+            expectations[shard.positions] = shard_expectations
+            if shard_outcomes is not None:
+                if outcomes is None:
+                    outcomes = np.empty(
+                        (sweep.size, shard_outcomes.shape[1]),
+                        dtype=shard_outcomes.dtype,
+                    )
+                outcomes[shard.positions] = shard_outcomes
             self.meter.merge(window)
-        return results
+        return expectations, outcomes
 
     # -- distribution passthrough (noisy parity) -------------------------
 
@@ -318,31 +358,21 @@ class ShardedBackend(Backend):
         distributions.  Either way row ``i`` is bit-identical to the
         single-process computation for ``circuits[i]`` — the noisy
         half of the exact-mode equivalence contract.
+
+        Args:
+            circuits: Same-structure circuits, or a
+                :class:`~repro.circuits.sweep.Sweep` of rows.
         """
-        circuits = list(circuits)
-        if not circuits:
-            raise ValueError("need at least one circuit")
-        shards = self.planner.plan(circuits)
-        responses = None
-        if not self._degraded:
-            requests = [
-                (shard.worker, ("probs", (shard,))) for shard in shards
-            ]
-            try:
-                responses = self.pool.run_shards(
-                    requests, timeouts=self._timeouts(shards)
-                )
-            except WorkerCrashError as exc:
-                self._degrade(exc)
-        if responses is None:
-            local = self._local_backend()
-            responses = [
-                (batch_probabilities(local, shard.circuits), None)
-                for shard in shards
-            ]
-        rows = np.empty(
-            (len(circuits), 2 ** circuits[0].n_qubits), dtype=np.float64
-        )
+        if isinstance(circuits, Sweep):
+            sweep = circuits
+        else:
+            circuits = list(circuits)
+            if not circuits:
+                raise ValueError("need at least one circuit")
+            sweep = CircuitBatch(circuits)
+        shards = self.planner.plan(sweep)
+        responses = self._scatter(sweep, "probs", shards, lambda shard: ())
+        rows = np.empty((sweep.size, 2**sweep.n_qubits), dtype=np.float64)
         for shard, (shard_rows, _) in zip(shards, responses):
             rows[shard.positions] = shard_rows
         return rows

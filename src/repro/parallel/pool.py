@@ -9,21 +9,34 @@ over a dedicated duplex pipe until told to stop — so the per-process
 startup cost (interpreter + NumPy import + noise-model construction) is
 paid once per pool, not once per submission.
 
-Execution of one shard inside a worker:
+Work crosses the pipe as angle arrays, not circuits.  A shard request
+is ``("sweep", (digest, literals, params, seeds, shots, purpose))``:
+the rows' slices of a :class:`~repro.circuits.sweep.Sweep`'s value
+matrices plus the name of its :class:`~repro.circuits.sweep.
+SweepTemplate`.  The template itself travels once per worker
+generation: the pool records which template digests each slot holds,
+sends a ``("template", (digest, template))`` message ahead of the first
+request that needs one (the worker stores it and does not answer), and
+forgets the slot's templates when it respawns the worker, so a replay
+after a crash resends them.
 
-* exact backends run the shard through ``Backend.run`` unchanged (no
+Execution of one shard inside a worker (:func:`execute_shard`):
+
+* exact backends run the rows through ``Backend.run_sweep`` (no
   randomness involved, results are bit-identical to the parent's own
   batched path);
 * sampling backends split the work: the *expensive* part — the stacked
   statevector / density evolution and readout post-processing — is
   computed batch-wide via the replica's vectorized path, then each
-  circuit's outcomes are drawn from its own
+  row's outcomes are drawn from its own
   :class:`~numpy.random.SeedSequence` substream carried by the shard
-  into one outcome matrix, read out (counts and expectations) in one
-  vectorized pass.  Sampled results are keyed to the circuit, not to
-  the worker that happened to execute it.
+  into one outcome matrix, read out in one vectorized pass.  Sampled
+  results are keyed to the row, not to the worker that happened to
+  execute it.
 
-Every response ships the replica's meter window
+The answer is the ``(expectations, outcomes)`` arrays — ``outcomes``
+is ``None`` for exact execution, and the facade builds any counts
+dicts from the outcome matrix — plus the replica's meter window
 (:meth:`~repro.hardware.CircuitRunMeter.diff`) for the facade to merge.
 
 Failure handling (the resilience tier)
@@ -77,8 +90,8 @@ from time import monotonic as _monotonic
 
 import numpy as np
 
-from repro.hardware.backend import Backend, ExecutionResult
-from repro.parallel.shard import Shard
+from repro.circuits.sweep import Sweep, SweepTemplate
+from repro.hardware.backend import Backend
 from repro.parallel.spec import BackendSpec
 from repro.resilience import faults as _faults
 from repro.resilience.errors import InvalidCircuitError, TransientError
@@ -134,19 +147,34 @@ class _WorkerHung(Exception):
 # -- worker-side execution ---------------------------------------------------
 
 
-def batch_probabilities(backend: Backend, circuits: list) -> np.ndarray:
+#: Templates a worker keeps per generation.  Parent and worker evict
+#: the oldest registration first, in the same order, so the parent's
+#: record of a slot's templates always matches what the worker holds.
+TEMPLATES_PER_WORKER = 64
+
+
+def _register(held: dict, digest: str, template) -> None:
+    """Record one template registration, evicting the oldest at capacity."""
+    if len(held) >= TEMPLATES_PER_WORKER:
+        del held[next(iter(held))]
+    held[digest] = template
+
+
+def batch_probabilities(backend: Backend, rows) -> np.ndarray:
     """Stacked outcome distributions for one same-structure group.
 
-    The replica's ``observed_probabilities_batch``: for a
-    :class:`~repro.hardware.NoisyBackend` the *observed* distributions
-    (noise + readout error), for an :class:`~repro.hardware.
-    IdealBackend` the exact Born-rule ones — in both cases what the
-    backend's own sampler draws from, computed by replaying the
-    replica's cached plan.  Rows are bit-identical to the same circuits
-    evaluated in any other grouping (a batch of one included), which is
-    what keeps sharded results independent of how a group was chunked.
+    The replica's ``observed_probabilities_batch`` of a
+    :class:`~repro.circuits.sweep.Sweep` (or same-structure circuits):
+    for a :class:`~repro.hardware.NoisyBackend` the *observed*
+    distributions (noise + readout error), for an
+    :class:`~repro.hardware.IdealBackend` the exact Born-rule ones — in
+    both cases what the backend's own sampler draws from, computed by
+    replaying the replica's cached plan.  Rows are bit-identical to the
+    same rows evaluated in any other grouping (a batch of one
+    included), which is what keeps sharded results independent of how
+    a group was chunked.
     """
-    return backend.observed_probabilities_batch(circuits)
+    return backend.observed_probabilities_batch(rows)
 
 
 def _meter_window(backend: Backend, before: dict, purpose: str) -> dict:
@@ -176,47 +204,59 @@ def _meter_window(backend: Backend, before: dict, purpose: str) -> dict:
 
 def execute_shard(
     backend: Backend,
-    shard: Shard,
+    template: SweepTemplate,
+    literals: np.ndarray,
+    params: np.ndarray,
+    seeds: list | None,
     shots: int,
     purpose: str,
-) -> tuple[list[ExecutionResult], dict]:
-    """Run one shard on a backend replica; returns results + meter window.
+) -> tuple[tuple[np.ndarray, np.ndarray | None], dict]:
+    """Run one shard's rows on a backend replica.
 
-    Exact backends delegate to ``Backend.run``; sampling backends
-    compute the shard's distributions batch-wide and then sample each
-    circuit from its own seed substream (see module docstring).  Also
-    the in-process **fallback kernel**: when the facade degrades after
-    pool exhaustion it runs the very same function on a local replica,
-    so degraded results stay bit-identical to pooled ones.
+    Returns ``((expectations, outcomes), window)``: the rows' ``(B,
+    n_qubits)`` Z expectations, their ``(B, 2^n)`` sampled outcome
+    matrix (``None`` for exact execution) and the replica's meter
+    window.  Exact backends run the rows' sweep through
+    ``Backend.run_sweep``; sampling backends compute the rows'
+    distributions batch-wide and then sample each row from its own
+    seed substream (see module docstring).  Also the in-process
+    **fallback kernel**: when the facade degrades after pool
+    exhaustion it runs the very same function on a local replica, so
+    degraded results stay bit-identical to pooled ones.
     """
+    sweep = Sweep(template, literals, params)
     before = backend.meter.snapshot()
     if backend.exact_execution():
-        results = backend.run(
-            shard.circuits, shots=shots, purpose=purpose, validate=False
-        )
-        return results, _meter_window(backend, before, purpose)
-    if shard.seeds is None:
-        raise ValueError(
-            "sampling execution needs per-circuit seed substreams"
-        )
-    probs = batch_probabilities(backend, shard.circuits)
+        expectations = backend.run_sweep(sweep, shots=shots, purpose=purpose)
+        return (expectations, None), _meter_window(backend, before, purpose)
+    if seeds is None:
+        raise ValueError("sampling execution needs per-row seed substreams")
+    probs = batch_probabilities(backend, sweep)
     # Every row draws from its own substream into one outcome matrix,
     # which is read out in one vectorized pass.
     outcomes = np.stack(
         [
             np.random.default_rng(seed).multinomial(shots, row / row.sum())
-            for row, seed in zip(probs, shard.seeds)
+            for row, seed in zip(probs, seeds)
         ]
     )
     expectations = _measurement.expectation_z_from_outcome_matrix(outcomes)
-    results = [
-        ExecutionResult(counts=counts, expectations=row, shots=shots)
-        for counts, row in zip(
-            _measurement.outcome_matrix_to_counts(outcomes), expectations
-        )
-    ]
-    backend.meter.record(len(results), shots * len(results), purpose)
-    return results, _meter_window(backend, before, purpose)
+    backend.meter.record(sweep.size, shots * sweep.size, purpose)
+    return (expectations, outcomes), _meter_window(backend, before, purpose)
+
+
+def serve_rows(backend: Backend, kind: str, template, rows) -> tuple:
+    """Answer one ``"sweep"`` or ``"probs"`` request's rows.
+
+    What a worker does with a request, and what the facade's
+    in-process fallback does with the same rows: ``"sweep"`` rows are
+    ``(literals, params, seeds, shots, purpose)`` for
+    :func:`execute_shard`; ``"probs"`` rows are ``(literals, params)``
+    and answer ``(distributions, None)``.
+    """
+    if kind == "sweep":
+        return execute_shard(backend, template, *rows)
+    return batch_probabilities(backend, Sweep(template, *rows)), None
 
 
 def _worker_main(
@@ -241,6 +281,7 @@ def _worker_main(
     if fault_plan is not None:
         _faults.install(fault_plan, worker_spawn=spawn)
     backend = spec.build()
+    templates: dict = {}
     while True:
         try:
             message = conn.recv()
@@ -249,6 +290,10 @@ def _worker_main(
         if message is None:
             break
         kind, payload = message
+        if kind == "template":
+            # Registration only: no heartbeat, no answer.
+            _register(templates, *payload)
+            continue
         try:
             # Progress signal: the parent's hung-shard detector treats
             # any message as proof of life, so a worker that *starts*
@@ -257,24 +302,16 @@ def _worker_main(
         except (BrokenPipeError, OSError):
             break
         try:
-            if kind == "run":
+            if kind in ("sweep", "probs"):
                 if _faults.ACTIVE is not None:
                     _faults.ACTIVE.fire(
                         _faults.SITE_WORKER_SHARD, slot=slot, spawn=spawn
                     )
-                shard, shots, purpose = payload
-                results, window = execute_shard(
-                    backend, shard, shots, purpose
+                digest, *rows = payload
+                response = (
+                    "ok",
+                    serve_rows(backend, kind, templates[digest], rows),
                 )
-                response = ("ok", (results, window))
-            elif kind == "probs":
-                if _faults.ACTIVE is not None:
-                    _faults.ACTIVE.fire(
-                        _faults.SITE_WORKER_SHARD, slot=slot, spawn=spawn
-                    )
-                (shard,) = payload
-                rows = batch_probabilities(backend, shard.circuits)
-                response = ("ok", (rows, None))
             elif kind == "ping":
                 response = ("ok", (backend.name, None))
             else:
@@ -396,6 +433,8 @@ class WorkerPool:
         self.backoff_cap_s = float(backoff_cap_s)
         self._context = multiprocessing.get_context("spawn")
         self._workers: list[_WorkerHandle | None] = [None] * self.n_workers
+        #: Per slot: the template digests its current worker holds.
+        self._held: list[dict] = [{} for _ in range(self.n_workers)]
         self._started = False
         self._closed = False
         self.restarts = 0
@@ -426,6 +465,8 @@ class WorkerPool:
         child_conn.close()  # the parent keeps only its own end
         handle = _WorkerHandle(process, parent_conn)
         self._workers[slot] = handle
+        # A fresh worker holds no templates: requests resend them.
+        self._held[slot] = {}
         self._refresh_finalizer()
         return handle
 
@@ -536,13 +577,16 @@ class WorkerPool:
         self,
         requests: list[tuple[int, tuple]],
         timeouts: list[float | None] | float | None = None,
+        templates: dict | None = None,
     ) -> list:
         """Execute ``(worker_slot, request)`` pairs; gather in order.
 
         Each request is a ``(kind, payload)`` tuple as understood by
-        the worker loop.  Requests for one worker execute in the order
-        given; distinct workers execute concurrently.  Returns one
-        response payload per request, aligned with the input order.
+        the worker loop: ``("sweep", (digest, literals, params, seeds,
+        shots, purpose))``, ``("probs", (digest, literals, params))``
+        or ``("ping", None)``.  Requests for one worker execute in the
+        order given; distinct workers execute concurrently.  Returns
+        one response payload per request, aligned with the input order.
 
         Args:
             requests: The scatter plan.
@@ -552,6 +596,9 @@ class WorkerPool:
                 The clock resets on every message from the worker
                 (heartbeats included), so the timeout bounds *silence*,
                 not total shard runtime.
+            templates: ``{digest: SweepTemplate}`` for the requests'
+                digests; each is sent to a worker only when its slot
+                does not hold it yet.
 
         Raises:
             WorkerError: A worker raised; its traceback is included.
@@ -576,8 +623,11 @@ class WorkerPool:
 
         # Scatter: every worker gets its whole queue up front, so all
         # workers compute concurrently while we gather sequentially.
+        templates = templates or {}
         for slot, indices in per_worker.items():
-            self._send_all(slot, [requests[i][1] for i in indices])
+            self._send_all(
+                slot, [requests[i][1] for i in indices], templates
+            )
 
         responses: list = [None] * len(requests)
         failure: tuple | None = None
@@ -613,6 +663,7 @@ class WorkerPool:
                     self._send_all(
                         slot,
                         [requests[i][1] for i in indices[answered:]],
+                        templates,
                     )
                     continue
                 if status == "error" and failure is None:
@@ -673,9 +724,12 @@ class WorkerPool:
             return status, payload
 
     def _send_all(
-        self, slot: int, messages: list, attempts: int = 0
+        self, slot: int, messages: list, templates: dict, attempts: int = 0
     ) -> None:
         """Deliver a batch of unanswered messages to one worker.
+
+        A request naming a template digest the slot does not hold yet
+        is preceded by that template (see the module docstring).
 
         Crash recovery must replay the **whole** batch, not the tail:
         none of this batch's responses have been consumed yet, so work
@@ -690,10 +744,16 @@ class WorkerPool:
         handle = self._workers[slot]
         if handle is None or not handle.alive():
             handle = self._restart(slot)
+        held = self._held[slot]
         for message in messages:
+            kind, payload = message
             try:
                 if _faults.ACTIVE is not None:
                     _faults.ACTIVE.fire(_faults.SITE_POOL_PIPE, slot=slot)
+                if kind in ("sweep", "probs") and payload[0] not in held:
+                    digest = payload[0]
+                    handle.conn.send(("template", (digest, templates[digest])))
+                    _register(held, digest, None)
                 handle.conn.send(message)
             except (BrokenPipeError, OSError):
                 if attempts >= self.max_retries:
@@ -703,7 +763,7 @@ class WorkerPool:
                         slot=slot,
                     ) from None
                 self._restart(slot)
-                self._send_all(slot, messages, attempts + 1)
+                self._send_all(slot, messages, templates, attempts + 1)
                 return
 
     # -- telemetry -------------------------------------------------------

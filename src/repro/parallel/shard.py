@@ -1,11 +1,10 @@
 """Shard planning: split one structure group into per-worker chunks.
 
 The unit of sharded execution is the same as the batched engine's: a
-structure group (circuits sharing one
-:meth:`~repro.circuits.QuantumCircuit.structure_signature`).  The
-planner decides how many chunks a group is worth — sending two tiny
-circuits through two process pipes costs more than evolving them in one
-stacked call — using the gate/qubit cost estimates of
+structure group — a :class:`~repro.circuits.sweep.Sweep` of rows over
+one template.  The planner decides how many chunks a group is worth —
+sending two tiny rows through two process pipes costs more than
+evolving them in one stacked call — using the gate/qubit cost estimates of
 :mod:`repro.scaling.cost_model`: a group is split only while each chunk
 keeps at least ``min_shard_cost`` estimated flops, and never into more
 chunks than workers.
@@ -13,11 +12,11 @@ chunks than workers.
 Randomness contract
 -------------------
 Shot sampling must stay reproducible when work moves between processes.
-The planner threads per-circuit RNG substreams — spawned from the
+The planner threads per-row RNG substreams — spawned from the
 owning backend's root :class:`numpy.random.SeedSequence` in submission
-(group) order — into the shards, and workers sample each circuit's
+(group) order — into the shards, and workers sample each row's
 counts from its own substream.  Because substreams are keyed by the
-circuit's position in the submission rather than by which worker drew
+row's position in the submission rather than by which worker drew
 them, a fixed ``(seed, shard plan)`` reproduces counts exactly — and in
 fact the counts are invariant to the worker count entirely, so scaling
 a sweep from 1 to 8 workers never changes a sampled result.  Exact
@@ -32,6 +31,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.circuits.sweep import Sweep
 from repro.scaling import cost_model
 
 
@@ -79,21 +79,17 @@ TIMEOUT_FLOOR_S = 10.0
 TIMEOUT_SAFETY = 25.0
 
 
-def shard_timeout_s(
-    shard: "Shard", density: bool = False, plan=None
-) -> float:
+def shard_timeout_s(shard: "Shard", row_cost: float) -> float:
     """Progress-timeout allowance for one shard, from the cost model.
 
     Scales with the shard's estimated flop count (same estimate the
-    planner splits by), so a deep 20-qubit shard gets minutes where a
-    toy shard gets the floor — one knob serves every workload without
-    per-call tuning.
+    planner splits by: rows times the structure's :func:`circuit_cost`,
+    computed once per group), so a deep 20-qubit shard gets minutes
+    where a toy shard gets the floor — one knob serves every workload
+    without per-call tuning.
     """
-    cost = sum(
-        circuit_cost(c, density=density, plan=plan) for c in shard.circuits
-    )
     return TIMEOUT_FLOOR_S + TIMEOUT_SAFETY * (
-        cost / TIMEOUT_THROUGHPUT_FLOPS
+        len(shard) * row_cost / TIMEOUT_THROUGHPUT_FLOPS
     )
 
 
@@ -101,22 +97,24 @@ def shard_timeout_s(
 class Shard:
     """One contiguous chunk of a structure group, bound to a worker.
 
+    A shard names rows, not circuits: the facade slices the group's
+    value matrices by :attr:`positions` into the shard's request.
+
     Attributes:
         worker: Pool worker slot this shard is planned onto.
-        positions: Indices into the *group* (not the submission) so the
-            facade can scatter shard results back into group order.
-        circuits: The chunk's circuits, in group order.
-        seeds: Per-circuit ``SeedSequence`` substreams (``None`` for
+        positions: Row indices into the *group* (not the submission),
+            in group order, so the facade can scatter shard results
+            back into group order.
+        seeds: Per-row ``SeedSequence`` substreams (``None`` for
             exact execution, which consumes no randomness).
     """
 
     worker: int
     positions: list[int]
-    circuits: list
     seeds: list[np.random.SeedSequence] | None = None
 
     def __len__(self) -> int:
-        return len(self.circuits)
+        return len(self.positions)
 
 
 class ShardPlanner:
@@ -165,27 +163,36 @@ class ShardPlanner:
 
         self._plan_cache = _compile.PlanCache(maxsize=256)
 
-    def _costing_plan(self, circuit):
+    def _costing_plan(self, structure):
         """Cached compiled plan of a structure, for costing only."""
         from repro.sim import compile as _compile
 
         return self._plan_cache.get_or_compile(
-            circuit.structure_signature(),
-            lambda: _compile.compile_circuit(circuit, mode="statevector"),
+            structure.structure_signature(),
+            lambda: _compile.compile_circuit(structure, mode="statevector"),
         )
 
-    def n_shards(self, circuits: Sequence) -> int:
-        """How many chunks one same-structure group is worth."""
-        group_size = len(circuits)
+    def row_cost(self, structure) -> float:
+        """Estimated flops of one row of a structure (circuit or sweep)."""
+        return circuit_cost(
+            structure,
+            density=self.density,
+            plan=self._costing_plan(structure),
+        )
+
+    def n_shards(self, rows) -> int:
+        """How many chunks one same-structure group is worth.
+
+        Args:
+            rows: A :class:`~repro.circuits.sweep.Sweep`, or
+                same-structure circuits.
+        """
+        group_size = len(rows)
         if group_size == 0:
             return 0
-        # Same structure => same per-circuit cost; estimate from the
-        # first member.
-        group_cost = group_size * circuit_cost(
-            circuits[0],
-            density=self.density,
-            plan=self._costing_plan(circuits[0]),
-        )
+        # Same structure => same per-row cost: one estimate per group.
+        structure = rows if isinstance(rows, Sweep) else rows[0]
+        group_cost = group_size * self.row_cost(structure)
         if self.min_shard_cost > 0:
             affordable = max(1, int(group_cost // self.min_shard_cost))
         else:
@@ -194,44 +201,43 @@ class ShardPlanner:
 
     def plan(
         self,
-        circuits: Sequence,
+        rows,
         seeds: Sequence[np.random.SeedSequence] | None = None,
     ) -> list[Shard]:
         """Chunk one structure group into shards.
 
         Args:
-            circuits: Same-structure circuits, in group order.
-            seeds: One RNG substream per circuit (aligned with
-                ``circuits``), or ``None`` for exact execution.
+            rows: The group — a :class:`~repro.circuits.sweep.Sweep`,
+                or same-structure circuits in group order.
+            seeds: One RNG substream per row (aligned with ``rows``),
+                or ``None`` for exact execution.
 
         Returns:
             At most ``n_workers`` contiguous, near-equal shards in
             group order, assigned to distinct worker slots.  The plan
-            is a pure function of ``(circuits, n_workers,
+            is a pure function of ``(len(rows), structure, n_workers,
             min_shard_cost)`` — no randomness, no wall-clock — so a
             submission replans identically across runs, which is what
             makes a ``(seed, shard plan)`` pair reproducible.
         """
-        circuits = list(circuits)
-        if seeds is not None and len(seeds) != len(circuits):
+        if seeds is not None and len(seeds) != len(rows):
             raise ValueError(
                 f"got {len(seeds)} seed substreams for "
-                f"{len(circuits)} circuits"
+                f"{len(rows)} rows"
             )
-        n_shards = self.n_shards(circuits)
+        n_shards = self.n_shards(rows)
         if n_shards == 0:
             return []
         shards = []
-        positions = np.arange(len(circuits))
+        positions = np.arange(len(rows))
         for worker, chunk in enumerate(
             np.array_split(positions, n_shards)
         ):
-            members = [int(i) for i in chunk]
+            members = chunk.tolist()
             shards.append(
                 Shard(
                     worker=worker,
                     positions=members,
-                    circuits=[circuits[i] for i in members],
                     seeds=(
                         None
                         if seeds is None

@@ -134,7 +134,10 @@ class Router:
     ) -> tuple[list[ExecutionResult], Backend, dict]:
         """Route one batch to a backend and run it.
 
-        Selection and in-flight accounting happen under the router lock;
+        ``circuits`` is whatever :meth:`Backend.run` takes — the
+        scheduler's flushes hand it one stacked
+        :class:`~repro.circuits.sweep.Sweep`.  Selection and in-flight
+        accounting happen under the router lock;
         execution itself holds only the chosen backend's run lock, so
         distinct backends execute concurrently.
 

@@ -1,14 +1,14 @@
 """Coalescing scheduler: turn many small submissions into few big batches.
 
-The batched engine (PR 1) is fastest when ``Backend._execute_batch``
-receives *many* same-structure circuits at once — but individual
-clients each submit only a handful.  The scheduler closes that gap: it
-drains the service's :class:`~repro.serving.JobQueue` and coalesces
-work items into **buckets** keyed by
+The batched engine is fastest when a backend receives *many*
+same-structure rows at once — but individual clients each submit only
+a handful.  The scheduler closes that gap: it drains the service's
+:class:`~repro.serving.JobQueue` and coalesces work items — admitted
+angle-matrix rows — into **buckets** keyed by
 
-    ``(structure_signature, shots, purpose)``
+    ``(sweep template, shots, purpose)``
 
-so circuits from independent clients that share a structural template
+so rows from independent clients that share a structural template
 (the normal case: every parameter-shift clone, every re-encoded data
 row of one task) accumulate into a single bucket.  A bucket is flushed
 to the :class:`~repro.serving.Router` when either
@@ -17,10 +17,12 @@ to the :class:`~repro.serving.Router` when either
 * its oldest item has waited ``max_delay_s`` seconds (**deadline
   flush**) — the latency bound a single idle client pays.
 
-Each flush is one ``Backend.run`` call on one routed backend, i.e. one
-vectorized ``_execute_batch`` per structure group; shots and purpose
-are part of the bucket key precisely so the whole bucket is a legal
-single submission (one shot setting, one meter tag).  Flushes are
+Each flush stacks its items' rows into one
+:class:`~repro.circuits.sweep.Sweep` and makes one ``Backend.run``
+call with it on one routed backend — one vectorized execution of one
+structure group; shots and purpose are part of the bucket key
+precisely so the whole bucket is a legal single submission (one shot
+setting, one meter tag).  Flushes are
 handed to a small dispatch pool (one worker per backend) so a slow
 backend never stalls coalescing for the others.
 
@@ -36,7 +38,7 @@ steers retries away from the backend that just failed.  When retries
 are exhausted — or the failure is deterministic and retrying would be
 pointless — a multi-item flush is **bisected**: each half retries
 independently, recursively, until the poisoned item is isolated to a
-single-circuit flush whose job alone fails (with a
+single-row flush whose job alone fails (with a
 :class:`~repro.resilience.FlushError` carrying the backend name, flush
 key, attempt count, and worker slot).  Healthy items riding in the
 same bucket as a poison pill still get their results.
@@ -51,6 +53,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
+from repro.circuits.sweep import Sweep
 from repro.resilience import faults as _faults
 from repro.resilience.errors import DeadlineExceeded, FlushError
 from repro.resilience.retry import RetryPolicy
@@ -61,10 +66,12 @@ from repro.serving.router import Router
 
 @dataclasses.dataclass
 class WorkItem:
-    """One circuit awaiting execution, tied back to its submission.
+    """One admitted row awaiting execution, tied back to its submission.
 
     Attributes:
-        circuit: The circuit to run.
+        sweep: The admitted :class:`~repro.circuits.sweep.Sweep` this
+            row belongs to (one per structure group of the job).
+        row: The row's index in ``sweep``.
         shots: Requested shots.
         purpose: Usage-meter tag.
         job: The originating :class:`~repro.serving.ServiceJob`.
@@ -75,13 +82,23 @@ class WorkItem:
             failure); the service's backpressure accounting.
     """
 
-    circuit: object
+    sweep: Sweep
+    row: int
     shots: int
     purpose: str
     job: object
     index: int
     fingerprint: str | None = None
     release: object | None = None
+
+
+def stack_rows(items: list[WorkItem]) -> Sweep:
+    """The rows of same-template items, in item order, as one sweep."""
+    return Sweep(
+        items[0].sweep.template,
+        np.stack([item.sweep.literals[item.row] for item in items]),
+        np.stack([item.sweep.params[item.row] for item in items]),
+    )
 
 
 class _Bucket:
@@ -218,11 +235,10 @@ class CoalescingScheduler:
             self._flush_expired()
 
     def _add(self, item: WorkItem) -> None:
-        key = (
-            item.circuit.structure_signature(),
-            item.shots,
-            item.purpose,
-        )
+        # Admission shares one template object per structure, so the
+        # template itself keys the bucket — by identity, no signature
+        # hashing.
+        key = (item.sweep.template, item.shots, item.purpose)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = _Bucket(time.monotonic() + self.max_delay_s)
@@ -308,14 +324,10 @@ class CoalescingScheduler:
         deterministic failure is always quarantined to exactly the
         jobs that caused it.
         """
-        circuits = [item.circuit for item in items]
+        sweep = stack_rows(items)
         shots = items[0].shots
         purpose = items[0].purpose
-        flush_key = (
-            items[0].circuit.structure_signature(),
-            shots,
-            purpose,
-        )
+        flush_key = (sweep.structure_signature(), shots, purpose)
         attempts = 0
 
         def attempt():
@@ -330,10 +342,10 @@ class CoalescingScheduler:
                     shots=shots,
                     purpose=purpose,
                 )
-            # validate=False: every item passed circuit.validate() at
+            # validate=False: every row's template was validated at
             # submit time; re-checking per flush would double the cost.
             return self._router.execute(
-                circuits, shots=shots, purpose=purpose, validate=False
+                sweep, shots=shots, purpose=purpose, validate=False
             )
 
         def count_retry(attempt_no, exc):

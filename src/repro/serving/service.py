@@ -7,23 +7,38 @@ returns immediately with a :class:`ServiceJob` (a future), and the
 pipeline behind it is::
 
     clients ── submit() ──> JobQueue ──> CoalescingScheduler ──> Router
-                  │ (priority,             (group by structure     │
-                  │  backpressure)          across clients,        ▼
-                  │                         flush on size or   Backend pool
-                  └── ResultCache ◄──────── deadline)          (_execute_batch)
+                  │ (rows,                 (bucket rows by         │
+                  │  priority,              template across        ▼
+                  │  backpressure)          clients, flush on  Backend pool
+                  └── ResultCache ◄──────── size or deadline)  (one Sweep)
 
 Submissions walk the same lifecycle as :class:`repro.hardware.Job`
 (``created -> validated -> queued -> running -> done`` — Sec. 3.2's
-provider pipeline), but asynchronously: validation is synchronous at
+provider pipeline), but asynchronously: admission is synchronous at
 submit time (bad circuits fail fast, before they consume queue
 capacity), everything after happens on service threads.
+
+Admission turns a job into angle-matrix rows: its circuits are grouped
+by structure, and each group is stacked into one
+:class:`~repro.circuits.sweep.Sweep` over a
+:class:`~repro.circuits.sweep.SweepTemplate` the service caches per
+structure — validated once per structure, not once per circuit.  A
+NaN or infinite angle fails the submission there
+(:class:`~repro.resilience.InvalidCircuitError`).  Each work item is
+one ``(sweep, row)``: the stacked matrices are a snapshot, so a client
+rebinding its circuit after ``submit`` cannot change what runs.  A
+flush stacks its items' rows into one sweep, which the router hands to
+``Backend.run`` as one structure group.
 
 Caching: when *every* routed backend reports
 ``results_deterministic()`` (exact expectations, no sampling, no
 noise), results are memoized by canonical circuit fingerprint and
 repeat submissions are served from the cache without touching a
-backend.  Stochastic backends never cache — each run must be a fresh
-random realization.
+backend.  Admission computes every row's key from the sweep's angle
+matrix in one pass (:meth:`~repro.circuits.sweep.Sweep.
+fingerprints`), hex-identical to
+:func:`~repro.circuits.circuit_fingerprint`.  Stochastic backends
+never cache — each run must be a fresh random realization.
 """
 
 from __future__ import annotations
@@ -32,6 +47,8 @@ import threading
 import time
 from collections.abc import Sequence
 
+from repro.circuits.batch import group_by_structure
+from repro.circuits.sweep import Sweep, SweepTemplate
 from repro.hardware.backend import Backend, ExecutionResult
 from repro.hardware.job import LIFECYCLE, JobError, JobIdAllocator, JobStatus
 from repro.resilience.errors import DeadlineExceeded, JobCancelled
@@ -40,6 +57,9 @@ from repro.serving.cache import ResultCache
 from repro.serving.queue import JobQueue, QueueClosed, QueueFull
 from repro.serving.router import Router
 from repro.serving.scheduler import CoalescingScheduler, WorkItem
+
+#: Structure keys whose templates admission keeps (oldest evicted first).
+TEMPLATE_CACHE_SIZE = 256
 
 
 def _shard_backends(
@@ -293,6 +313,9 @@ class ExecutionService:
         )
         self._job_ids = JobIdAllocator(prefix=name)
         self._lock = threading.Lock()
+        #: ``{structure key: [SweepTemplate, ...]}`` (see _template_for).
+        self._templates: dict[int, list[SweepTemplate]] = {}
+        self._templates_lock = threading.Lock()
         self._started = False
         self._stopped = False
         self.queue_capacity = int(queue_capacity)
@@ -419,7 +442,9 @@ class ExecutionService:
 
         Raises:
             JobError: A circuit failed validation (synchronously, like
-                :meth:`repro.hardware.Job.validate`).
+                :meth:`repro.hardware.Job.validate`), or carries a NaN
+                or infinite angle; the cause is the ``ValueError`` /
+                :class:`~repro.resilience.InvalidCircuitError`.
         """
         # Mirror Backend.run's shots rule: 0 is legal exactly when every
         # routed backend ignores the shot count (exact execution).
@@ -438,8 +463,7 @@ class ExecutionService:
             deadline_s=deadline_s,
         )
         try:
-            for circuit in job.circuits:
-                circuit.validate()
+            groups = self._rows(job.circuits)
         except ValueError as exc:
             job._fail(exc)
             raise JobError(str(exc)) from exc
@@ -450,33 +474,33 @@ class ExecutionService:
             self.circuits_submitted += len(job.circuits)
 
         pending: list[WorkItem] = []
-        for index, circuit in enumerate(job.circuits):
-            fingerprint = None
-            if self.cache is not None:
-                fingerprint = circuit.fingerprint()
-                cached = self.cache.get(fingerprint)
-                if cached is not None:
-                    job.cache_hits += 1
-                    with self._lock:
-                        self.circuits_from_cache += 1
-                    job._fulfill(index, cached)
-                    continue
-            pending.append(
-                WorkItem(
-                    # Copied at submit time: the client may rebind the
-                    # original's angles in place before the flush reads
-                    # them (the futures API invites pipelining), which
-                    # would corrupt the result — and the cache entry
-                    # keyed by the fingerprint taken above.
-                    circuit=circuit.copy(),
-                    shots=shots,
-                    purpose=purpose,
-                    job=job,
-                    index=index,
-                    fingerprint=fingerprint,
-                    release=self._release_one,
-                )
+        for positions, sweep in groups:
+            keys = (
+                sweep.fingerprints()
+                if self.cache is not None
+                else [None] * sweep.size
             )
+            for row, (index, key) in enumerate(zip(positions, keys)):
+                if key is not None:
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        job.cache_hits += 1
+                        with self._lock:
+                            self.circuits_from_cache += 1
+                        job._fulfill(index, cached)
+                        continue
+                pending.append(
+                    WorkItem(
+                        sweep=sweep,
+                        row=row,
+                        shots=shots,
+                        purpose=purpose,
+                        job=job,
+                        index=index,
+                        fingerprint=key,
+                        release=self._release_one,
+                    )
+                )
 
         if not job.circuits:
             job._advance_to(JobStatus.DONE)
@@ -509,6 +533,56 @@ class ExecutionService:
             job._fail(exc)
             raise
         return job
+
+    def _template_for(self, circuit) -> SweepTemplate:
+        """The cached, validated template of a circuit's structure.
+
+        Keyed like :func:`~repro.circuits.group_by_structure` buckets:
+        the cached integer structure key, confirmed on the signature
+        (usually by identity — clones and
+        :meth:`~repro.circuits.QnnArchitecture.full_circuit` rows share
+        the signature tuple).  Only templates that validated are
+        cached, so a structure validates once, not once per circuit.
+
+        Raises:
+            ValueError: The circuit's structure is invalid.
+        """
+        key = circuit.structure_key()
+        signature = circuit.structure_signature()
+        with self._templates_lock:
+            for template in self._templates.get(key, ()):
+                cached = template.structure_signature()
+                if cached is signature or cached == signature:
+                    return template
+            template = SweepTemplate(circuit)
+            template.validate()
+            if len(self._templates) >= TEMPLATE_CACHE_SIZE:
+                del self._templates[next(iter(self._templates))]
+            self._templates.setdefault(key, []).append(template)
+            return template
+
+    def _rows(self, circuits: list) -> list[tuple[list[int], Sweep]]:
+        """Admission: each structure group of a job as one validated sweep.
+
+        Returns ``(positions, sweep)`` per group, ``positions`` being
+        the group's indices into ``circuits``.  A member whose
+        parameter count differs from its (valid) template's has unused
+        or missing parameters — its own validation reports which.
+
+        Raises:
+            ValueError: A circuit failed validation.
+            InvalidCircuitError: A resolved angle is NaN or infinite.
+        """
+        groups = []
+        for positions, members in group_by_structure(circuits):
+            template = self._template_for(members[0])
+            for member in members:
+                if member.num_parameters != template.num_parameters:
+                    member.validate()
+            groups.append(
+                (positions, Sweep(template, *template.stack(members)))
+            )
+        return groups
 
     def run(
         self,

@@ -114,6 +114,44 @@ class TestWorkerKill:
                 assert crashy.pool.restarts >= 1
         assert got == want
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_respawned_worker_gets_the_template_resent(self, exact):
+        """The first flush ships the template to both workers; the
+        second kills them mid-flush.  Their replacements never received
+        the template, so the replay must resend it — and reproduce the
+        fault-free results bit for bit (seed for seed when sampled)."""
+        circuits = ring_circuits(12)
+        shots = 0 if exact else 128
+
+        def run_twice():
+            with ShardedBackend(
+                IdealBackend(exact=exact, seed=7),
+                workers=2,
+                min_shard_cost=0,
+            ) as sharded:
+                runs = [sharded.run(circuits, shots=shots) for _ in range(2)]
+                return runs, sharded.pool.restarts, sharded.meter.snapshot()
+
+        want, _, want_meter = run_twice()
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site=faults.SITE_WORKER_SHARD,
+                    mode="kill",
+                    at=(2,),
+                    max_spawn=2,
+                ),
+            )
+        )
+        with faults.installed(plan):
+            got, restarts, meter = run_twice()
+        assert restarts >= 1
+        assert meter == want_meter
+        for want_run, got_run in zip(want, got):
+            for a, b in zip(want_run, got_run):
+                assert np.array_equal(a.expectations, b.expectations)
+                assert a.counts == b.counts
+
     def test_parent_pipe_loss_is_replayed(self):
         plan = FaultPlan(
             specs=(

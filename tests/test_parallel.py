@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit
+from repro.circuits import CircuitBatch, QuantumCircuit
 from repro.circuits.operation import BoundOp, OpTemplate
 from repro.hardware import Backend, ExecutionResult, IdealBackend, NoisyBackend
 from repro.noise import NoiseModel, get_calibration
@@ -27,8 +27,8 @@ from repro.parallel import (
     default_workers,
 )
 from repro.parallel.pool import batch_probabilities, execute_shard
-from repro.parallel.shard import Shard
 from repro.sim import compile_circuit, expectation_z_from_counts
+from repro.sim.measurement import outcome_matrix_to_counts
 
 
 def planned_cost(circuit):
@@ -49,6 +49,27 @@ def per_row_sample(row, shots, seed):
         for index in np.nonzero(outcomes)[0]
     }
     return counts, expectation_z_from_counts(counts, n_qubits)
+
+
+def sweep_requests(sweep, shards, shots, purpose):
+    """The facade's ``"sweep"`` request for each shard of ``sweep``."""
+    return [
+        (
+            shard.worker,
+            (
+                "sweep",
+                (
+                    sweep.template.digest,
+                    sweep.literals[shard.positions],
+                    sweep.params[shard.positions],
+                    shard.seeds,
+                    shots,
+                    purpose,
+                ),
+            ),
+        )
+        for shard in shards
+    ]
 
 
 def ring_circuits(n, n_qubits=3, seed=3):
@@ -257,11 +278,12 @@ class TestWorkerPool:
         with WorkerPool(spec, n_workers=2) as pool:
             planner = ShardPlanner(2, min_shard_cost=0)
             for _ in range(3):
-                shards = planner.plan(ring_circuits(4))
-                requests = [
-                    (s.worker, ("run", (s, 0, "test"))) for s in shards
-                ]
-                responses = pool.run_shards(requests)
+                sweep = CircuitBatch(ring_circuits(4))
+                shards = planner.plan(sweep)
+                responses = pool.run_shards(
+                    sweep_requests(sweep, shards, 0, "test"),
+                    templates={sweep.template.digest: sweep.template},
+                )
                 assert len(responses) == 2
             stats = pool.stats()
             assert stats["alive"] == 2
@@ -290,9 +312,14 @@ class TestWorkerPool:
             with pytest.raises(WorkerError, match="unknown request kind"):
                 pool.run_shards([(0, ("bogus", ()))])
             # The worker survives its own exception and stays usable.
-            shard = ShardPlanner(1).plan(ring_circuits(2))[0]
-            responses = pool.run_shards([(0, ("run", (shard, 0, "t")))])
-            assert len(responses[0][0]) == 2
+            sweep = CircuitBatch(ring_circuits(2))
+            responses = pool.run_shards(
+                sweep_requests(sweep, ShardPlanner(1).plan(sweep), 0, "t"),
+                templates={sweep.template.digest: sweep.template},
+            )
+            (expectations, outcomes), _ = responses[0]
+            assert expectations.shape == (2, 3)
+            assert outcomes is None
 
     def test_close_is_idempotent_and_final(self):
         spec = BackendSpec.from_backend(IdealBackend(exact=True))
@@ -417,14 +444,12 @@ class TestShardedBackendSampling:
         and draws from exactly the in-process distributions."""
         circuits = ring_circuits(5)
         seeds = list(np.random.SeedSequence(8).spawn(len(circuits)))
-        shard = Shard(
-            worker=0,
-            positions=list(range(len(circuits))),
-            circuits=circuits,
-            seeds=seeds,
-        )
+        sweep = CircuitBatch(circuits)
         replica = IdealBackend(exact=False, seed=3)
-        results, _ = execute_shard(replica, shard, shots=64, purpose="run")
+        (expectations, outcomes), _ = execute_shard(
+            replica, sweep.template, sweep.literals, sweep.params, seeds,
+            shots=64, purpose="run",
+        )
         assert replica.plan_cache.stats()["misses"] > 0
         want = IdealBackend(
             exact=False, seed=3
@@ -432,9 +457,13 @@ class TestShardedBackendSampling:
         assert np.array_equal(
             batch_probabilities(replica, circuits), want
         )
-        for row, seed, result in zip(want, seeds, results):
-            counts, _ = per_row_sample(row, 64, seed)
-            assert result.counts == counts
+        counts_rows = outcome_matrix_to_counts(outcomes)
+        for row, seed, counts, got in zip(
+            want, seeds, counts_rows, expectations
+        ):
+            want_counts, want_expectations = per_row_sample(row, 64, seed)
+            assert counts == want_counts
+            assert np.array_equal(got, want_expectations)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend_kind", ["ideal_sampled", "noisy"])
@@ -612,3 +641,150 @@ class TestShardedBackendIntegration:
         assert default_workers() == 0
         monkeypatch.setenv(WORKERS_ENV, "not-a-number")
         assert default_workers() == 0
+
+
+# -- sweep-native sharding ---------------------------------------------------
+
+
+class TestSweepShards:
+    def test_timeouts_equal_the_per_circuit_sum(self):
+        """One plan cost per group prices every shard as the old
+        per-circuit sum did."""
+        from repro.parallel.shard import (
+            TIMEOUT_FLOOR_S,
+            TIMEOUT_SAFETY,
+            TIMEOUT_THROUGHPUT_FLOPS,
+        )
+
+        circuits = ring_circuits(7, n_qubits=4)
+        for inner in (
+            IdealBackend(exact=True),
+            NoisyBackend.from_device_name("ibmq_lima", seed=0),
+        ):
+            sharded = ShardedBackend(inner, workers=3, min_shard_cost=0)
+            sweep = CircuitBatch(circuits)
+            shards = sharded.planner.plan(sweep)
+            plan = sharded.planner._costing_plan(circuits[0])
+            density = sharded.spec.kind == "noisy"
+            want = [
+                TIMEOUT_FLOOR_S
+                + TIMEOUT_SAFETY
+                * sum(
+                    circuit_cost(circuits[i], density=density, plan=plan)
+                    for i in shard.positions
+                )
+                / TIMEOUT_THROUGHPUT_FLOPS
+                for shard in shards
+            ]
+            got = sharded._timeouts(sweep, shards)
+            assert got == pytest.approx(want, rel=1e-12)
+            sharded.close()
+
+    def test_template_goes_to_each_worker_generation_once(self, monkeypatch):
+        from repro.parallel import pool as pool_module
+
+        registered = []
+        original = pool_module._register
+
+        def counting(held, digest, template):
+            registered.append(digest)
+            original(held, digest, template)
+
+        monkeypatch.setattr(pool_module, "_register", counting)
+        circuits = ring_circuits(6)
+        want = IdealBackend(exact=True).expectations(circuits, shots=0)
+        with ShardedBackend(
+            IdealBackend(exact=True), workers=2, min_shard_cost=0
+        ) as sharded:
+            for _ in range(3):
+                got = sharded.expectations(circuits, shots=0)
+                assert np.array_equal(got, want)
+            assert len(registered) == 2  # one per slot, first run only
+            sharded.pool.kill_worker(1)
+            got = sharded.expectations(circuits, shots=0)
+            assert np.array_equal(got, want)
+            # The respawned slot never saw the template: it is resent.
+            assert len(registered) == 3
+            assert sharded.pool.restarts == 1
+
+    def test_workers_evict_templates_in_step_with_the_parent(self):
+        from repro.parallel.pool import TEMPLATES_PER_WORKER, _register
+
+        held: dict = {}
+        for digest in range(TEMPLATES_PER_WORKER + 2):
+            _register(held, digest, None)
+        assert list(held) == list(range(2, TEMPLATES_PER_WORKER + 2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend_kind", ["ideal_sampled", "noisy"])
+    def test_pooled_rows_equal_the_in_process_shard_function(
+        self, backend_kind, workers
+    ):
+        """Sampled and noisy rows from the pool are seed-identical to
+        running the same shard function in-process, meters included."""
+        from repro.parallel.pool import serve_rows
+
+        circuits = ring_circuits(5)
+
+        def build():
+            if backend_kind == "ideal_sampled":
+                return IdealBackend(exact=False, seed=23)
+            return NoisyBackend.from_device_name("ibmq_lima", seed=23)
+
+        sweep = CircuitBatch(circuits)
+        with ShardedBackend(
+            build(), workers=workers, min_shard_cost=0
+        ) as sharded:
+            got = sharded.run(sweep, shots=96, purpose="grad")
+            meter = sharded.meter.snapshot()
+        local = build()
+        seeds = np.random.SeedSequence(23).spawn(len(circuits))
+        (expectations, outcomes), window = serve_rows(
+            local,
+            "sweep",
+            sweep.template,
+            (sweep.literals, sweep.params, seeds, 96, "grad"),
+        )
+        counts = outcome_matrix_to_counts(outcomes)
+        for result, row, row_counts in zip(got, expectations, counts):
+            assert np.array_equal(result.expectations, row)
+            assert result.counts == row_counts
+            assert result.shots == 96
+        assert meter == local.meter.snapshot()
+        assert meter["by_purpose"] == {"grad": 5}
+        assert meter["shots_by_purpose"] == {"grad": 5 * 96}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_sweep_is_native_and_bit_identical(self, workers):
+        circuits = ring_circuits(6)
+        sweep = CircuitBatch(circuits)
+        direct = IdealBackend(exact=True)
+        want = direct.run_sweep(sweep, shots=0, purpose="fwd")
+        with ShardedBackend(
+            IdealBackend(exact=True), workers=workers, min_shard_cost=0
+        ) as sharded:
+            assert sharded.supports_sweeps()
+            got = sharded.run_sweep(sweep, shots=0, purpose="fwd")
+            results = sharded.run(sweep, shots=0, purpose="fwd")
+            meter = sharded.meter.snapshot()
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            np.stack([r.expectations for r in results]), want
+        )
+        direct.run(sweep, shots=0, purpose="fwd")
+        assert meter == direct.meter.snapshot()
+
+    def test_observed_probabilities_take_rows(self):
+        circuits = ring_circuits(5)
+        sweep = CircuitBatch(circuits)
+        want = NoisyBackend.from_device_name(
+            "ibmq_lima", seed=0
+        ).observed_probabilities_batch(circuits)
+        with ShardedBackend(
+            NoisyBackend.from_device_name("ibmq_lima", seed=0),
+            workers=2,
+            min_shard_cost=0,
+        ) as sharded:
+            assert np.array_equal(
+                sharded.observed_probabilities_batch(sweep), want
+            )

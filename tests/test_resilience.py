@@ -20,7 +20,7 @@ import pytest
 from repro.circuits import QuantumCircuit
 from repro.hardware import IdealBackend
 from repro.hardware.job import JobError
-from repro.parallel.shard import Shard, shard_timeout_s
+from repro.parallel.shard import Shard, circuit_cost, shard_timeout_s
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -772,30 +772,21 @@ class TestErrorTaxonomy:
 
 class TestShardTimeouts:
     def test_timeout_scales_with_cost_above_floor(self):
-        small = Shard(
-            worker=0, positions=[0], circuits=[ry_circuit(0.1, 2)]
-        )
-        big = Shard(
-            worker=0,
-            positions=list(range(64)),
-            circuits=[ry_circuit(0.1, 8) for _ in range(64)],
-        )
-        t_small = shard_timeout_s(small)
-        t_big = shard_timeout_s(big)
+        small = Shard(worker=0, positions=[0])
+        big = Shard(worker=0, positions=list(range(64)))
+        t_small = shard_timeout_s(small, circuit_cost(ry_circuit(0.1, 2)))
+        t_big = shard_timeout_s(big, circuit_cost(ry_circuit(0.1, 8)))
         from repro.parallel.shard import TIMEOUT_FLOOR_S
 
         assert t_small >= TIMEOUT_FLOOR_S
         assert t_big > t_small
 
     def test_density_costs_more(self):
-        shard = Shard(
-            worker=0,
-            positions=list(range(32)),
-            circuits=[ry_circuit(0.1, 8) for _ in range(32)],
-        )
-        assert shard_timeout_s(shard, density=True) > shard_timeout_s(
-            shard
-        )
+        shard = Shard(worker=0, positions=list(range(32)))
+        circuit = ry_circuit(0.1, 8)
+        assert shard_timeout_s(
+            shard, circuit_cost(circuit, density=True)
+        ) > shard_timeout_s(shard, circuit_cost(circuit))
 
 
 class TestServiceJobDeadline:

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit, circuit_fingerprint
+from repro.circuits import CircuitBatch, QuantumCircuit, circuit_fingerprint
 from repro.hardware import (
     ExecutionResult,
     IdealBackend,
@@ -530,7 +530,8 @@ class TestExecutionService:
         scheduler = CoalescingScheduler(JobQueue(), InterruptRouter())
         items = [
             WorkItem(
-                circuit=ghz_circuit(),
+                sweep=CircuitBatch([ghz_circuit()]),
+                row=0,
                 shots=16,
                 purpose="run",
                 job=job,
@@ -595,7 +596,8 @@ class TestExecutionService:
         scheduler = CoalescingScheduler(JobQueue(), BrokenRouter())
         items = [
             WorkItem(
-                circuit=ghz_circuit(),
+                sweep=CircuitBatch([ghz_circuit()]),
+                row=0,
                 shots=16,
                 purpose="run",
                 job=job,
@@ -801,3 +803,83 @@ class TestServiceExecutor:
 
         with pytest.raises(ValueError, match="train_backend or a service"):
             TrainingEngine(TrainingConfig(task="mnist2", steps=1))
+
+
+class TestSweepAdmission:
+    """Admission stacks each job into angle-matrix rows; what runs and
+    what the cache stores must be what the circuits stand for."""
+
+    @staticmethod
+    def mixed_jobs():
+        from repro.circuits import get_architecture
+        from repro.gradients.parameter_shift import build_shifted_circuits
+
+        rng = np.random.default_rng(11)
+        jobs = []
+        for task in ("mnist4", "vowel4"):
+            arch = get_architecture(task)
+            theta = rng.uniform(-1, 1, arch.num_parameters)
+            rows = [
+                arch.full_circuit(rng.uniform(0, np.pi, arch.n_features),
+                                  theta)
+                for _ in range(3)
+            ]
+            jobs.append(rows)
+            jobs.append(build_shifted_circuits(rows[0], [0, 2, 5])[0])
+        # Mixed structures inside one job, and a repeat of a row.
+        jobs.append([ry_circuit(0.3), ghz_circuit(), ry_circuit(0.7)])
+        jobs.append([jobs[0][1]])
+        return jobs
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_served_results_bit_identical_to_direct_run(self, workers):
+        jobs = self.mixed_jobs()
+        with ExecutionService(
+            IdealBackend(exact=True), workers=workers, max_batch_size=7
+        ) as service:
+            futures = [service.submit(job, shots=0) for job in jobs]
+            served = [future.result(timeout=60) for future in futures]
+        direct = IdealBackend(exact=True)
+        for job, results in zip(jobs, served):
+            for want, got in zip(direct.run(job, shots=0), results):
+                assert np.array_equal(got.expectations, want.expectations)
+                assert got.counts == want.counts == {}
+                assert got.shots == want.shots == 0
+
+    def test_cache_keys_are_circuit_fingerprints(self):
+        jobs = self.mixed_jobs()
+        with ExecutionService(IdealBackend(exact=True), workers=0) as service:
+            for job in jobs:
+                service.run(job, shots=0)
+            for job in jobs:
+                for circuit in job:
+                    assert circuit_fingerprint(circuit) in service.cache
+
+    def test_structure_validates_once_not_per_circuit(self, monkeypatch):
+        calls = []
+        original = QuantumCircuit.validate
+
+        def counting(self):
+            calls.append(self.structure_signature())
+            return original(self)
+
+        monkeypatch.setattr(QuantumCircuit, "validate", counting)
+        with ExecutionService(IdealBackend(exact=True), workers=0) as service:
+            for job in range(4):
+                service.run(
+                    [ry_circuit(0.1 * job + 0.01 * k) for k in range(5)],
+                    shots=0,
+                )
+        assert len(calls) == 1
+
+    def test_parameter_count_mismatch_still_rejected(self):
+        base = QuantumCircuit(1).add_trainable("ry", 0, 0)
+        base.bind([0.2])
+        extra = QuantumCircuit(1, num_parameters=2).add_trainable("ry", 0, 0)
+        with ExecutionService(IdealBackend(exact=True), workers=0) as service:
+            service.run([base], shots=0)  # caches the valid template
+            with pytest.raises(JobError, match="never used"):
+                service.submit([base, extra], shots=0)
+            with pytest.raises(JobError, match="never used"):
+                service.submit([extra], shots=0)
+            assert service.pending_circuits == 0

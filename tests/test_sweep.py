@@ -26,9 +26,20 @@ from repro.gradients.parameter_shift import (
     parameter_shift_jacobian_batch,
     shift_sweep,
 )
-from repro.hardware import IdealBackend, NoisyBackend, sweep_expectations
+from repro.hardware import (
+    IdealBackend,
+    JobError,
+    NoisyBackend,
+    sweep_expectations,
+)
 from repro.parallel import ShardedBackend
-from repro.resilience import InvalidCircuitError, RetryPolicy
+from repro.resilience import (
+    FaultPlan,
+    FaultSpec,
+    InvalidCircuitError,
+    RetryPolicy,
+    faults,
+)
 from repro.serving import ExecutionService
 from repro.training import TrainingConfig, TrainingEngine
 from repro.pruning import PruningHyperparams
@@ -122,6 +133,58 @@ class TestSweepBuilders:
             assert got.templates == want.templates
             assert np.array_equal(got.parameters, want.parameters)
             assert got.structure_signature() == want.structure_signature()
+
+    @pytest.mark.parametrize("task", sorted(ARCHITECTURES))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_full_circuit_equals_encode_and_compose(self, task, data):
+        """``full_circuit`` revalues the cached template's encoder; the
+        result is the circuit encode + compose builds from scratch."""
+        arch = get_architecture(task)
+        x = np.array(
+            data.draw(st.lists(ANGLES, min_size=arch.n_features,
+                               max_size=arch.n_features))
+        )
+        theta = np.array(
+            data.draw(st.lists(ANGLES, min_size=arch.num_parameters,
+                               max_size=arch.num_parameters))
+        )
+        built = arch.full_circuit(x, theta)
+        composed = arch.encode(x).compose(arch.build_ansatz().bind(theta))
+        assert built.fingerprint() == composed.fingerprint()
+        assert built.structure_signature() == composed.structure_signature()
+        assert built.templates == composed.templates
+        assert np.array_equal(built.parameters, composed.parameters)
+        built.validate()
+        # The row shares the template's signature tuple (identity fast
+        # paths in grouping and admission) but owns its theta.
+        template = arch.sweep_template
+        assert built.structure_signature() is template.structure_signature()
+        theta[0] += 1.0
+        assert built.parameters[0] != theta[0]
+
+    @pytest.mark.parametrize("task", sorted(ARCHITECTURES))
+    def test_full_circuit_raises_the_composed_errors(self, task):
+        arch = get_architecture(task)
+        good_x = np.zeros(arch.n_features)
+        good_theta = np.zeros(arch.num_parameters)
+
+        def compose(x, theta):
+            ansatz = arch.build_ansatz().bind(theta)
+            return arch.encode(x).compose(ansatz)
+
+        cases = [
+            (good_x, np.zeros(arch.num_parameters + 1)),
+            (np.zeros(arch.n_features - 1), good_theta),
+            # Both wrong: the parameter count is reported first.
+            (np.zeros(arch.n_features + 2), np.zeros(2)),
+        ]
+        for x, theta in cases:
+            with pytest.raises(ValueError) as want:
+                compose(x, theta)
+            with pytest.raises(ValueError) as got:
+                arch.full_circuit(x, theta)
+            assert str(got.value) == str(want.value)
 
     def test_feature_width_is_checked(self):
         arch = get_architecture("vowel4")
@@ -340,6 +403,8 @@ class TestInvalidCircuit:
                 sharded.run([nan_circuit(0.2), nan_circuit()], shots=0)
 
     def test_service_quarantines_the_poisoned_job(self):
+        """A non-finite angle is rejected at admission: the poisoned
+        submit raises, its flush-mates never see it."""
         with ExecutionService(
             IdealBackend(exact=True),
             workers=0,
@@ -349,21 +414,48 @@ class TestInvalidCircuit:
                 service.submit([nan_circuit(angle)], shots=0)
                 for angle in (0.1, 0.2, 0.3)
             ]
-            poisoned = service.submit([nan_circuit()], shots=0)
+            with pytest.raises(JobError) as excinfo:
+                service.submit([nan_circuit()], shots=0)
+            assert isinstance(excinfo.value.__cause__, InvalidCircuitError)
             for job, angle in zip(healthy, (0.1, 0.2, 0.3)):
                 (result,) = job.result(timeout=30)
                 (want,) = IdealBackend(exact=True).run(
                     [nan_circuit(angle)], shots=0
                 )
                 assert np.array_equal(result.expectations, want.expectations)
-            with pytest.raises(Exception) as excinfo:
-                poisoned.result(timeout=30)
-            cause = excinfo.value
-            while cause is not None and not isinstance(
-                cause, InvalidCircuitError
-            ):
-                cause = cause.__cause__
-            assert isinstance(cause, InvalidCircuitError)
-            assert service.stats()["scheduler"]["bisections"] >= 1
             assert nan_circuit().fingerprint() not in service.cache
             assert len(service.cache) == 3
+            assert service.pending_circuits == 0
+
+    def test_poisoned_flush_is_bisected_through_the_fault_plane(self):
+        """Bisection still isolates a flush that fails as a whole: the
+        first attempt of the coalesced flush is poisoned, its halves
+        run, and every job gets its result."""
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site=faults.SITE_SERVING_FLUSH, mode="exception", at=(1,)
+                ),
+            )
+        )
+        angles = (0.1, 0.2, 0.3, 0.4)
+        with faults.installed(plan):
+            with ExecutionService(
+                IdealBackend(exact=True),
+                workers=0,
+                max_delay_s=0.2,
+                retry_policy=RetryPolicy(max_attempts=1),
+            ) as service:
+                jobs = [
+                    service.submit([nan_circuit(angle)], shots=0)
+                    for angle in angles
+                ]
+                results = [job.result(timeout=30)[0] for job in jobs]
+                stats = service.stats()["scheduler"]
+        want = IdealBackend(exact=True).run(
+            [nan_circuit(angle) for angle in angles], shots=0
+        )
+        for got, expected in zip(results, want):
+            assert np.array_equal(got.expectations, expected.expectations)
+        assert stats["bisections"] == 1
+        assert stats["flush_failures"] == 0
