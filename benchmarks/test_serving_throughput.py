@@ -31,6 +31,14 @@ N_CLIENTS = 8
 SUBMISSIONS_PER_CLIENT = smoke_scaled(48, 16)
 REPLAYS_PER_CLIENT = max(2, SUBMISSIONS_PER_CLIENT // 4)
 ROUNDS = smoke_scaled(3, 2)
+#: Flush size: the fresh wave (N_CLIENTS x SUBMISSIONS_PER_CLIENT
+#: circuits of one structure) splits into whole size flushes of two
+#: clients' worth each, so flush composition never depends on thread
+#: timing.  A 2 ms deadline split the wave by timing instead, and the
+#: largest flush occasionally fell below one client's submissions.
+FLUSH = 2 * SUBMISSIONS_PER_CLIENT
+#: Safety net only: the fresh wave flushes by size.
+MAX_DELAY_S = 1.0
 
 
 def build_workloads() -> list[list[QuantumCircuit]]:
@@ -84,8 +92,8 @@ def time_service(workloads) -> tuple[float, list[list], dict]:
     for _ in range(ROUNDS):
         service = ExecutionService(
             IdealBackend(exact=True),
-            max_batch_size=256,
-            max_delay_s=0.002,
+            max_batch_size=FLUSH,
+            max_delay_s=MAX_DELAY_S,
         )
 
         def client(index):

@@ -149,7 +149,7 @@ class SweepTemplate:
         columns = [
             column
             for pos in range(len(self.templates))
-            for column in self._column_list(pos)
+            for column in self.column_list(pos)
         ]
         return layout, np.array(columns, dtype=np.intp)
 
@@ -180,7 +180,7 @@ class SweepTemplate:
         params = np.stack([circuit._parameters for circuit in circuits])
         return literals, params
 
-    def _column_list(self, position: int) -> list[int]:
+    def column_list(self, position: int) -> list[int]:
         """The value columns of op ``position`` as a list."""
         selector = self.columns[position]
         if selector is None:
@@ -204,7 +204,7 @@ class SweepTemplate:
         positions = np.unique(self._owners[differs]).tolist()
         per_position = []
         for pos in positions:
-            columns = self._column_list(pos)
+            columns = self.column_list(pos)
             bits = literals[:, columns].view(np.int64)
             values = literals[:, columns].tolist()
             shared: dict = {}

@@ -56,6 +56,9 @@ class BatchedStatevector:
                 )
             tensor = data.reshape(shape).copy()
         self._tensor = tensor
+        #: Every row still holds the same fresh state — the promise
+        #: that lets a plan replay a sweep from one starting row.
+        self._fresh = data is None
 
     # -- raw views ------------------------------------------------------
 
@@ -75,9 +78,11 @@ class BatchedStatevector:
         """Run a :class:`~repro.circuits.batch.CircuitBatch` on the stack.
 
         Replays the batch structure's compiled :class:`~repro.sim.
-        compile.ExecutionPlan`: the plan prepares every parameterized
-        gate matrix for all ``B`` rows in one vectorized build per gate
-        type, then runs its fused steps over the whole stack.
+        compile.ExecutionPlan`: the plan prepares the parameterized
+        gate matrices in one vectorized build per gate type, then runs
+        its fused steps over the stack.  A stack still at its default
+        ``|0...0>`` rows lets a sweep whose rows share angle prefixes
+        replay as a prefix trie; results are bit-identical either way.
 
         Args:
             batch: The stacked circuits to run.
@@ -99,7 +104,8 @@ class BatchedStatevector:
         _compile.check_plan(
             plan, "statevector", self.n_qubits, len(batch.templates)
         )
-        self._tensor = plan.run_statevector(self._tensor, batch)
+        self._tensor = plan.run(self._tensor, batch, fresh=self._fresh)
+        self._fresh = False
         return self
 
     # -- readout --------------------------------------------------------

@@ -60,6 +60,9 @@ class BatchedDensityMatrix:
                 )
             tensor = data.reshape(shape).copy()
         self._tensor = tensor
+        #: Every row still holds the same fresh state — the promise
+        #: that lets a plan replay a sweep from one starting row.
+        self._fresh = data is None
 
     # -- raw views ------------------------------------------------------
 
@@ -99,7 +102,10 @@ class BatchedDensityMatrix:
         sim.compile.ExecutionPlan`, whose steps interleave the gates
         with the noise model's channels (precomposed per-wire
         superoperators, or generic Kraus steps for models without the
-        ``superop_for`` fast path).
+        ``superop_for`` fast path).  A stack still at its default
+        ``|0...0><0...0|`` rows lets a sweep whose rows share angle
+        prefixes replay as a prefix trie; results are bit-identical
+        either way.
 
         Args:
             batch: The stacked circuits to run.
@@ -127,7 +133,8 @@ class BatchedDensityMatrix:
         _compile.check_plan(
             plan, "density", self.n_qubits, len(batch.templates)
         )
-        self._tensor = plan.run_density(self._tensor, batch)
+        self._tensor = plan.run(self._tensor, batch, fresh=self._fresh)
+        self._fresh = False
         return self
 
     # -- readout --------------------------------------------------------

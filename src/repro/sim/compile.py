@@ -42,6 +42,19 @@ tensor, instead of one GEMM per gate:
   elementwise multiplies.  Noise models without the ``superop_for``
   fast path fall back to per-gate Kraus steps with no fusion, keeping
   the generic channel ordering exact.
+* **Prefix-trie replay** — rows of a fresh sweep that agree on every
+  angle consumed so far hold the same state (a parameter-shift row and
+  its base row up to the shifted gate; duplicated rows throughout).
+  One sort of the angle matrix, column groups in step order, lays the
+  rows out as the leaves of a prefix trie; the replay starts from a
+  single fresh row, keeps one tensor row per trie node, forks
+  (``tensor[parent]``) only at steps where nodes split, and scatters
+  leaves back to rows before readout.  Each step prepares and composes
+  its matrices once per distinct value of its own angles, then gathers
+  them to the nodes.  The plain replay is the degenerate trie: sweeps
+  whose rows are distinct at the first parameterized step, whose work
+  is below :data:`TRIE_MIN_WORK`, or whose rows do not start equal
+  skip construction and run the same loop one tensor row per row.
 
 Plans depend only on the circuit's :meth:`~repro.circuits.
 QuantumCircuit.structure_signature` (plus the backend's noise model and
@@ -53,7 +66,9 @@ epoch or parameter-shift sweep compiles each structure exactly once.
 Numerical contract: plan replay agrees with a dense reference (full
 ``2^n`` unitaries and ``4^n`` superoperators) within ``1e-10`` and is
 deterministic (same plan, same inputs → same bits).  A circuit's row is
-bit-identical whatever batch it rides in, including a batch of one.
+bit-identical whatever batch it rides in, including a batch of one, and
+whatever rows share its angle prefix: a trie node runs exactly the
+per-row operations on exactly the data its rows would run alone.
 """
 
 from __future__ import annotations
@@ -165,26 +180,30 @@ class _ParamGroup:
     name: str
     embed: str
     positions: list[int]
+    steps: list[int]  # index of the step consuming each position
     closed_form: bool
     generator: np.ndarray | None
 
 
 def _build_param_groups(steps: list) -> list[_ParamGroup]:
-    by_key: "OrderedDict[tuple[str, str], list[int]]" = OrderedDict()
-    for step in steps:
+    by_key: "OrderedDict[tuple[str, str], list[tuple[int, int]]]" = (
+        OrderedDict()
+    )
+    for index, step in enumerate(steps):
         for use in step.param_ops():
             by_key.setdefault((use.name, use.embed), []).append(
-                use.position
+                (use.position, index)
             )
     groups = []
-    for (name, embed), positions in by_key.items():
+    for (name, embed), uses in by_key.items():
         spec = _gates.get_gate(name)
         closed = spec.shift_rule and spec.generator is not None
         groups.append(
             _ParamGroup(
                 name=name,
                 embed=embed,
-                positions=positions,
+                positions=[position for position, _ in uses],
+                steps=[index for _, index in uses],
                 closed_form=closed,
                 generator=(
                     _gates.pauli_word_matrix(spec.generator)
@@ -196,38 +215,21 @@ def _build_param_groups(steps: list) -> list[_ParamGroup]:
     return groups
 
 
-def _group_thetas(group: _ParamGroup, params) -> np.ndarray:
-    """Flat ``(len(positions) * B,)`` angles of one closed-form group."""
-    values = [params.op_params(p) for p in group.positions]
-    if len(values) == 1:
-        return values[0][:, 0]
-    return np.concatenate(values, axis=0)[:, 0]
+def _group_raw_matrices(group: _ParamGroup, values: np.ndarray) -> np.ndarray:
+    """``(N, d, d)`` matrices for ``(N, num_params)`` stacked angles.
 
-
-def _group_raw_matrices(group: _ParamGroup, params) -> np.ndarray:
-    """``(P, B, d, d)`` stacks for one group, one vectorized build.
-
-    Closed-form rotations evaluate every occurrence x batch angle in a
-    single :func:`~repro.sim.gates.batched_rotation` call; elementwise
+    Closed-form rotations evaluate every angle in a single
+    :func:`~repro.sim.gates.batched_rotation` call; elementwise
     operation order matches the per-op build exactly, so each slice is
-    bit-identical to what the unprepared path would construct.
+    bit-identical to what a batch of one would construct.
     """
     if group.closed_form:
-        stacked = _gates.batched_rotation(
-            group.generator, _group_thetas(group, params)
-        )
-        dim = stacked.shape[-1]
-        return stacked.reshape(len(group.positions), -1, dim, dim)
-    return np.stack(
-        [
-            _gates.stacked_matrices(group.name, params.op_params(p))
-            for p in group.positions
-        ]
-    )
+        return _gates.batched_rotation(group.generator, values[:, 0])
+    return _gates.stacked_matrices(group.name, values)
 
 
-def _group_diagonals(group: _ParamGroup, params) -> np.ndarray:
-    """``(P, B, d)`` diagonals for a group of diagonal gates.
+def _group_diagonals(group: _ParamGroup, values: np.ndarray) -> np.ndarray:
+    """``(N, d)`` diagonals of a group of diagonal gates.
 
     For closed-form rotations with a diagonal generator the diagonal is
     evaluated directly (``cos - i sin * g_ii`` — the same elementwise
@@ -236,31 +238,47 @@ def _group_diagonals(group: _ParamGroup, params) -> np.ndarray:
     diagonal of the full matrix).
     """
     if group.closed_form and _is_exact_diagonal(group.generator):
-        thetas = _group_thetas(group, params)
+        thetas = values[:, 0]
         gdiag = np.diagonal(group.generator)
         cos = np.cos(thetas / 2.0)[:, None]
         sin = np.sin(thetas / 2.0)[:, None]
-        diag = cos * np.ones_like(gdiag) - 1j * sin * gdiag
-        return diag.reshape(len(group.positions), -1, gdiag.shape[0])
+        return cos * np.ones_like(gdiag) - 1j * sin * gdiag
     return np.diagonal(
-        _group_raw_matrices(group, params), axis1=-2, axis2=-1
+        _group_raw_matrices(group, values), axis1=-2, axis2=-1
     )
 
 
 def _prepare_matrices(
-    groups: list[_ParamGroup], n_ops: int, params
+    groups: list[_ParamGroup], n_ops: int, params, rows=None
 ) -> list[np.ndarray | None]:
-    """Per-position prepared arrays, embedded for their consuming step."""
+    """Per-position prepared arrays, embedded for their consuming step.
+
+    The one preparation path, ragged by design: every occurrence of a
+    group is built in one vectorized call over the concatenation of
+    the rows each occurrence needs.  ``rows`` is ``None`` (every row,
+    as the plain replay and the adjoint sweep consume them) or a
+    per-step list of row selections — a prefix trie asks each step for
+    one representative row per distinct value of its own angles.
+    """
     matrices: list[np.ndarray | None] = [None] * n_ops
     for group in groups:
+        values = [params.op_params(p) for p in group.positions]
+        if rows is not None:
+            values = [
+                value[rows[step]]
+                for value, step in zip(values, group.steps)
+            ]
+        stacked = values[0] if len(values) == 1 else np.concatenate(values)
         if group.embed == "diag":
-            prepared = _group_diagonals(group, params)
+            prepared = _group_diagonals(group, stacked)
         else:
             prepared = _EMBEDDINGS[group.embed](
-                _group_raw_matrices(group, params)
+                _group_raw_matrices(group, stacked)
             )
-        for index, position in enumerate(group.positions):
-            matrices[position] = prepared[index]
+        start = 0
+        for position, value in zip(group.positions, values):
+            matrices[position] = prepared[start : start + len(value)]
+            start += len(value)
     return matrices
 
 
@@ -410,6 +428,13 @@ def _bra_axes(wires: tuple[int, ...], n_qubits: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Plan steps
 # ---------------------------------------------------------------------------
+#
+# Every step splits into ``operand(matrices)`` — the per-call matrix
+# (or diagonal) composed from the prepared stacks, one per distinct
+# value of the step's own angles — and ``apply(tensor, operand)``,
+# which runs that operand (gathered to one per tensor row by the
+# replay loop) over the tensor.  Parameterless steps have no operand:
+# their matrices are compile-time constants shared batch-wide.
 
 @dataclasses.dataclass
 class ConstantStep:
@@ -422,6 +447,7 @@ class ConstantStep:
 
     def finalize(self, n_qubits: int, mode: str, layout: _Layout) -> None:
         self._ket = _MatmulLayout(_state_axes(self.wires), layout)
+        self._bra = None
         if mode == "density":
             self._bra = _MatmulLayout(
                 _bra_axes(self.wires, n_qubits), layout
@@ -431,11 +457,13 @@ class ConstantStep:
     def param_ops(self):
         return []
 
-    def run_state(self, tensor, matrices):
-        return self._ket.apply(tensor, self.matrix)
+    def operand(self, matrices):
+        return None
 
-    def run_density(self, tensor, matrices):
+    def apply(self, tensor, operand):
         out = self._ket.apply(tensor, self.matrix)
+        if self._bra is None:
+            return out
         return self._bra.apply(out, self._conj)
 
 
@@ -510,6 +538,7 @@ class FusedStep:
 
     def finalize(self, n_qubits: int, mode: str, layout: _Layout) -> None:
         self._ket = _MatmulLayout(_state_axes(self.wires), layout)
+        self._bra = None
         if mode == "density":
             self._bra = _MatmulLayout(
                 _bra_axes(self.wires, n_qubits), layout
@@ -518,15 +547,13 @@ class FusedStep:
     def param_ops(self):
         return _factor_uses(self.factors)
 
-    def matrices(self, matrices: list) -> np.ndarray:
+    def operand(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def run_state(self, tensor, matrices):
-        return self._ket.apply(tensor, self.matrices(matrices))
-
-    def run_density(self, tensor, matrices):
-        block = self.matrices(matrices)
+    def apply(self, tensor, block):
         out = self._ket.apply(tensor, block)
+        if self._bra is None:
+            return out
         return self._bra.apply(out, block.conj())
 
 
@@ -562,6 +589,7 @@ class DiagStep:
 
     def finalize(self, n_qubits: int, mode: str, layout: _Layout) -> None:
         self._ket = _DiagLayout(_state_axes(self.wires), layout)
+        self._bra = None
         if mode == "density":
             self._bra = _DiagLayout(
                 _bra_axes(self.wires, n_qubits), layout
@@ -570,20 +598,18 @@ class DiagStep:
     def param_ops(self):
         return [_ParamUse(op.name, op.position, "diag") for op in self.ops]
 
-    def diags(self, matrices: list) -> np.ndarray:
+    def operand(self, matrices: list) -> np.ndarray:
         total = self.constant
         for op in self.ops:
             d = matrices[op.position][..., op.jmap]
             total = d if total is None else total * d
         return total
 
-    def run_state(self, tensor, matrices):
-        return tensor * self._ket.factor(self.diags(matrices))
-
-    def run_density(self, tensor, matrices):
-        diags = self.diags(matrices)
+    def apply(self, tensor, diags):
         out = tensor * self._ket.factor(diags)
-        return out * self._bra.factor(diags.conj())
+        if self._bra is not None:
+            out *= self._bra.factor(diags.conj())
+        return out
 
 
 @dataclasses.dataclass
@@ -601,6 +627,7 @@ class PermutationStep:
 
     def finalize(self, n_qubits: int, mode: str, layout: _Layout) -> None:
         self._ket = _MatmulLayout(_state_axes(self.wires), layout)
+        self._bra = None
         if mode == "density":
             self._bra = _MatmulLayout(
                 _bra_axes(self.wires, n_qubits), layout
@@ -609,12 +636,19 @@ class PermutationStep:
     def param_ops(self):
         return []
 
-    def run_state(self, tensor, matrices):
-        return self._ket.take(tensor, self.source)
+    def operand(self, matrices):
+        return None
 
-    def run_density(self, tensor, matrices):
+    def apply(self, tensor, operand):
         out = self._ket.take(tensor, self.source)
+        if self._bra is None:
+            return out
         return self._bra.take(out, self.source)
+
+
+def _require_density(mode: str) -> None:
+    if mode != "density":
+        raise TypeError("noise steps only run on density tensors")
 
 
 @dataclasses.dataclass
@@ -638,6 +672,7 @@ class WireChainStep:
     kind = "superop"
 
     def finalize(self, n_qubits: int, mode: str, layout: _Layout) -> None:
+        _require_density(mode)
         self._layout = _MatmulLayout(
             [self.wire + 1, n_qubits + self.wire + 1], layout
         )
@@ -645,14 +680,11 @@ class WireChainStep:
     def param_ops(self):
         return _factor_uses(self.factors)
 
-    def superops(self, matrices: list) -> np.ndarray:
+    def operand(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def run_state(self, tensor, matrices):
-        raise TypeError("noise steps only run on density tensors")
-
-    def run_density(self, tensor, matrices):
-        return self._layout.apply(tensor, self.superops(matrices))
+    def apply(self, tensor, superops):
+        return self._layout.apply(tensor, superops)
 
 
 @dataclasses.dataclass
@@ -665,6 +697,7 @@ class KrausStep:
     kind = "kraus"
 
     def finalize(self, n_qubits: int, mode: str, layout: _Layout) -> None:
+        _require_density(mode)
         # The generic Kraus kernel expects the canonical axis order:
         # restore it first and reset the symbolic layout.
         self._restore = layout.restore()
@@ -673,15 +706,165 @@ class KrausStep:
     def param_ops(self):
         return []
 
-    def run_state(self, tensor, matrices):
-        raise TypeError("noise steps only run on density tensors")
+    def operand(self, matrices):
+        return None
 
-    def run_density(self, tensor, matrices):
+    def apply(self, tensor, operand):
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return _apply.apply_kraus_to_density_batched(
             tensor, self.kraus_ops, self.wires
         )
+
+
+# ---------------------------------------------------------------------------
+# Prefix-trie replay schedules
+# ---------------------------------------------------------------------------
+#
+# Rows of a sweep that agree on every angle a plan has consumed so far
+# hold bit-identical states: a parameter-shift row equals its base row
+# up to the shifted gate, a duplicated row everywhere.  Sorting the rows
+# by their angles, column by column in the order the steps consume
+# them, lays the rows out as the leaves of a prefix trie: neighbouring
+# leaves fork at the first step whose angles tell them apart (the depth
+# of their lowest common ancestor).  The replay then keeps one tensor
+# row per trie node of the current depth, starting from one fresh row.
+
+#: Replay work — rows x steps x state elements — below which a sweep
+#: replays one tensor row per input row: building the trie costs more
+#: than the shared prefixes save (small statevector shards, short
+#: forward sweeps).
+TRIE_MIN_WORK = 2**18
+
+#: Largest mixed-radix key a step's combined column ranks may reach.
+_KEY_LIMIT = 2**62
+
+
+@dataclasses.dataclass
+class _Schedule:
+    """Which tensor rows one replay evolves, step by step.
+
+    Every list holds one entry per plan step.  The plain replay — one
+    tensor row per input row — is the schedule whose entries are all
+    ``None``.
+
+    Attributes:
+        splits: Parent tensor row of each new tensor row, at steps
+            where trie nodes fork (``tensor = tensor[split]``).
+        gathers: The distinct operand each tensor row consumes, at
+            parameterized steps (``operand = operand[gather]``).
+        rows: One representative input row per distinct value of each
+            step's angles — the rows matrix preparation builds; ``None``
+            builds every row.
+        leaves: Each input row's leaf tensor row, scattered back before
+            readout; ``None`` for the plain replay, which also keeps
+            every starting row instead of one fresh row.
+    """
+
+    splits: list
+    gathers: list
+    rows: list | None = None
+    leaves: np.ndarray | None = None
+
+
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Dense per-row ranks of each row of ``keys``, from one sort call.
+
+    Returns the ``keys``-shaped ranks (equal keys share a rank, ranks
+    count up from 0 in key order) and, per row of ``keys``, the column
+    of the first occurrence of each rank.
+    """
+    order = np.argsort(keys, axis=1, kind="stable")
+    ordered = np.take_along_axis(keys, order, axis=1)
+    first = np.ones(keys.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ranks = np.empty(keys.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.cumsum(first, axis=1) - 1, axis=1)
+    return ranks, [o[f] for o, f in zip(order, first)]
+
+
+def _prefix_trie(
+    bits: np.ndarray, step_columns: list
+) -> _Schedule | None:
+    """The prefix-trie schedule of a sweep's angle bits.
+
+    Args:
+        bits: ``(B, n_columns)`` angles viewed as int64 — bitwise
+            equality is the sharing criterion, so rows share state only
+            where their arithmetic is bit-identical.
+        step_columns: Per plan step, the angle columns it consumes
+            (``None`` for parameterless steps).
+
+    Returns:
+        ``None`` when the rows are already distinct at the first
+        parameterized step (nothing to share), else the schedule.
+        Construction makes a fixed number of sort calls per sweep —
+        never one per step.
+    """
+    n_rows = bits.shape[0]
+    param_steps = [i for i, c in enumerate(step_columns) if c is not None]
+    if param_steps:
+        first = bits[:, step_columns[param_steps[0]]]
+        ordered = first[np.lexsort(first.T)]
+        if (ordered[1:] != ordered[:-1]).any(axis=1).all():
+            return None
+
+    # Dense ranks of every varying consumed column (one sort call),
+    # combined per step into one mixed-radix key, then densified into
+    # each step's value ids (one more sort call).
+    n_steps = len(param_steps)
+    keys = np.zeros((n_steps, n_rows), dtype=np.int64)
+    if param_steps:
+        used = np.concatenate([step_columns[i] for i in param_steps])
+        values = bits[:, used].T
+        varying = np.flatnonzero((values != values[:, :1]).any(axis=1))
+        column_ranks = np.zeros(values.shape, dtype=np.int64)
+        if varying.size:
+            column_ranks[varying] = _dense_ranks(values[varying])[0]
+        radices = column_ranks.max(axis=1) + 1
+        start = 0
+        for t, i in enumerate(param_steps):
+            stop = start + len(step_columns[i])
+            key, radix = keys[t], 1
+            for c in range(start, stop):
+                if radices[c] == 1:
+                    continue
+                radix *= int(radices[c])
+                if radix > _KEY_LIMIT:
+                    # Too many combinations to key exactly: treat every
+                    # row as its own value (over-splitting stays exact).
+                    key[:] = np.arange(n_rows)
+                    break
+                key *= radices[c]
+                key += column_ranks[c]
+            start = stop
+    value_ids, representatives = _dense_ranks(keys)
+
+    # The trie: one sort of the rows by their value ids in step order.
+    # Neighbouring leaves fork at the first step they differ in.
+    leaf_order = (
+        np.lexsort(value_ids[::-1]) if n_steps else np.arange(n_rows)
+    )
+    forks = np.full(n_rows - 1, n_steps)
+    if n_steps:
+        differ = value_ids[:, leaf_order[1:]] != value_ids[:, leaf_order[:-1]]
+        forks = np.where(differ.any(axis=0), differ.argmax(axis=0), n_steps)
+    fork_counts = np.bincount(forks, minlength=n_steps + 1)
+
+    splits: list = [None] * len(step_columns)
+    gathers: list = [None] * len(step_columns)
+    rows: list = [None] * len(step_columns)
+    starts = np.zeros(1, dtype=np.intp)  # sorted position of each node
+    for t, i in enumerate(param_steps):
+        if fork_counts[t]:
+            parent = np.concatenate(([0], np.cumsum(forks < t)))
+            starts = np.concatenate(([0], np.flatnonzero(forks <= t) + 1))
+            splits[i] = parent[starts]
+        gathers[i] = value_ids[t, leaf_order[starts]]
+        rows[i] = representatives[t]
+    leaves = np.empty(n_rows, dtype=np.intp)
+    leaves[leaf_order] = np.concatenate(([0], np.cumsum(forks < n_steps)))
+    return _Schedule(splits, gathers, rows, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +903,11 @@ class ExecutionPlan:
         self.param_indices = param_indices
         self._adjoint = None
         self._param_groups = _build_param_groups(steps)
+        #: Per step, the source positions whose angles it consumes.
+        self._step_positions = [
+            [use.position for use in step.param_ops()] for step in steps
+        ]
+        self._plain = _Schedule([None] * len(steps), [None] * len(steps))
         layout = _Layout((2 * n_qubits if mode == "density" else n_qubits) + 1)
         for step in steps:
             step.finalize(n_qubits, mode, layout)
@@ -727,27 +915,73 @@ class ExecutionPlan:
         #: (steps defer it — see _Layout).
         self._restore = layout.restore()
 
-    def run_statevector(self, tensor: np.ndarray, params) -> np.ndarray:
-        """Evolve a ``(B,) + (2,)*n`` stacked statevector tensor."""
+    def run(
+        self, tensor: np.ndarray, params, fresh: bool = False
+    ) -> np.ndarray:
+        """Evolve a stacked ``(B,) + (2,)*n`` (or ``*2n``) tensor.
+
+        Args:
+            tensor: The stacked states, canonical axis order.
+            params: The rows' angle source — a :class:`~repro.circuits.
+                sweep.Sweep` (or ``CircuitBatch``), or
+                :class:`SingleCircuitParams`.
+            fresh: The caller's promise that every row of ``tensor`` is
+                the same freshly prepared state.  Only then may a sweep
+                replay as a prefix trie from a single starting row.
+
+        Returns:
+            The evolved ``(B, ...)`` tensor, one row per input row.
+        """
+        schedule = self._schedule(params, fresh)
         matrices = _prepare_matrices(
-            self._param_groups, self.n_source_ops, params
+            self._param_groups, self.n_source_ops, params, schedule.rows
         )
-        for step in self.steps:
-            tensor = step.run_state(tensor, matrices)
+        if schedule.leaves is not None:
+            tensor = tensor[:1]
+        for step, split, gather in zip(
+            self.steps, schedule.splits, schedule.gathers
+        ):
+            if split is not None:
+                tensor = tensor[split]
+            operand = step.operand(matrices)
+            if gather is not None:
+                operand = operand[gather]
+            tensor = step.apply(tensor, operand)
+        if schedule.leaves is not None:
+            tensor = tensor[schedule.leaves]
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return tensor
 
-    def run_density(self, tensor: np.ndarray, params) -> np.ndarray:
-        """Evolve a ``(B,) + (2,)*2n`` stacked density tensor."""
-        matrices = _prepare_matrices(
-            self._param_groups, self.n_source_ops, params
+    def _schedule(self, params, fresh: bool) -> _Schedule:
+        """The prefix trie of a fresh sweep, or the plain replay.
+
+        The trie is skipped on what the input shows: rows that do not
+        start equal, a source without an angle matrix, work below
+        :data:`TRIE_MIN_WORK`, or rows already distinct at the first
+        parameterized step (see :func:`_prefix_trie`).
+        """
+        angles = getattr(params, "angles", None)
+        if not fresh or angles is None or angles.shape[0] < 2:
+            return self._plain
+        elements = 2 ** (
+            self.n_qubits * (2 if self.mode == "density" else 1)
         )
-        for step in self.steps:
-            tensor = step.run_density(tensor, matrices)
-        if self._restore is not None:
-            tensor = tensor.transpose(self._restore)
-        return tensor
+        work = angles.shape[0] * len(self.steps) * elements
+        if work < TRIE_MIN_WORK:
+            return self._plain
+        template = params.template
+        step_columns = [
+            np.array(
+                [c for p in positions for c in template.column_list(p)],
+                dtype=np.intp,
+            )
+            if positions
+            else None
+            for positions in self._step_positions
+        ]
+        trie = _prefix_trie(angles.view(np.int64), step_columns)
+        return self._plain if trie is None else trie
 
     def adjoint(self) -> "AdjointPlan":
         """The plan's backward (reverse-replay) lowering, built lazily.
@@ -857,7 +1091,7 @@ def check_plan(
 # circuits, rows ``[(1 + t) * B : (2 + t) * B]`` the bras of observable
 # ``t`` — so one kernel application advances every circuit and every
 # observable at once.  Backward steps run in the canonical axis order
-# (``run_statevector`` restores it before returning), so the deferred
+# (:meth:`ExecutionPlan.run` restores it before returning), so the deferred
 # forward layout needs no mirroring here.
 
 def _tile_rows(matrices: np.ndarray, replicas: int) -> np.ndarray:
@@ -981,7 +1215,7 @@ class _AdjointDiag:
                     .sum(axis=-1)
                 )
                 jacobian[:, :, param_index] += overlaps.imag
-        diags = np.asarray(self._step.diags(matrices)).conj()
+        diags = np.asarray(self._step.operand(matrices)).conj()
         if diags.ndim == 2:
             diags = np.tile(diags, (combined.shape[0] // batch, 1))
         return _apply.apply_diag_batched(

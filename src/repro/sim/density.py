@@ -124,7 +124,7 @@ class DensityMatrix:
             plan, "density", self.n_qubits, len(circuit.templates)
         )
         params = _compile.SingleCircuitParams(circuit)
-        self._tensor = plan.run_density(self._tensor[np.newaxis], params)[0]
+        self._tensor = plan.run(self._tensor[np.newaxis], params)[0]
         return self
 
     # -- readout --------------------------------------------------------

@@ -117,9 +117,7 @@ class Statevector:
             plan, "statevector", self.n_qubits, len(circuit.templates)
         )
         params = _compile.SingleCircuitParams(circuit)
-        self._tensor = plan.run_statevector(
-            self._tensor[np.newaxis], params
-        )[0]
+        self._tensor = plan.run(self._tensor[np.newaxis], params)[0]
         return self
 
     # -- readout --------------------------------------------------------
