@@ -1,16 +1,17 @@
 """Quantum state simulation substrate (statevector + density matrix).
 
-Four engines (``Statevector`` / ``BatchedStatevector`` /
-``DensityMatrix`` / ``BatchedDensityMatrix``) share one gate library
+Two engines, one per mode (``BatchedStatevector`` /
+``BatchedDensityMatrix``), share one gate library
 (:mod:`~repro.sim.gates`) and one way to evolve a state: a circuit
 *structure* lowers once into a fused :class:`~repro.sim.compile.
 ExecutionPlan` (gate fusion, constant folding, diagonal/permutation
-kernels, precomposed noise superoperators) that every engine replays on
-a ``(B, 2, ..., 2)`` tensor via ``evolve(..., plan=...)``.  The
-single-state engines are batches of one; ``plan=None`` compiles the
-circuit's plan for that call, while the backends cache plans per
-structure.  Results agree with a dense reference within 1e-10 and are
-deterministic per seed.
+kernels, precomposed noise superoperators) that the engine replays on
+a ``(B, 2, ..., 2)`` tensor via ``evolve(..., plan=...)``.
+``Statevector`` and ``DensityMatrix`` are batch-of-one views of those
+engines: same evolution, readout and sampling code, single-state
+shapes.  ``plan=None`` compiles the circuit's plan for that call, while
+the backends cache plans per structure.  Results agree with a dense
+reference within 1e-10 and are deterministic per seed.
 """
 
 from repro.sim.adjoint import (
@@ -20,17 +21,10 @@ from repro.sim.adjoint import (
 )
 from repro.sim.apply import (
     apply_diag_batched,
-    apply_diag_to_density_batched,
-    apply_kraus_to_density,
     apply_kraus_to_density_batched,
-    apply_matrix,
     apply_matrix_batched,
-    apply_matrix_to_density,
     apply_matrix_to_density_batched,
     apply_permutation_batched,
-    apply_permutation_to_density_batched,
-    apply_superop_to_density,
-    expand_matrix,
     kraus_to_superop,
 )
 from repro.sim.batched import BatchedStatevector, run_circuit_batch
@@ -83,21 +77,14 @@ __all__ = [
     "adjoint_expectation_and_jacobian_batch",
     "adjoint_jacobian",
     "apply_diag_batched",
-    "apply_diag_to_density_batched",
-    "apply_kraus_to_density",
     "apply_kraus_to_density_batched",
-    "apply_matrix",
     "apply_matrix_batched",
-    "apply_matrix_to_density",
     "apply_matrix_to_density_batched",
     "apply_permutation_batched",
-    "apply_permutation_to_density_batched",
     "apply_readout_error",
     "apply_readout_error_batch",
-    "apply_superop_to_density",
     "compile_circuit",
     "counts_to_probabilities",
-    "expand_matrix",
     "expectation_z_from_counts",
     "expectation_z_from_prob_matrix",
     "expectation_z_from_probabilities",

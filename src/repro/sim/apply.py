@@ -1,14 +1,18 @@
-"""Tensor-contraction application of gate matrices to state arrays.
+"""Batched application of gate matrices to stacked state tensors.
 
-The statevector of an ``n``-qubit system is stored as a rank-``n`` complex
-tensor of shape ``(2,) * n`` whose axis ``k`` is qubit ``k``.  Applying a
-``k``-qubit gate is a tensordot over the target axes followed by an axis
-permutation that puts the contracted axes back in place — O(2^n) per gate
-instead of the O(4^n) of building the full unitary.
+``B`` statevectors of ``n`` qubits are stored as one ``(B,) + (2,) * n``
+complex tensor whose axis ``k + 1`` is qubit ``k``.  Applying a
+``k``-qubit gate brings the target axes to the front, runs one batched
+matmul and puts the axes back — O(2^n) per gate and state instead of
+the O(4^n) of building the full unitary.
 
-Density matrices are stored as rank-``2n`` tensors of shape ``(2,) * 2n``:
-axes ``0..n-1`` are the row (ket) indices and axes ``n..2n-1`` the column
+Density matrices stack as ``(B,) + (2,) * 2n`` tensors: axes
+``1..n`` are the row (ket) indices and axes ``n+1..2n`` the column
 (bra) indices of qubit ``0..n-1`` respectively.
+
+These are the kernels the compiled plans' steps and the single-state
+views' ``apply_gate`` / ``apply_channel`` call; a single state is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -26,33 +30,6 @@ def _check_wires(wires: Sequence[int], n_qubits: int) -> tuple[int, ...]:
         if not 0 <= wire < n_qubits:
             raise ValueError(f"wire {wire} out of range for {n_qubits} qubits")
     return wires
-
-
-def apply_matrix(
-    state: np.ndarray, matrix: np.ndarray, wires: Sequence[int]
-) -> np.ndarray:
-    """Apply a gate matrix to a statevector tensor.
-
-    Args:
-        state: Complex tensor of shape ``(2,) * n``.
-        matrix: ``(2^k, 2^k)`` unitary acting on ``k`` qubits.
-        wires: The ``k`` qubit indices, in the gate's own wire order.
-
-    Returns:
-        New statevector tensor (input is not modified).
-    """
-    n_qubits = state.ndim
-    wires = _check_wires(wires, n_qubits)
-    k = len(wires)
-    if matrix.shape != (2**k, 2**k):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match {k} wires"
-        )
-    gate = matrix.reshape((2,) * (2 * k))
-    # Contract gate's input legs (axes k..2k-1) with the state's target axes.
-    moved = np.tensordot(gate, state, axes=(range(k, 2 * k), wires))
-    # tensordot puts the gate's output legs first; move them back to `wires`.
-    return np.moveaxis(moved, range(k), wires)
 
 
 def _check_batched_matrices(
@@ -103,10 +80,9 @@ def apply_matrix_batched(
     Returns:
         New stacked statevector tensor.
 
-    Each batch slice reduces to the same GEMM :func:`apply_matrix`
-    performs via ``tensordot`` — same operand layouts, same contraction
-    order — so the result is bit-identical to applying the matrices one
-    circuit at a time.
+    Each batch slice reduces to the same GEMM — same operand layouts,
+    same contraction order — so the result is bit-identical to applying
+    the matrices one circuit at a time.
     """
     n_qubits = states.ndim - 1
     wires = _check_wires(wires, n_qubits)
@@ -175,29 +151,6 @@ def apply_diag_batched(
     return states * factor
 
 
-def apply_diag_to_density_batched(
-    rhos: np.ndarray, diags: np.ndarray, wires: Sequence[int]
-) -> np.ndarray:
-    """Conjugate stacked density tensors by a diagonal unitary.
-
-    ``rho -> D rho D^dagger`` for ``D = diag(d)`` is an elementwise
-    scale by ``d`` on the ket axes and ``conj(d)`` on the bra axes.
-    """
-    n_qubits = (rhos.ndim - 1) // 2
-    wires = _check_wires(wires, n_qubits)
-    diags = np.asarray(diags)
-    if diags.shape[-1] != 2 ** len(wires):
-        raise ValueError(
-            f"diagonal of length {diags.shape[-1]} does not match "
-            f"{len(wires)} wires"
-        )
-    ket = _diag_to_axes(diags, [w + 1 for w in wires], rhos.ndim)
-    bra = _diag_to_axes(
-        diags.conj(), [n_qubits + w + 1 for w in wires], rhos.ndim
-    )
-    return rhos * ket * bra
-
-
 def _take_on_axes(
     tensor: np.ndarray, source: np.ndarray, axes: Sequence[int]
 ) -> np.ndarray:
@@ -242,72 +195,6 @@ def apply_permutation_batched(
     return _take_on_axes(states, source, [w + 1 for w in wires])
 
 
-def apply_permutation_to_density_batched(
-    rhos: np.ndarray, source: np.ndarray, wires: Sequence[int]
-) -> np.ndarray:
-    """Conjugate stacked density tensors by a permutation unitary.
-
-    ``(P rho P^dagger)[i, j] = rho[source[i], source[j]]`` — the same
-    gather on the ket and bra axes.
-    """
-    n_qubits = (rhos.ndim - 1) // 2
-    wires = _check_wires(wires, n_qubits)
-    source = _check_permutation_source(source, len(wires))
-    out = _take_on_axes(rhos, source, [w + 1 for w in wires])
-    return _take_on_axes(
-        out, source, [n_qubits + w + 1 for w in wires]
-    )
-
-
-def apply_matrix_to_density(
-    rho: np.ndarray, matrix: np.ndarray, wires: Sequence[int]
-) -> np.ndarray:
-    """Apply ``U rho U^dagger`` on the given wires of a density tensor.
-
-    Args:
-        rho: Complex tensor of shape ``(2,) * 2n``.
-        matrix: ``(2^k, 2^k)`` unitary.
-        wires: Qubit indices (row axes ``wires``, column axes ``n + wires``).
-
-    Returns:
-        New density tensor.
-    """
-    n_qubits = rho.ndim // 2
-    wires = _check_wires(wires, n_qubits)
-    k = len(wires)
-    gate = matrix.reshape((2,) * (2 * k))
-    gate_conj = matrix.conj().reshape((2,) * (2 * k))
-    # Left multiplication on ket axes.
-    out = np.tensordot(gate, rho, axes=(range(k, 2 * k), wires))
-    out = np.moveaxis(out, range(k), wires)
-    # Right multiplication (by U^dagger) on bra axes: contract conj(U)'s
-    # input legs with the bra axes, which implements rho @ U^dagger.
-    bra_axes = tuple(n_qubits + w for w in wires)
-    out = np.tensordot(gate_conj, out, axes=(range(k, 2 * k), bra_axes))
-    return np.moveaxis(out, range(k), bra_axes)
-
-
-def apply_kraus_to_density(
-    rho: np.ndarray, kraus_ops: Sequence[np.ndarray], wires: Sequence[int]
-) -> np.ndarray:
-    """Apply a Kraus channel ``rho -> sum_k K_k rho K_k^dagger``.
-
-    Args:
-        rho: Density tensor of shape ``(2,) * 2n``.
-        kraus_ops: Kraus operators, each ``(2^k, 2^k)``.
-        wires: Target qubits.
-
-    Returns:
-        New density tensor.
-    """
-    if not kraus_ops:
-        raise ValueError("channel must have at least one Kraus operator")
-    out = np.zeros_like(rho)
-    for kraus in kraus_ops:
-        out = out + apply_matrix_to_density(rho, kraus, wires)
-    return out
-
-
 def apply_matrix_to_density_batched(
     rhos: np.ndarray, matrices: np.ndarray, wires: Sequence[int]
 ) -> np.ndarray:
@@ -316,7 +203,7 @@ def apply_matrix_to_density_batched(
     Args:
         rhos: Complex tensor of shape ``(B,) + (2,) * 2n`` — ``B``
             density tensors stacked along axis 0 (ket axes first, then
-            bra axes, as in :func:`apply_matrix_to_density`).
+            bra axes).
         matrices: ``(B, 2^k, 2^k)`` per-circuit unitaries, or one shared
             ``(2^k, 2^k)``.
         wires: Target qubits.
@@ -324,10 +211,9 @@ def apply_matrix_to_density_batched(
     Returns:
         New stacked density tensor.
 
-    Both sides reduce to the GEMMs :func:`apply_matrix_to_density`
-    performs via ``tensordot`` (left-multiply on the ket axes, then
-    conj(U) on the bra axes), so every batch slice is bit-identical to
-    the sequential conjugation.
+    Left-multiplies ``U`` on the ket axes, then ``conj(U)`` on the bra
+    axes (which implements ``rho @ U^dagger``); every batch slice is
+    bit-identical to conjugating that state alone.
     """
     n_qubits = (rhos.ndim - 1) // 2
     wires = _check_wires(wires, n_qubits)
@@ -346,7 +232,7 @@ def apply_kraus_to_density_batched(
 
     The channel is shared batch-wide (a noise model's channels depend on
     the gate type, never on angle values); operators are accumulated in
-    sequence order exactly like :func:`apply_kraus_to_density`.
+    sequence order.
     """
     if not kraus_ops:
         raise ValueError("channel must have at least one Kraus operator")
@@ -371,52 +257,3 @@ def kraus_to_superop(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     for kraus in kraus_ops:
         out += np.kron(kraus, kraus.conj())
     return out
-
-
-def apply_superop_to_density(
-    rho: np.ndarray, superop: np.ndarray, wire: int
-) -> np.ndarray:
-    """Apply a single-qubit channel superoperator to a density tensor.
-
-    Args:
-        rho: Density tensor of shape ``(2,) * 2n``.
-        superop: 4x4 channel matrix from :func:`kraus_to_superop`.
-        wire: Target qubit.
-
-    Returns:
-        New density tensor.
-    """
-    n_qubits = rho.ndim // 2
-    if not 0 <= wire < n_qubits:
-        raise ValueError(f"wire {wire} out of range for {n_qubits} qubits")
-    if superop.shape != (4, 4):
-        raise ValueError("superop must be 4x4 (single-qubit channels only)")
-    tensor = superop.reshape(2, 2, 2, 2)  # (i, j, k, l): out(ij) <- in(kl)
-    out = np.tensordot(tensor, rho, axes=([2, 3], [wire, n_qubits + wire]))
-    return np.moveaxis(out, [0, 1], [wire, n_qubits + wire])
-
-
-def expand_matrix(
-    matrix: np.ndarray, wires: Sequence[int], n_qubits: int
-) -> np.ndarray:
-    """Embed a k-qubit gate into the full ``(2^n, 2^n)`` unitary.
-
-    Used only by tests and small analysis utilities; the simulators never
-    materialize full-system matrices on the hot path.
-    """
-    wires = _check_wires(wires, n_qubits)
-    k = len(wires)
-    if matrix.shape != (2**k, 2**k):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match {k} wires"
-        )
-    dim = 2**n_qubits
-    # One contraction over all basis columns at once: the identity's
-    # columns, viewed as a (2,)*n tensor with a trailing column axis,
-    # go through the same tensordot/moveaxis as `apply_matrix` — column
-    # ``c`` of the result is exactly apply_matrix(e_c, matrix, wires).
-    eye = np.eye(dim, dtype=np.complex128).reshape((2,) * n_qubits + (dim,))
-    gate = matrix.reshape((2,) * (2 * k))
-    out = np.tensordot(gate, eye, axes=(range(k, 2 * k), wires))
-    out = np.moveaxis(out, range(k), wires)
-    return out.reshape(dim, dim)

@@ -8,12 +8,15 @@ into one ``(B, 2, ..., 2)`` tensor and replays the structure's compiled
 
 Numerical contract: every per-circuit slice of the batched evolution
 and readout is **bit-identical** to the same circuit run as a batch of
-one (or through :class:`~repro.sim.statevector.Statevector`) under the
-same plan — each slice reduces to the same GEMMs and reductions in the
-same order — and agrees with a dense-unitary reference within 1e-10.
+one under the same plan — each slice reduces to the same GEMMs and
+reductions in the same order — and agrees with a dense-unitary
+reference within 1e-10.  :class:`~repro.sim.statevector.Statevector`
+*is* that batch of one: a :class:`BatchOfOne` view of this engine.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -49,6 +52,8 @@ class BatchedStatevector:
             tensor[(slice(None),) + (0,) * self.n_qubits] = 1.0
         else:
             data = np.asarray(data, dtype=np.complex128)
+            if not np.all(np.isfinite(data)):
+                raise ValueError("data has non-finite amplitudes")
             if data.size != self.batch_size * 2**self.n_qubits:
                 raise ValueError(
                     f"data has {data.size} amplitudes, expected "
@@ -116,8 +121,9 @@ class BatchedStatevector:
 
     def expectation_z(self) -> np.ndarray:
         """Exact per-qubit ``<Z>`` for every state, ``(B, n)``."""
+        # The engine's own (B, 2^n) rows, also under a batch-of-one view.
         return _measurement.expectation_z_from_prob_matrix(
-            self.probabilities()
+            BatchedStatevector.probabilities(self)
         )
 
     def sample_counts(
@@ -126,11 +132,11 @@ class BatchedStatevector:
         """Finite-shot counts per state, one vectorized multinomial draw.
 
         The RNG stream is consumed row by row in batch order, matching
-        ``B`` sequential :meth:`Statevector.sample_counts` calls.
+        ``B`` sequential batch-of-one draws.
         """
         rng = rng if rng is not None else np.random.default_rng()
         return _measurement.sample_counts_batch(
-            self.probabilities(), shots, rng
+            BatchedStatevector.probabilities(self), shots, rng
         )
 
     def __repr__(self) -> str:
@@ -138,6 +144,45 @@ class BatchedStatevector:
             f"BatchedStatevector(B={self.batch_size}, "
             f"n_qubits={self.n_qubits})"
         )
+
+
+class BatchOfOne:
+    """Row-0 readout shared by the single-state views.
+
+    Mixed in ahead of a batched engine built with ``batch_size=1``
+    (:class:`~repro.sim.statevector.Statevector`,
+    :class:`~repro.sim.density.DensityMatrix`): every method returns
+    row 0 of the engine's own result, so a view and its batched twin
+    cannot disagree.
+    """
+
+    def copy(self):
+        """Deep copy of the state."""
+        return copy.deepcopy(self)
+
+    def probabilities(self) -> np.ndarray:
+        """Exact basis-state probabilities, flat array of length 2^n."""
+        return super().probabilities()[0]
+
+    def expectation_z(self, qubit: int | None = None) -> np.ndarray | float:
+        """Exact Pauli-Z expectation(s) ``<Z_k> = P(0) - P(1)``.
+
+        With ``qubit=None``, returns the length-n array of per-qubit
+        expectations — the measurement layer of the paper's QNN
+        (Fig. 3).
+        """
+        values = super().expectation_z()[0]
+        if qubit is None:
+            return values
+        if not 0 <= qubit < self.n_qubits:
+            raise ValueError(f"qubit {qubit} out of range")
+        return float(values[qubit])
+
+    def sample_counts(
+        self, shots: int, rng: np.random.Generator | None = None
+    ) -> dict[str, int]:
+        """Sampled computational-basis counts (bitstrings qubit 0 first)."""
+        return super().sample_counts(shots, rng)[0]
 
 
 def run_circuit_batch(batch) -> BatchedStatevector:

@@ -5,15 +5,15 @@ thousands of *structurally identical* circuits — parameter-shifted
 clones and re-encoded mini-batch examples — that differ only in
 angles.  ``BatchedDensityMatrix`` stacks ``B`` such
 mixed states into one ``(B, 2, ..., 2, 2, ..., 2)`` tensor (ket axes
-first, then bra axes, mirroring :class:`~repro.sim.density.
-DensityMatrix`) and replays the structure's compiled density plan —
-gates and noise channels together — over all of them at once.
+first, then bra axes) and replays the structure's compiled density
+plan — gates and noise channels together — over all of them at once.
 
 Numerical contract: every per-circuit slice of the batched evolution
 and readout is **bit-identical** to the same circuit run as a batch of
-one (or through :class:`~repro.sim.density.DensityMatrix`) under the
-same plan, and agrees with a dense-superoperator reference within
-1e-10.
+one under the same plan, and agrees with a dense-superoperator
+reference within 1e-10.  :class:`~repro.sim.density.DensityMatrix`
+*is* that batch of one: a :class:`~repro.sim.batched.BatchOfOne` view
+of this engine.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ class BatchedDensityMatrix:
             tensor[(slice(None),) + (0,) * (2 * self.n_qubits)] = 1.0
         else:
             data = np.asarray(data, dtype=np.complex128)
+            if not np.all(np.isfinite(data)):
+                raise ValueError("data has non-finite entries")
             if data.shape != (self.batch_size, dim, dim):
                 raise ValueError(
                     f"data shape {data.shape}, expected "
@@ -154,8 +156,9 @@ class BatchedDensityMatrix:
 
     def expectation_z(self) -> np.ndarray:
         """Exact per-qubit ``<Z>`` for every state, ``(B, n)``."""
+        # The engine's own (B, 2^n) rows, also under a batch-of-one view.
         return _measurement.expectation_z_from_prob_matrix(
-            self.probabilities()
+            BatchedDensityMatrix.probabilities(self)
         )
 
     def sample_counts(
@@ -164,14 +167,13 @@ class BatchedDensityMatrix:
         """Finite-shot counts per state, one vectorized multinomial draw.
 
         The RNG stream is consumed row by row in batch order, matching
-        ``B`` sequential :meth:`~repro.sim.density.DensityMatrix.
-        sample_counts` calls — the same contract
+        ``B`` sequential batch-of-one draws — the same contract
         :meth:`~repro.sim.batched.BatchedStatevector.sample_counts`
         documents.
         """
         rng = rng if rng is not None else np.random.default_rng()
         return _measurement.sample_counts_batch(
-            self.probabilities(), shots, rng
+            BatchedDensityMatrix.probabilities(self), shots, rng
         )
 
     def __repr__(self) -> str:

@@ -18,10 +18,10 @@ tensor, instead of one GEMM per gate:
   elementwise multiply; 0/1 permutation blocks (X/CNOT/SWAP runs)
   become an index take.  The batched reference kernels live in
   :mod:`repro.sim.apply` (:func:`~repro.sim.apply.apply_diag_batched`,
-  :func:`~repro.sim.apply.apply_permutation_batched` and their density
-  twins); plan steps execute the *same* array operations with their
-  axis recipes precomputed at plan-finalize time (see ``_Layout``), and
-  the equivalence tests pin the two against each other.  Registry tags
+  :func:`~repro.sim.apply.apply_permutation_batched`); plan steps
+  execute the *same* array operations with their axis recipes
+  precomputed at plan-finalize time (see ``_Layout``), and the
+  equivalence tests pin the two against each other.  Registry tags
   (:attr:`repro.sim.gates.GateSpec.diagonal` / ``permutation``) mark
   the gates; constant blocks are additionally classified from their
   folded matrix, so e.g. ``cx; cx`` cancels to nothing.
@@ -93,29 +93,6 @@ _EYE2 = np.eye(2, dtype=np.complex128)
 
 #: Basis permutation swapping the two wires of a 4x4 matrix.
 _SWAP_PERM = np.array([0, 2, 1, 3], dtype=np.intp)
-
-
-# ---------------------------------------------------------------------------
-# Parameter sources
-# ---------------------------------------------------------------------------
-
-class SingleCircuitParams:
-    """Adapt one circuit to the ``CircuitBatch`` parameter interface.
-
-    Plans fetch per-op angles through ``op_params(position)``; this
-    wraps a single circuit's resolved operations as a batch of one, so
-    the single-circuit engines run the same plan code — and therefore
-    produce per-row results bit-identical to the batched fused path.
-    """
-
-    def __init__(self, circuit):
-        self._params = [
-            np.array([op.params], dtype=np.float64) if op.params else None
-            for op in circuit.operations
-        ]
-
-    def op_params(self, position: int) -> np.ndarray | None:
-        return self._params[position]
 
 
 # ---------------------------------------------------------------------------
@@ -923,8 +900,7 @@ class ExecutionPlan:
         Args:
             tensor: The stacked states, canonical axis order.
             params: The rows' angle source — a :class:`~repro.circuits.
-                sweep.Sweep` (or ``CircuitBatch``), or
-                :class:`SingleCircuitParams`.
+                sweep.Sweep` (or ``CircuitBatch``).
             fresh: The caller's promise that every row of ``tensor`` is
                 the same freshly prepared state.  Only then may a sweep
                 replay as a prefix trie from a single starting row.
@@ -1330,8 +1306,8 @@ class AdjointPlan:
                 and each observable's bras in the following ``B``-row
                 groups.
             batch: ``B``, the number of batched circuits.
-            params: The batch parameter source (``CircuitBatch`` or
-                ``SingleCircuitParams``) the forward pass ran with.
+            params: The batch parameter source (a ``Sweep`` or
+                ``CircuitBatch``) the forward pass ran with.
             jacobian: ``(T, B, n_params)`` float64 accumulator; entry
                 ``(t, b, i)`` receives ``d<O_t>/d theta_i`` of circuit
                 ``b``, occurrences summed.

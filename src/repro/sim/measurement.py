@@ -41,30 +41,16 @@ def expectation_z_from_counts(
     ``<Z_k> = P(bit k = 0) - P(bit k = 1)``, matching the paper's readout
     convention (|0> -> +1, |1> -> -1).
     """
-    probs = counts_to_probabilities(counts, n_qubits).reshape(
-        (2,) * n_qubits
-    )
-    out = np.empty(n_qubits, dtype=np.float64)
-    for k in range(n_qubits):
-        axes = tuple(a for a in range(n_qubits) if a != k)
-        marginal = probs.sum(axis=axes)
-        out[k] = marginal[0] - marginal[1]
-    return out
+    probs = counts_to_probabilities(counts, n_qubits)
+    return expectation_z_from_prob_matrix(probs[np.newaxis])[0]
 
 
 def expectation_z_from_probabilities(probs: np.ndarray) -> np.ndarray:
     """Per-qubit <Z> from an exact probability vector of length 2^n."""
     probs = np.asarray(probs, dtype=np.float64)
-    n_qubits = int(np.log2(probs.size))
-    if 2**n_qubits != probs.size:
+    if 2 ** int(np.log2(probs.size)) != probs.size:
         raise ValueError("probability vector length is not a power of two")
-    tensor = probs.reshape((2,) * n_qubits)
-    out = np.empty(n_qubits, dtype=np.float64)
-    for k in range(n_qubits):
-        axes = tuple(a for a in range(n_qubits) if a != k)
-        marginal = tensor.sum(axis=axes)
-        out[k] = marginal[0] - marginal[1]
-    return out
+    return expectation_z_from_prob_matrix(probs.reshape(1, -1))[0]
 
 
 def expectation_z_from_prob_matrix(probs: np.ndarray) -> np.ndarray:
@@ -78,8 +64,8 @@ def expectation_z_from_prob_matrix(probs: np.ndarray) -> np.ndarray:
 
     The marginal of qubit ``k`` is taken with a reshape-based reduction
     — view the row as ``(2^k, 2, 2^(n-k-1))`` and sum the outer axes —
-    which reduces each batch row exactly like the single-state path, so
-    stacking circuits never changes a single bit of the readout.
+    which reduces each batch row on its own, so stacking circuits never
+    changes a single bit of the readout.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
@@ -132,11 +118,10 @@ def expectation_z_from_outcome_matrix(outcomes: np.ndarray) -> np.ndarray:
     """Per-qubit ``<Z>`` estimates for a stack of outcome count rows.
 
     The vectorized twin of :func:`expectation_z_from_counts`: each row
-    is normalized by its own total and marginalized with the same
-    axis-tuple reductions (a row slice of the stacked C-contiguous
-    tensor has the layout of the standalone tensor, so the per-row
-    reduction order — and therefore every bit of the result — matches
-    the dict-based path exactly; the equivalence tests pin this).
+    is normalized by its own total and marginalized per qubit (a row
+    slice of the stacked C-contiguous tensor has the layout of the
+    standalone tensor, so every bit of the result matches the
+    dict-based path; the equivalence tests pin this).
     """
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 2:
@@ -195,22 +180,12 @@ def apply_readout_error(
         Length-2^n vector of *observed* outcome probabilities.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    n_qubits = len(confusions)
-    if probs.size != 2**n_qubits:
+    if probs.size != 2 ** len(confusions):
         raise ValueError(
             f"probability vector length {probs.size} does not match "
-            f"{n_qubits} confusion matrices"
+            f"{len(confusions)} confusion matrices"
         )
-    tensor = probs.reshape((2,) * n_qubits)
-    for qubit, confusion in enumerate(confusions):
-        confusion = np.asarray(confusion, dtype=np.float64)
-        if confusion.shape != (2, 2):
-            raise ValueError("confusion matrices must be 2x2")
-        tensor = np.tensordot(confusion, tensor, axes=([1], [qubit]))
-        tensor = np.moveaxis(tensor, 0, qubit)
-    out = tensor.reshape(-1)
-    out[out < 0] = 0.0
-    return out / out.sum()
+    return apply_readout_error_batch(probs.reshape(1, -1), confusions)[0]
 
 
 def apply_readout_error_batch(
@@ -226,7 +201,7 @@ def apply_readout_error_batch(
 
     Returns:
         ``(B, 2^n)`` matrix of *observed* outcome probabilities; each
-        row is bit-identical to :func:`apply_readout_error` on that row
+        row is bit-identical to the same row pushed through alone
         (same per-qubit 2x2 GEMMs, same clamp, same row-sum
         normalization).
     """

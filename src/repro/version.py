@@ -1,3 +1,3 @@
 """Package version."""
 
-__version__ = "2.1.0"
+__version__ = "2.1.1"

@@ -39,6 +39,10 @@ from repro.sim import (
     BatchedStatevector,
     DensityMatrix,
     Statevector,
+    apply_kraus_to_density_batched,
+    apply_matrix_batched,
+    apply_matrix_to_density_batched,
+    gates,
     run_circuit_batch,
     run_density_batch,
 )
@@ -214,6 +218,13 @@ class TestBatchedStatevector:
             BatchedStatevector(3, 1).evolve(batch)
         with pytest.raises(ValueError, match="circuits"):
             BatchedStatevector(2, 4).evolve(batch)
+
+    def test_non_finite_data_rejected(self):
+        for bad in (np.inf, np.nan, complex(0, np.inf)):
+            with pytest.raises(ValueError, match="non-finite"):
+                BatchedStatevector(1, 1, data=[bad, 0])
+            with pytest.raises(ValueError, match="non-finite"):
+                Statevector(1, data=[bad, 0])
 
 
 class TestBackendEquivalence:
@@ -442,6 +453,112 @@ class TestBatchedDensityMatrix:
             BatchedDensityMatrix(2, 4).evolve(batch)
         with pytest.raises(ValueError, match="data shape"):
             BatchedDensityMatrix(2, 2, data=np.eye(4))
+
+    def test_non_finite_data_rejected(self):
+        for bad in (np.inf, np.nan):
+            data = np.zeros((1, 2, 2))
+            data[0, 1, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                BatchedDensityMatrix(1, 1, data=data)
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityMatrix(1, data=data[0])
+
+
+class TestBatchOfOneViews:
+    """``Statevector`` / ``DensityMatrix`` are row 0 of their batched
+    twin: every public method, bit for bit."""
+
+    def test_statevector_view(self):
+        rng = np.random.default_rng(200)
+        for n_qubits in (1, 2, 4):
+            circuit = random_structure(rng, n_qubits)
+            view = Statevector(n_qubits).evolve(circuit)
+            twin = BatchedStatevector(n_qubits, 1).evolve(
+                CircuitBatch([circuit])
+            )
+            assert np.array_equal(view.tensor, twin.tensor[0])
+            assert np.array_equal(view.vector, twin.vectors[0])
+            assert np.array_equal(view.copy().vector, twin.vectors[0])
+            assert np.array_equal(
+                view.probabilities(), twin.probabilities()[0]
+            )
+            exps = twin.expectation_z()[0]
+            assert np.array_equal(view.expectation_z(), exps)
+            for qubit in range(n_qubits):
+                assert view.expectation_z(qubit) == exps[qubit]
+                assert view.marginal_probability(qubit) == (
+                    (1.0 - exps[qubit]) / 2.0
+                )
+            assert view.sample_counts(
+                300, rng=np.random.default_rng(n_qubits)
+            ) == twin.sample_counts(
+                300, rng=np.random.default_rng(n_qubits)
+            )[0]
+            # No batched twin: checked against the twin's amplitudes.
+            vector = twin.vectors[0]
+            assert view.norm() == pytest.approx(np.linalg.norm(vector))
+            assert view.fidelity(view) == pytest.approx(1.0)
+            word = "XYZI"[:n_qubits]
+            assert view.expectation_pauli(word) == pytest.approx(
+                np.real(vector.conj() @ gates.pauli_word_matrix(word) @ vector),
+                abs=1e-12,
+            )
+
+    def test_statevector_apply_gate(self):
+        view = Statevector(3).apply_gate("h", [0]).apply_gate(
+            "rzx", [2, 0], 0.7
+        )
+        twin = BatchedStatevector(3, 1)
+        tensor = apply_matrix_batched(twin.tensor, gates.H, [0])
+        tensor = apply_matrix_batched(tensor, gates.rzx(0.7), [2, 0])
+        assert np.array_equal(view.tensor, tensor[0])
+
+    @pytest.mark.parametrize("noise", [None, "superop", "kraus"])
+    def test_density_view(self, noise):
+        rng = np.random.default_rng(201)
+        model = None
+        if noise is not None:
+            model = NoiseModel(get_calibration("ibmq_lima"))
+            if noise == "kraus":
+                model = KrausOnly(model)
+        for n_qubits in (1, 3):
+            circuit = random_structure(rng, n_qubits)
+            view = DensityMatrix(n_qubits).evolve(circuit, noise_model=model)
+            twin = BatchedDensityMatrix(n_qubits, 1).evolve(
+                CircuitBatch([circuit]), noise_model=model
+            )
+            assert np.array_equal(view.matrix, twin.matrices[0])
+            assert np.array_equal(view.copy().matrix, twin.matrices[0])
+            assert np.array_equal(
+                view.probabilities(), twin.probabilities()[0]
+            )
+            exps = twin.expectation_z()[0]
+            assert np.array_equal(view.expectation_z(), exps)
+            for qubit in range(n_qubits):
+                assert view.expectation_z(qubit) == exps[qubit]
+            assert view.trace() == twin.trace()[0]
+            assert view.purity() == twin.purity()[0]
+            assert view.sample_counts(
+                300, rng=np.random.default_rng(n_qubits)
+            ) == twin.sample_counts(
+                300, rng=np.random.default_rng(n_qubits)
+            )[0]
+
+    def test_density_apply_gate_and_channel(self):
+        from repro.noise.channels import amplitude_damping
+
+        kraus = amplitude_damping(0.2)
+        view = (
+            DensityMatrix(2)
+            .apply_gate("h", [0])
+            .apply_channel(kraus, [0])
+            .apply_gate("cx", [0, 1])
+        )
+        twin = BatchedDensityMatrix(2, 1)
+        tensor = apply_matrix_to_density_batched(twin.tensor, gates.H, [0])
+        tensor = apply_kraus_to_density_batched(tensor, kraus, [0])
+        tensor = apply_matrix_to_density_batched(tensor, gates.CX, [0, 1])
+        assert np.array_equal(view.matrix, tensor.reshape(4, 4))
 
 
 class TestNoisyBatchedEquivalence:

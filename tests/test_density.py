@@ -123,6 +123,12 @@ class TestReadout:
         assert np.isclose(rho.expectation_z(0), 1.0)
         assert np.isclose(rho.expectation_z(1), -1.0)
 
+    @pytest.mark.parametrize("qubit", [2, 7, -1])
+    def test_expectation_z_out_of_range(self, qubit):
+        # Used to escape as a raw IndexError from numpy.
+        with pytest.raises(ValueError, match="out of range"):
+            DensityMatrix(2).expectation_z(qubit)
+
     def test_sample_counts_reproducible(self):
         rho = DensityMatrix(2).apply_gate("h", [0])
         first = rho.sample_counts(128, rng=np.random.default_rng(3))

@@ -121,6 +121,15 @@ class TestReadout:
         with pytest.raises(ValueError):
             Statevector(2).expectation_pauli("Z")
 
+    def test_expectation_pauli_unknown_letter(self):
+        with pytest.raises(ValueError, match="'Q'"):
+            Statevector(2).expectation_pauli("ZQ")
+
+    @pytest.mark.parametrize("qubit", [2, 7, -1])
+    def test_expectation_z_out_of_range(self, qubit):
+        with pytest.raises(ValueError, match="out of range"):
+            Statevector(2).expectation_z(qubit)
+
     def test_marginal_probability(self):
         state = Statevector(2).apply_gate("h", [0])
         assert np.isclose(state.marginal_probability(0), 0.5)
