@@ -64,12 +64,18 @@ def _mask_columns(
     """Zero the columns of unselected parameters (pruning semantics).
 
     The full Jacobian is computed either way — it costs a single sweep —
-    but masking keeps pruning behavior identical across engines.
+    but masking keeps pruning behavior identical across engines, and so
+    does rejecting an index outside ``[0, n_params)`` the way parameter
+    shift does.
     """
     if param_indices is None:
         return jacobian
-    mask = np.zeros(jacobian.shape[-1], dtype=bool)
-    mask[list(param_indices)] = True
+    n_params = jacobian.shape[-1]
+    mask = np.zeros(n_params, dtype=bool)
+    for index in param_indices:
+        if not 0 <= index < n_params:
+            raise ValueError(f"parameter {index} is unused in the circuit")
+        mask[index] = True
     return jacobian * mask[None, :]
 
 

@@ -20,11 +20,9 @@ from repro.sim.adjoint import (
     adjoint_jacobian,
 )
 from repro.sim.apply import (
-    apply_diag_batched,
     apply_kraus_to_density_batched,
     apply_matrix_batched,
     apply_matrix_to_density_batched,
-    apply_permutation_batched,
     kraus_to_superop,
 )
 from repro.sim.batched import BatchedStatevector, run_circuit_batch
@@ -76,11 +74,9 @@ __all__ = [
     "adjoint_expectation_and_jacobian",
     "adjoint_expectation_and_jacobian_batch",
     "adjoint_jacobian",
-    "apply_diag_batched",
     "apply_kraus_to_density_batched",
     "apply_matrix_batched",
     "apply_matrix_to_density_batched",
-    "apply_permutation_batched",
     "apply_readout_error",
     "apply_readout_error_batch",
     "compile_circuit",

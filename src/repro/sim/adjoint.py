@@ -20,11 +20,15 @@ circuits run one vectorized forward pass through a compiled
 :class:`~repro.sim.batched.BatchedStatevector`, then one backward
 reverse-replay of the plan's :meth:`~repro.sim.compile.ExecutionPlan.
 adjoint` lowering advances the ket and every observable bra of every
-circuit together in a single ``((1 + T) * B,) + (2,)*n`` stack.  Each
-per-circuit slice is bit-identical to running the same plan as a batch
-of one — the kernels reduce each slice to the same GEMMs and reductions
-regardless of batch size.  The single-circuit entry points are batches
-of one, and ``plan=None`` compiles the structure's plan for the call.
+circuit together in a single circuit-major ``(B, 1 + T) + (2,)*n``
+stack: per-circuit inverses broadcast over each circuit's ``1 + T``
+rows, and each trainable-gate contraction is one batched GEMV of the
+``T`` bras against the generator-applied ket.  Each per-circuit slice
+is bit-identical to running the same plan as a batch of one — the
+kernels reduce each slice to the same GEMMs, GEMVs and elementwise
+products regardless of batch size.  The single-circuit entry points
+are batches of one, and ``plan=None`` compiles the structure's plan
+for the call.
 """
 
 from __future__ import annotations
@@ -38,6 +42,27 @@ from repro.sim.batched import BatchedStatevector
 def _default_observables(n_qubits: int) -> tuple[tuple[int, ...], ...]:
     """Per-qubit ``Z_k`` — the measurement layer of the paper's QNN."""
     return tuple((k,) for k in range(n_qubits))
+
+
+def _check_observables(
+    n_qubits: int, observables
+) -> tuple[tuple[int, ...], ...]:
+    """Normalize Z-word observables, rejecting unusable ones."""
+    obs = tuple(tuple(int(w) for w in wires) for wires in observables)
+    if not obs:
+        raise ValueError("need at least one observable")
+    for wires in obs:
+        for wire in wires:
+            if not 0 <= wire < n_qubits:
+                raise ValueError(
+                    f"observable wire {wire} out of range for "
+                    f"{n_qubits} qubits"
+                )
+            if wires.count(wire) > 1:
+                raise ValueError(
+                    f"observable {wires} repeats wire {wire}"
+                )
+    return obs
 
 
 def _observable_signs(
@@ -81,7 +106,9 @@ def adjoint_expectation_and_jacobian_batch(
             one for this call.
         observables: Optional sequence of Z-word wire tuples (e.g.
             ``[(0,), (1, 3)]`` for ``Z_0`` and ``Z_1 Z_3``); defaults to
-            the per-qubit ``Z_k`` measurement layer.
+            the per-qubit ``Z_k`` measurement layer.  An empty
+            sequence, a wire outside the register or a wire repeated
+            within one word raises ``ValueError``.
 
     Returns:
         ``(expectations, jacobians)`` with shapes ``(B, T)`` and
@@ -106,7 +133,7 @@ def adjoint_expectation_and_jacobian_batch(
     if observables is None:
         obs = _default_observables(n_qubits)
     else:
-        obs = tuple(tuple(int(w) for w in wires) for wires in observables)
+        obs = _check_observables(n_qubits, observables)
 
     if plan is None:
         plan = _compile.compile_circuit(batch, mode="statevector")
@@ -119,25 +146,24 @@ def adjoint_expectation_and_jacobian_batch(
     if observables is None:
         expectations = state.expectation_z()
     else:
-        expectations = state.probabilities() @ signs.reshape(len(obs), -1).T
+        # One (1, 2^n) @ (2^n, T) product per circuit, so a row never
+        # depends on the batch it rides in.
+        expectations = np.matmul(
+            state.probabilities()[:, None, :],
+            signs.reshape(len(obs), -1).T,
+        )[:, 0]
 
-    jacobian = np.zeros((len(obs), size, n_params), dtype=np.float64)
-    trainable = any(
-        template.param_index is not None for template in batch.templates
-    )
-    if obs and trainable:
-        # Combined stack: ket rows first, then one B-row group of bras
-        # per observable (ket scaled by the observable's sign diagonal).
+    jacobian = np.zeros((size, len(obs), n_params), dtype=np.float64)
+    if any(template.param_index is not None for template in batch.templates):
+        # Circuit-major stack: each circuit's ket, then its bras (the
+        # ket scaled by each observable's sign diagonal).
         combined = np.empty(
-            ((1 + len(obs)) * size,) + (2,) * n_qubits, dtype=np.complex128
+            (size, 1 + len(obs)) + (2,) * n_qubits, dtype=np.complex128
         )
-        combined[:size] = state.tensor
-        for index in range(len(obs)):
-            combined[(1 + index) * size : (2 + index) * size] = (
-                state.tensor * signs[index]
-            )
-        adjoint.run(combined, size, batch, jacobian)
-    return expectations, jacobian.transpose(1, 0, 2)
+        combined[:, 0] = state.tensor
+        np.multiply(state.tensor[:, None], signs, out=combined[:, 1:])
+        adjoint.run(combined, batch, jacobian)
+    return expectations, jacobian
 
 
 def adjoint_jacobian(circuit, plan=None) -> np.ndarray:

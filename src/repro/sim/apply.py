@@ -93,108 +93,6 @@ def apply_matrix_batched(
     return matmul_on_axes(states, matrices, [w + 1 for w in wires])
 
 
-def _diag_to_axes(
-    diags: np.ndarray, axes: Sequence[int], rank: int
-) -> np.ndarray:
-    """Reshape stacked diagonal factors to broadcast over tensor axes.
-
-    Args:
-        diags: ``(2^k,)`` shared or ``(B, 2^k)`` per-circuit diagonal
-            entries; bit ``j`` of the index addresses ``axes[j]`` (most
-            significant first, matching gate-matrix basis order).
-        axes: ``k`` target axis positions of the stacked tensor (offset
-            past its batch axis).
-        rank: ``ndim`` of the stacked tensor the factor multiplies.
-
-    Returns:
-        A view-shaped array broadcastable against the stacked tensor.
-    """
-    k = len(axes)
-    batch = diags.shape[0] if diags.ndim == 2 else 1
-    tensor = diags.reshape((batch,) + (2,) * k)
-    # Sort the factor's bit axes into ascending target-axis order so a
-    # plain reshape lines them up with the tensor's layout.
-    order = np.argsort(axes)
-    tensor = np.transpose(tensor, [0] + [1 + int(j) for j in order])
-    shape = [batch] + [1] * (rank - 1)
-    for axis in axes:
-        shape[axis] = 2
-    return tensor.reshape(shape)
-
-
-def apply_diag_batched(
-    states: np.ndarray, diags: np.ndarray, wires: Sequence[int]
-) -> np.ndarray:
-    """Apply a diagonal gate to stacked states: one elementwise multiply.
-
-    The specialized kernel for gates tagged ``diagonal`` in the registry
-    (RZ, CZ, RZZ, phase, ...): ``diag(d) @ psi`` never needs a matmul.
-
-    Args:
-        states: ``(B,) + (2,) * n`` stacked statevectors.
-        diags: ``(2^k,)`` shared or ``(B, 2^k)`` per-circuit diagonal
-            entries of the gate unitary.
-        wires: The ``k`` target qubits, in gate wire order.
-
-    Returns:
-        New stacked statevector tensor.
-    """
-    n_qubits = states.ndim - 1
-    wires = _check_wires(wires, n_qubits)
-    diags = np.asarray(diags)
-    if diags.shape[-1] != 2 ** len(wires):
-        raise ValueError(
-            f"diagonal of length {diags.shape[-1]} does not match "
-            f"{len(wires)} wires"
-        )
-    factor = _diag_to_axes(diags, [w + 1 for w in wires], states.ndim)
-    return states * factor
-
-
-def _take_on_axes(
-    tensor: np.ndarray, source: np.ndarray, axes: Sequence[int]
-) -> np.ndarray:
-    """Permute the joint index of the given axes: ``out[i] = in[source[i]]``."""
-    k = len(axes)
-    moved = np.moveaxis(tensor, axes, range(1, k + 1))
-    shape = moved.shape
-    flat = moved.reshape(tensor.shape[0], 2**k, -1)
-    out = flat[:, source, :]
-    return np.moveaxis(out.reshape(shape), range(1, k + 1), axes)
-
-
-def _check_permutation_source(source: np.ndarray, k: int) -> np.ndarray:
-    source = np.asarray(source, dtype=np.intp)
-    if source.shape != (2**k,) or sorted(source.tolist()) != list(
-        range(2**k)
-    ):
-        raise ValueError(
-            f"source {source!r} is not a permutation of 0..{2 ** k - 1}"
-        )
-    return source
-
-
-def apply_permutation_batched(
-    states: np.ndarray, source: np.ndarray, wires: Sequence[int]
-) -> np.ndarray:
-    """Apply a permutation gate to stacked states: one index take.
-
-    The specialized kernel for gates tagged ``permutation`` in the
-    registry (X, CNOT, SWAP): a 0/1 unitary ``P`` with
-    ``P[i, source[i]] = 1`` maps amplitude ``source[i]`` of the wires'
-    joint index to amplitude ``i`` — no arithmetic at all.
-
-    Args:
-        states: ``(B,) + (2,) * n`` stacked statevectors.
-        source: ``(2^k,)`` gather indices (``out[i] = in[source[i]]``).
-        wires: The ``k`` target qubits, in gate wire order.
-    """
-    n_qubits = states.ndim - 1
-    wires = _check_wires(wires, n_qubits)
-    source = _check_permutation_source(source, len(wires))
-    return _take_on_axes(states, source, [w + 1 for w in wires])
-
-
 def apply_matrix_to_density_batched(
     rhos: np.ndarray, matrices: np.ndarray, wires: Sequence[int]
 ) -> np.ndarray:

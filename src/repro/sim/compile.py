@@ -16,12 +16,10 @@ tensor, instead of one GEMM per gate:
   single matrix at compile time, shared batch-wide forever.
 * **Kernel specialization** — blocks that are diagonal become one
   elementwise multiply; 0/1 permutation blocks (X/CNOT/SWAP runs)
-  become an index take.  The batched reference kernels live in
-  :mod:`repro.sim.apply` (:func:`~repro.sim.apply.apply_diag_batched`,
-  :func:`~repro.sim.apply.apply_permutation_batched`); plan steps
-  execute the *same* array operations with their axis recipes
+  become an index take.  Plan steps run these with their axis recipes
   precomputed at plan-finalize time (see ``_Layout``), and the
-  equivalence tests pin the two against each other.  Registry tags
+  equivalence tests pin single-step plans against the generic matmul
+  kernel :func:`~repro.sim.apply.apply_matrix_batched`.  Registry tags
   (:attr:`repro.sim.gates.GateSpec.diagonal` / ``permutation``) mark
   the gates; constant blocks are additionally classified from their
   folded matrix, so e.g. ``cx; cx`` cancels to nothing.
@@ -301,7 +299,9 @@ class _Layout:
     layout, which keeps reshapes to one copy per matmul step and lets
     diagonal factors broadcast against aligned, contiguous data.
     Element values are untouched — only their placement moves — so
-    results stay bit-identical to the eager-restore kernels.
+    results stay bit-identical to the eager-restore kernels.  The
+    adjoint sweep walks the steps backwards under a layout of its own
+    (see :class:`AdjointPlan`).
     """
 
     __slots__ = ("perm", "rank")
@@ -1056,31 +1056,30 @@ def check_plan(
 #
 # The backward sweep of adjoint differentiation reverse-replays the
 # plan: starting from the forward output, it walks the steps in reverse,
-# un-applying each one from a combined (ket + observable bras) stack and
-# pausing at every trainable-gate boundary to contract the gate's
-# generator between ket and bras.  Each forward step kind lowers to a
-# backward twin that folds the per-step inverse in at lowering time
-# (constant inverses and permutation inverse gathers precomputed;
-# parameterized inverses fetched as conjugate transposes of the same
-# prepared stacks the forward pass uses).  The combined stack carries
-# ``(1 + T) * B`` rows — rows ``[0:B]`` the kets of the ``B`` batched
-# circuits, rows ``[(1 + t) * B : (2 + t) * B]`` the bras of observable
-# ``t`` — so one kernel application advances every circuit and every
-# observable at once.  Backward steps run in the canonical axis order
-# (:meth:`ExecutionPlan.run` restores it before returning), so the deferred
-# forward layout needs no mirroring here.
-
-def _tile_rows(matrices: np.ndarray, replicas: int) -> np.ndarray:
-    """Repeat per-circuit ``(B, ...)`` stacks across the combined rows.
-
-    Row ``r`` of the combined stack belongs to circuit ``r % B``, so a
-    plain ``np.tile`` along axis 0 lines the matrices up; shared 2-D
-    matrices broadcast as-is.
-    """
-    if matrices.ndim == 2:
-        return matrices
-    return np.tile(matrices, (replicas,) + (1,) * (matrices.ndim - 1))
-
+# un-applying each one from a combined ket + observable-bra stack and
+# contracting every trainable gate's generator between ket and bras at
+# that gate's boundary.  Each forward step kind lowers to a backward
+# twin that folds the per-step inverse in at lowering time (constant
+# inverses and permutation inverse gathers precomputed; parameterized
+# inverses fetched as conjugate transposes of the same prepared stacks
+# the forward pass uses).
+#
+# The stack is circuit-major, ``(B, 1 + T) + (2,)*n``: circuit ``b``'s
+# ket sits in row ``(b, 0)`` and its ``T`` observable bras in rows
+# ``(b, 1:)``, so a per-circuit ``(B, d, d)`` inverse broadcasts over
+# the observable axis as ``pending[:, None]`` (and a per-circuit
+# diagonal as ``factor[:, None]``) — nothing is tiled.  The backward
+# steps run under a deferred layout of their own (see ``_Layout``),
+# built from the forward steps' ``_MatmulLayout`` / ``_DiagLayout``
+# recipes: a matmul step pays one transpose copy into a contiguous
+# ``(B, 1 + T, d, rest)`` array, and the block's generator
+# applications, contractions and single inverse matmul all work on
+# that array.  A contraction is a batched GEMV,
+# ``Im<b_t|G|psi> = -Im(bras @ conj(G psi))`` with shapes
+# ``(B, T, 2^n) @ (B, 2^n, 1)``, where ``G psi`` is built on the ``B``
+# ket rows only (a diagonal generator's ``G psi`` is ``psi * signs``);
+# the ``m`` contractions of one block share the bras as one
+# ``(B, T, 2^n) @ (B, 2^n, m)`` GEMM against the stack at block entry.
 
 def _adjoint_shift_spec(name: str) -> _gates.GateSpec:
     spec = _gates.get_gate(name)
@@ -1092,29 +1091,49 @@ def _adjoint_shift_spec(name: str) -> _gates.GateSpec:
     return spec
 
 
+def _contract(
+    stack: np.ndarray, g_kets: np.ndarray, jacobian: np.ndarray, columns
+) -> None:
+    """Add every ``Im<b_t|G_j|psi>`` of a block to its Jacobian column.
+
+    ``stack`` is the contiguous ``(B, 1 + T, ...)`` ket/bra stack and
+    ``g_kets`` the ``(B, m, ...)`` kets under the block's ``m``
+    trainable generators; one batched GEMM, ``(B, T, 2^n) @
+    (B, 2^n, m)``, reads the bras once for all of them.  ``columns[j]``
+    is generator ``j``'s parameter index.
+    """
+    batch, replicas = stack.shape[:2]
+    bras = stack[:, 1:].reshape(batch, replicas - 1, -1)
+    kets = g_kets.reshape(batch, len(columns), -1).conj().swapaxes(1, 2)
+    overlaps = np.matmul(bras, kets).imag
+    for j, column in enumerate(columns):
+        jacobian[:, :, column] -= overlaps[..., j]
+
+
 class _AdjointMatmul:
     """Backward twin of a matmul-kind step (fused or constant block).
 
     Walks the block's factors in reverse, lazily composing their
-    inverses into one ``pending`` matrix; at each trainable factor the
-    pending inverse is flushed (bringing ket and bras exactly to that
-    gate's boundary) and the factor's pre-embedded generator is
-    contracted between them.  Blocks with no trainable factor collapse
-    to a single inverse matmul.
+    inverses into one ``pending`` matrix ``Q``.  The stack is never
+    brought to an inner gate boundary: since ``<Q b|G|Q psi> =
+    <b|Q^dagger G Q|psi>``, each trainable factor contributes its
+    pre-embedded generator conjugated by the inverse composed so far,
+    all of the block's contractions run as one GEMM against the stack
+    at block entry, and one matmul by the block's full inverse
+    un-applies it.
     """
 
-    def __init__(self, wires: tuple[int, ...], items: list):
-        self._axes = [w + 1 for w in wires]
+    def __init__(self, wires: tuple[int, ...], items: list, layout: _Layout):
+        self._layout = _MatmulLayout(_state_axes(wires), layout)
         self._items = items
 
-    def _flush(self, combined, pending, replicas):
-        return _apply.matmul_on_axes(
-            combined, _tile_rows(pending, replicas), self._axes
+    def run(self, tensor, batch, matrices, jacobian):
+        moved = tensor.transpose(self._layout.fwd)
+        stack = moved.reshape(
+            (batch, tensor.shape[0] // batch, self._layout.dim, -1)
         )
-
-    def run(self, combined, batch, matrices, jacobian):
-        replicas = combined.shape[0] // batch
         pending = None
+        generators, columns = [], []
         for item in self._items:
             kind = item[0]
             if kind == "const":
@@ -1124,79 +1143,67 @@ class _AdjointMatmul:
             else:  # "train"
                 _, position, param_index, generator = item
                 if pending is not None:
-                    combined = self._flush(combined, pending, replicas)
-                    pending = None
-                ket = combined[:batch]
-                g_ket = _apply.matmul_on_axes(ket, generator, self._axes)
-                bras = combined[batch:].reshape(
-                    (replicas - 1, batch) + ket.shape[1:]
-                )
-                overlaps = (
-                    (bras.conj() * g_ket[None])
-                    .reshape(replicas - 1, batch, -1)
-                    .sum(axis=-1)
-                )
-                jacobian[:, :, param_index] += overlaps.imag
+                    generator = np.matmul(
+                        pending.conj().swapaxes(-1, -2),
+                        np.matmul(generator, pending),
+                    )
+                generators.append(generator)
+                columns.append(param_index)
                 inverse = matrices[position].conj().swapaxes(-1, -2)
             pending = (
                 inverse if pending is None else np.matmul(inverse, pending)
             )
-        if pending is not None:
-            combined = self._flush(combined, pending, replicas)
-        return combined
+        if generators:
+            stacked = np.stack(np.broadcast_arrays(*generators), axis=-3)
+            g_kets = np.matmul(stacked, stack[:, :1])
+            _contract(stack, g_kets, jacobian, columns)
+        if pending.ndim == 3:
+            pending = pending[:, None]
+        return np.matmul(pending, stack).reshape(moved.shape)
 
 
 class _AdjointPermutation:
     """Backward twin of a permutation step: the inverse gather."""
 
-    def __init__(self, wires: tuple[int, ...], source: np.ndarray):
-        self._wires = wires
+    def __init__(
+        self, wires: tuple[int, ...], source: np.ndarray, layout: _Layout
+    ):
+        self._layout = _MatmulLayout(_state_axes(wires), layout)
         self._inverse = np.argsort(source)
 
-    def run(self, combined, batch, matrices, jacobian):
-        return _apply.apply_permutation_batched(
-            combined, self._inverse, self._wires
-        )
+    def run(self, tensor, batch, matrices, jacobian):
+        return self._layout.take(tensor, self._inverse)
 
 
 class _AdjointDiag:
     """Backward twin of a diagonal block.
 
     Un-applying a unit-modulus diagonal multiplies ket and bras by the
-    same conjugate factor, so ``conj(bra) * ket`` is invariant across
-    the whole block — every trainable diagonal factor's generator
-    contraction (a signed elementwise sum) can therefore be evaluated
-    once at the block boundary before the single conjugate multiply
-    that un-applies the block.
+    same conjugate factor, so ``<b_t|G|psi>`` is invariant across the
+    whole block for every diagonal ``G`` — the trainable diagonal
+    factors' contractions (``G psi = psi * signs``) therefore run as
+    one GEMM at the block boundary, before the single conjugate
+    multiply (in place) that un-applies the block.
     """
 
-    def __init__(self, step: DiagStep, contractions: list):
+    def __init__(self, step: DiagStep, contractions: list, layout: _Layout):
         self._step = step
-        self._contractions = contractions
-
-    def run(self, combined, batch, matrices, jacobian):
-        if self._contractions:
-            ket = combined[:batch]
-            n_bras = combined.shape[0] // batch - 1
-            bras = combined[batch:].reshape(
-                (n_bras, batch) + ket.shape[1:]
+        self._diag = _DiagLayout(_state_axes(step.wires), layout)
+        self._columns = [param_index for param_index, _ in contractions]
+        if contractions:
+            self._signs = self._diag.factor(
+                np.stack([signs for _, signs in contractions])
             )
-            weights = bras.conj() * ket[None]
-            axes = [w + 2 for w in self._step.wires]
-            for param_index, signs in self._contractions:
-                factor = _apply._diag_to_axes(signs, axes, weights.ndim)
-                overlaps = (
-                    (weights * factor)
-                    .reshape(n_bras, batch, -1)
-                    .sum(axis=-1)
-                )
-                jacobian[:, :, param_index] += overlaps.imag
-        diags = np.asarray(self._step.operand(matrices)).conj()
-        if diags.ndim == 2:
-            diags = np.tile(diags, (combined.shape[0] // batch, 1))
-        return _apply.apply_diag_batched(
-            combined, diags, self._step.wires
-        )
+
+    def run(self, tensor, batch, matrices, jacobian):
+        stack = tensor.reshape((batch, -1) + tensor.shape[1:])
+        if self._columns:
+            _contract(
+                stack, stack[:, :1] * self._signs, jacobian, self._columns
+            )
+        factor = self._diag.factor(self._step.operand(matrices).conj())
+        stack *= factor[:, None]
+        return tensor
 
 
 class AdjointPlan:
@@ -1205,12 +1212,14 @@ class AdjointPlan:
     Built once per plan (see :meth:`ExecutionPlan.adjoint`); lowering
     validates that every trainable gate is a Pauli rotation and that no
     specialization swallowed a trainable-gate boundary, then records
-    one backward step per forward step, in reverse order.
+    one backward step per forward step, in reverse order, each with its
+    axis recipe resolved against the backward sweep's own deferred
+    layout.
 
-    :meth:`run` advances a combined ``((1 + T) * B,) + (2,) * n`` stack
-    (ket rows first, then ``T`` observable-bra groups) from the forward
-    output back to ``|0>``, accumulating generator contractions into a
-    ``(T, B, n_params)`` Jacobian along the way.
+    :meth:`run` advances a circuit-major ``(B, 1 + T) + (2,) * n``
+    stack (each circuit's ket, then its ``T`` observable bras) from the
+    forward output back to ``|0>``, accumulating generator contractions
+    into a ``(B, T, n_params)`` Jacobian along the way.
     """
 
     def __init__(self, plan: ExecutionPlan):
@@ -1232,12 +1241,15 @@ class AdjointPlan:
             if index is not None
         }
         covered: set[int] = set()
+        layout = _Layout(plan.n_qubits + 1)
         steps: list = []
         for step in reversed(plan.steps):
             if isinstance(step, ConstantStep):
                 steps.append(
                     _AdjointMatmul(
-                        step.wires, [("const", step.matrix.conj().T)]
+                        step.wires,
+                        [("const", step.matrix.conj().T)],
+                        layout,
                     )
                 )
             elif isinstance(step, FusedStep):
@@ -1261,9 +1273,11 @@ class AdjointPlan:
                                 generator,
                             )
                         )
-                steps.append(_AdjointMatmul(step.wires, items))
+                steps.append(_AdjointMatmul(step.wires, items, layout))
             elif isinstance(step, PermutationStep):
-                steps.append(_AdjointPermutation(step.wires, step.source))
+                steps.append(
+                    _AdjointPermutation(step.wires, step.source, layout)
+                )
             elif isinstance(step, DiagStep):
                 contractions = []
                 for op in step.ops:
@@ -1274,10 +1288,10 @@ class AdjointPlan:
                         np.diagonal(
                             _gates.pauli_word_matrix(spec.generator)
                         )
-                    )[op.jmap].copy()
+                    )[op.jmap]
                     covered.add(op.position)
                     contractions.append((indices[op.position], signs))
-                steps.append(_AdjointDiag(step, contractions))
+                steps.append(_AdjointDiag(step, contractions, layout))
             else:
                 raise ValueError(
                     f"cannot differentiate through a {step.kind!r} step"
@@ -1290,38 +1304,39 @@ class AdjointPlan:
                 f"swallow a trainable gate"
             )
         self._steps = steps
+        #: Final transpose back to canonical axis order.
+        self._restore = layout.restore()
 
     def run(
-        self,
-        combined: np.ndarray,
-        batch: int,
-        params,
-        jacobian: np.ndarray,
+        self, combined: np.ndarray, params, jacobian: np.ndarray
     ) -> np.ndarray:
-        """Reverse-replay the plan over a combined ket/bra stack.
+        """Reverse-replay the plan over a circuit-major ket/bra stack.
 
         Args:
-            combined: ``((1 + T) * B,) + (2,) * n`` tensor in canonical
-                axis order — the forward output kets in rows ``[0:B]``
-                and each observable's bras in the following ``B``-row
-                groups.
-            batch: ``B``, the number of batched circuits.
+            combined: ``(B, 1 + T) + (2,) * n`` tensor in canonical axis
+                order — row ``(b, 0)`` circuit ``b``'s forward output
+                ket, rows ``(b, 1:)`` its observable bras.  The sweep
+                owns it: diagonal steps un-apply in place.
             params: The batch parameter source (a ``Sweep`` or
                 ``CircuitBatch``) the forward pass ran with.
-            jacobian: ``(T, B, n_params)`` float64 accumulator; entry
-                ``(t, b, i)`` receives ``d<O_t>/d theta_i`` of circuit
+            jacobian: ``(B, T, n_params)`` float64 accumulator; entry
+                ``(b, t, i)`` receives ``d<O_t>/d theta_i`` of circuit
                 ``b``, occurrences summed.
 
         Returns:
-            The fully un-applied combined stack (ket rows back at
-            ``|0>`` up to roundoff).
+            The fully un-applied ``(B, 1 + T) + (2,) * n`` stack (ket
+            rows back at ``|0>`` up to roundoff).
         """
         matrices = _prepare_matrices(
             self.plan._param_groups, self.plan.n_source_ops, params
         )
+        batch = combined.shape[0]
+        tensor = combined.reshape((-1,) + combined.shape[2:])
         for step in self._steps:
-            combined = step.run(combined, batch, matrices, jacobian)
-        return combined
+            tensor = step.run(tensor, batch, matrices, jacobian)
+        if self._restore is not None:
+            tensor = tensor.transpose(self._restore)
+        return tensor.reshape(combined.shape)
 
 
 # ---------------------------------------------------------------------------

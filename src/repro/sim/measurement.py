@@ -118,28 +118,20 @@ def expectation_z_from_outcome_matrix(outcomes: np.ndarray) -> np.ndarray:
     """Per-qubit ``<Z>`` estimates for a stack of outcome count rows.
 
     The vectorized twin of :func:`expectation_z_from_counts`: each row
-    is normalized by its own total and marginalized per qubit (a row
-    slice of the stacked C-contiguous tensor has the layout of the
-    standalone tensor, so every bit of the result matches the
-    dict-based path; the equivalence tests pin this).
+    is normalized by its own total and handed to
+    :func:`expectation_z_from_prob_matrix`, the readout the dict path
+    ends in too, so every bit of the result matches it by construction.
     """
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 2:
         raise ValueError("expected a (B, 2^n) outcome matrix")
-    batch, dim = outcomes.shape
-    n_qubits = int(np.log2(dim))
-    if 2**n_qubits != dim:
+    dim = outcomes.shape[1]
+    if 2 ** int(np.log2(dim)) != dim:
         raise ValueError("outcome row length is not a power of two")
     totals = outcomes.sum(axis=1)
     if np.any(totals == 0):
         raise ValueError("counts are empty")
-    tensor = (outcomes / totals[:, None]).reshape((batch,) + (2,) * n_qubits)
-    out = np.empty((batch, n_qubits), dtype=np.float64)
-    for k in range(n_qubits):
-        axes = tuple(a + 1 for a in range(n_qubits) if a != k)
-        marginal = tensor.sum(axis=axes)
-        out[:, k] = marginal[:, 0] - marginal[:, 1]
-    return out
+    return expectation_z_from_prob_matrix(outcomes / totals[:, None])
 
 
 def sample_counts_batch(

@@ -7,7 +7,8 @@ noise model's Kraus operators.  It shares no code with the kernels under
 test (``repro.sim.apply``, ``repro.sim.compile``, the batched engines),
 so agreement with it is evidence the compiled plans are right, not just
 self-consistent.  Practical up to about 8 qubits for statevectors and 5
-for density matrices.
+for density matrices; :func:`statevector_by_gates` applies the same
+matrix elements without building them, for wider statevectors.
 
 Conventions match the simulators: qubit 0 is the most significant bit of
 a basis index, and a density matrix is vectorized row-major, so
@@ -69,6 +70,43 @@ def unitary(circuit) -> np.ndarray:
 def statevector(circuit) -> np.ndarray:
     """Output amplitudes of the circuit on ``|0...0>``."""
     return unitary(circuit)[:, 0]
+
+
+def gate_action(op, n_qubits: int, vector: np.ndarray) -> np.ndarray:
+    """``gate_unitary(op, n_qubits) @ vector`` without building the matrix.
+
+    Entry ``(i, j)`` of the embedded unitary is ``matrix[r, c]`` when
+    ``i`` and ``j`` agree off the gate's wires (``r`` and ``c`` being
+    their bits on the wires) and 0 otherwise, so the product is one
+    gathered multiply-add per column pattern ``c`` — the same matrix
+    elements, at ``O(2^n)`` memory, which keeps 10-qubit references
+    cheap.
+    """
+    matrix = get_gate(op.name).matrix(*op.params)
+    k = len(op.wires)
+    shifts = [n_qubits - 1 - wire for wire in op.wires]
+    index = np.arange(2**n_qubits)
+    local = sum(
+        ((index >> shift) & 1) << (k - 1 - t) for t, shift in enumerate(shifts)
+    )
+    rest = index & ~sum(1 << shift for shift in shifts)
+    out = np.zeros(2**n_qubits, dtype=np.complex128)
+    for c in range(2**k):
+        source = rest | sum(
+            ((c >> (k - 1 - t)) & 1) << shift
+            for t, shift in enumerate(shifts)
+        )
+        out += matrix[local, c] * vector[source]
+    return out
+
+
+def statevector_by_gates(circuit) -> np.ndarray:
+    """:func:`statevector` by :func:`gate_action`, practical to ~16 qubits."""
+    vector = np.zeros(2**circuit.n_qubits, dtype=np.complex128)
+    vector[0] = 1.0
+    for op in circuit.operations:
+        vector = gate_action(op, circuit.n_qubits, vector)
+    return vector
 
 
 def _superop(kraus_ops, wires, n_qubits: int) -> np.ndarray:

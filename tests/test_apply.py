@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import CircuitBatch, QuantumCircuit
-from repro.sim import BatchedDensityMatrix, compile_circuit
+from repro.sim import (
+    BatchedDensityMatrix,
+    BatchedStatevector,
+    compile_circuit,
+)
 from repro.sim import apply as ap
 from repro.sim import gates
 
@@ -167,7 +171,11 @@ class TestExpandMatrix:
 
 
 class TestSpecializedKernels:
-    """Diagonal / permutation kernels match the generic matmul path."""
+    """Diagonal / permutation plan steps match the generic matmul path.
+
+    Each case compiles a circuit whose plan is a single ``diag`` or
+    ``permutation`` step and replays it on random states.
+    """
 
     def _random_states(self, n_qubits, batch, seed=0):
         rng = np.random.default_rng(seed)
@@ -177,24 +185,46 @@ class TestSpecializedKernels:
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         return vecs.reshape((batch,) + (2,) * n_qubits)
 
+    def _plan_replay(self, states, circuits, kind):
+        """Replay ``circuits``' statevector plan, one step of ``kind``."""
+        batch = CircuitBatch(circuits)
+        plan = compile_circuit(batch, mode="statevector")
+        assert plan.step_counts() == {kind: 1}
+        n_qubits = states.ndim - 1
+        return BatchedStatevector(n_qubits, len(states), data=states).evolve(
+            batch, plan=plan
+        ).tensor
+
     @pytest.mark.parametrize("wires", [(0,), (2,), (0, 2), (2, 0)])
     def test_diag_matches_matmul(self, wires):
+        # Two parameterized diagonal gates per row fuse into one
+        # per-row diagonal; CRZ is not wire-symmetric, so (0, 2) and
+        # (2, 0) differ.
         states = self._random_states(3, 4)
         rng = np.random.default_rng(1)
-        k = len(wires)
-        diags = np.exp(1j * rng.uniform(-np.pi, np.pi, (4, 2**k)))
-        out = ap.apply_diag_batched(states, diags, wires)
-        reference = ap.apply_matrix_batched(
-            states,
-            np.stack([np.diag(row) for row in diags]),
-            wires,
-        )
+        names = ("rz", "phase") if len(wires) == 1 else ("crz", "rzz")
+        angles = rng.uniform(-np.pi, np.pi, (4, 2))
+        circuits = []
+        for row in angles:
+            circuit = QuantumCircuit(3)
+            for name, angle in zip(names, row):
+                circuit.add(name, wires, float(angle))
+            circuits.append(circuit)
+        out = self._plan_replay(states, circuits, "diag")
+        reference = states
+        for name, column in zip(names, angles.T):
+            reference = ap.apply_matrix_batched(
+                reference,
+                np.stack([gates.get_gate(name).matrix(a) for a in column]),
+                wires,
+            )
         assert np.allclose(out, reference, atol=1e-12)
 
     def test_diag_shared_batchwide(self):
         states = self._random_states(2, 3)
-        diag = np.diagonal(gates.CZ)
-        out = ap.apply_diag_batched(states, diag, (0, 1))
+        out = self._plan_replay(
+            states, [QuantumCircuit(2).add("cz", (0, 1))] * 3, "diag"
+        )
         reference = ap.apply_matrix_batched(states, gates.CZ, (0, 1))
         assert np.allclose(out, reference, atol=1e-12)
 
@@ -203,11 +233,10 @@ class TestSpecializedKernels:
     )
     def test_permutation_matches_matmul(self, name, wires):
         states = self._random_states(3, 4)
-        matrix = gates.GATES[name].matrix()
-        source = np.array(
-            [int(np.nonzero(row)[0][0]) for row in matrix], dtype=np.intp
+        out = self._plan_replay(
+            states, [QuantumCircuit(3).add(name, wires)] * 4, "permutation"
         )
-        out = ap.apply_permutation_batched(states, source, wires)
+        matrix = gates.GATES[name].matrix()
         reference = ap.apply_matrix_batched(states, matrix, wires)
         assert np.array_equal(out, reference)
 
@@ -247,18 +276,6 @@ class TestSpecializedKernels:
             rhos, gates.CX, (0, 1)
         )
         assert np.array_equal(out, reference)
-
-    def test_bad_diag_length_rejected(self):
-        states = self._random_states(2, 2)
-        with pytest.raises(ValueError, match="diagonal"):
-            ap.apply_diag_batched(states, np.ones(3), (0,))
-
-    def test_bad_permutation_rejected(self):
-        states = self._random_states(2, 2)
-        with pytest.raises(ValueError, match="permutation"):
-            ap.apply_permutation_batched(
-                states, np.array([0, 0]), (1,)
-            )
 
     def test_expand_matrix_matches_column_construction(self):
         # The dense oracle's embedding agrees with the kernel applied to

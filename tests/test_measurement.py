@@ -59,6 +59,29 @@ class TestExpectations:
             m.expectation_z_from_probabilities(probs),
         )
 
+    @pytest.mark.parametrize("shots", [7, 1000, 1023])
+    def test_outcome_matrix_equals_counts_path(self, shots):
+        """The outcome-matrix readout is the dict readout, bit for bit,
+        also when the shot count does not divide evenly."""
+        rng = np.random.default_rng(shots)
+        probs = rng.dirichlet(np.ones(16), size=5)
+        outcomes = m.sample_outcome_matrix(probs, shots, rng)
+        stacked = m.expectation_z_from_outcome_matrix(outcomes)
+        for row, counts in zip(stacked, m.outcome_matrix_to_counts(outcomes)):
+            assert np.array_equal(row, m.expectation_z_from_counts(counts, 4))
+
+    @pytest.mark.parametrize(
+        "outcomes,message",
+        [
+            (np.ones(4, dtype=int), "outcome matrix"),
+            (np.ones((2, 3), dtype=int), "power of two"),
+            (np.array([[1, 0], [0, 0]]), "empty"),
+        ],
+    )
+    def test_outcome_matrix_validated(self, outcomes, message):
+        with pytest.raises(ValueError, match=message):
+            m.expectation_z_from_outcome_matrix(outcomes)
+
 
 class TestReadoutError:
     def test_confusion_matrix_columns_sum_to_one(self):
