@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from repro.hardware import Backend, IdealBackend, NoisyBackend
 from repro.pruning import PruningHyperparams
 from repro.training import TrainingConfig, TrainingEngine
@@ -128,20 +130,27 @@ def run_qc_train(task: str, device: str | None = None, pruning=None,
     return engine
 
 
-class SequentialBackend(Backend):
-    """Circuit-by-circuit submission: each circuit runs alone, as a
-    batch of one, on ``inner`` — the baseline the batched benchmarks
-    compare structure-grouped execution against."""
+class CircuitByCircuit:
+    """Circuit-by-circuit submission: every circuit is its own
+    ``inner.run([c])`` call, a batch of one — the baseline the batched
+    benchmarks compare structure-grouped execution against.  Offers the
+    executor surface the gradient engines call (``run_sweep``,
+    ``expectations``, ``meter``); a sweep runs as its rows' circuits."""
 
     def __init__(self, inner: Backend):
-        super().__init__()
         self.inner = inner
+        self.meter = inner.meter
 
-    def exact_execution(self) -> bool:
-        return self.inner.exact_execution()
+    def expectations(self, circuits, shots: int = 1024, purpose="run"):
+        return np.stack([
+            self.inner.run([c], shots=shots, purpose=purpose)[0].expectations
+            for c in circuits
+        ])
 
-    def _execute(self, circuit, shots: int):
-        return self.inner._execute(circuit, shots)
+    def run_sweep(self, sweep, shots: int = 1024, purpose="run"):
+        return self.expectations(
+            sweep.circuits(), shots=shots, purpose=purpose
+        )
 
 
 def format_table(headers: list[str], rows: list[list], title: str = "") -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 import dense_reference as ref
-from harness import SequentialBackend, smoke_scaled
+from harness import CircuitByCircuit, smoke_scaled
 from repro.circuits import QuantumCircuit
 from repro.circuits.layers import build_layered_ansatz
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
@@ -50,7 +50,7 @@ def training_step(backend, circuits) -> tuple:
 
 def test_batched_results_match_sequential_on_benchmark_workload():
     circuits = build_training_batch()
-    sequential = SequentialBackend(IdealBackend(exact=True))
+    sequential = CircuitByCircuit(IdealBackend(exact=True))
     batched = IdealBackend(exact=True)
     f_seq, j_seq = training_step(sequential, circuits)
     f_bat, j_bat = training_step(batched, circuits)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 import dense_reference as ref
-from harness import SequentialBackend, format_table, smoke_scaled
+from harness import CircuitByCircuit, format_table, smoke_scaled
 from repro.circuits import QuantumCircuit
 from repro.circuits.layers import build_layered_ansatz
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
@@ -50,7 +50,7 @@ def build_sweep_circuits() -> list[QuantumCircuit]:
 
 def make_backend(sequential: bool):
     backend = NoisyBackend.from_device_name(DEVICE, seed=0)
-    return SequentialBackend(backend) if sequential else backend
+    return CircuitByCircuit(backend) if sequential else backend
 
 
 def time_sweep(sequential: bool) -> tuple[float, int]:

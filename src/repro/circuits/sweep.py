@@ -24,9 +24,9 @@ sweep and the circuits it stands for execute bit-identically.
 
 Keeping offsets and ``theta`` apart (instead of only the resolved
 angles) is what lets :meth:`Sweep.circuits` rebuild exactly the
-circuits the circuit API would have built, for executors that cannot
-run a sweep natively (the serving tier, the worker pool, transpiled
-execution).
+circuits the circuit API would have built, for the one kernel that
+needs per-row circuits (transpiled execution: routing bakes the angles
+into the decomposition).
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ from repro.gradients.adjoint_engine import (
     adjoint_plan_cache,
     adjoint_plan_for,
 )
-from repro.gradients.finite_difference import finite_difference_jacobian
+from repro.gradients.finite_difference import (
+    finite_difference_jacobian,
+    finite_difference_jacobian_batch,
+)
 from repro.gradients.parameter_shift import (
     SHIFT,
     build_shifted_circuits,
@@ -18,7 +21,7 @@ from repro.gradients.parameter_shift import (
     parameter_shift_jacobian_batch,
     shift_sweep,
 )
-from repro.gradients.spsa import spsa_jacobian
+from repro.gradients.spsa import spsa_jacobian, spsa_jacobian_batch
 
 __all__ = [
     "SHIFT",
@@ -31,9 +34,11 @@ __all__ = [
     "build_shifted_circuits",
     "check_shiftable",
     "finite_difference_jacobian",
+    "finite_difference_jacobian_batch",
     "parameter_shift_forward_and_jacobian",
     "parameter_shift_jacobian",
     "parameter_shift_jacobian_batch",
     "shift_sweep",
     "spsa_jacobian",
+    "spsa_jacobian_batch",
 ]

@@ -14,6 +14,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.circuits.batch import CircuitBatch
+from repro.circuits.sweep import Sweep
+from repro.gradients.parameter_shift import shift_sweep
+
 
 def finite_difference_jacobian(
     circuit,
@@ -27,35 +31,50 @@ def finite_difference_jacobian(
 
     Same calling convention and circuit-count cost as
     :func:`repro.gradients.parameter_shift_jacobian`, but approximate —
-    and with shot noise amplified by ``1/(2 eps)``.  Like parameter
-    shift, all ``±eps`` clones share the base circuit's structure and go
-    to the backend as one submission, so batch-capable backends evolve
-    them as a single stacked tensor.
+    and with shot noise amplified by ``1/(2 eps)``.  The circuit runs
+    as a one-row :func:`finite_difference_jacobian_batch`.
+    """
+    return finite_difference_jacobian_batch(
+        CircuitBatch([circuit]), backend, eps=eps, shots=shots,
+        param_indices=param_indices, purpose=purpose,
+    )[0]
+
+
+def finite_difference_jacobian_batch(
+    sweep: Sweep,
+    backend,
+    eps: float = 1e-3,
+    shots: int = 1024,
+    param_indices: Sequence[int] | None = None,
+    purpose: str = "fd-gradient",
+) -> list[np.ndarray]:
+    """Central-difference Jacobians of every row of a sweep.
+
+    Like parameter shift, all ``±eps`` rows are one
+    :func:`~repro.gradients.parameter_shift.shift_sweep` (with the
+    shift set to ``eps``) and go to the backend in one ``run_sweep``
+    call.
+
+    Returns:
+        One ``(n_qubits, n_params)`` Jacobian per row.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if param_indices is None:
-        param_indices = list(range(circuit.num_parameters))
-    param_indices = [int(i) for i in param_indices]
-
+        param_indices = range(sweep.num_parameters)
+    # Parameters no gate consumes have a zero column and no rows.
+    used = [
+        int(i) for i in param_indices if sweep.template.occurrences_of(i)
+    ]
     jacobian = np.zeros(
-        (circuit.n_qubits, circuit.num_parameters), dtype=np.float64
+        (sweep.size, sweep.n_qubits, sweep.num_parameters), dtype=np.float64
     )
-    if not param_indices:
-        return jacobian
-
-    circuits = []
-    index_map = []
-    for index in param_indices:
-        for position in circuit.occurrences_of(index):
-            circuits.append(circuit.shifted(position, +eps))
-            circuits.append(circuit.shifted(position, -eps))
-            index_map.append(index)
-    expectations = backend.expectations(
-        circuits, shots=shots, purpose=purpose
-    )
-    for pair, param_index in enumerate(index_map):
-        f_plus = expectations[2 * pair]
-        f_minus = expectations[2 * pair + 1]
-        jacobian[:, param_index] += (f_plus - f_minus) / (2.0 * eps)
-    return jacobian
+    if used:
+        shifted, index_map = shift_sweep(sweep, used, shift=eps)
+        expectations = backend.run_sweep(
+            shifted, shots=shots, purpose=purpose
+        ).reshape(sweep.size, len(index_map), 2, sweep.n_qubits)
+        slopes = (expectations[:, :, 0] - expectations[:, :, 1]) / (2.0 * eps)
+        for pair, (param_index, _) in enumerate(index_map):
+            jacobian[:, :, param_index] += slopes[:, pair]
+    return list(jacobian)

@@ -28,7 +28,7 @@ in one ``run_sweep`` call, which on the simulator backends evolves it
 as one stacked tensor.
 
 ``backend`` may equally be a :class:`~repro.serving.ServiceExecutor`:
-the rows then flow, as circuits, through the shared
+the sweep is then submitted as it is to the shared
 :class:`~repro.serving.ExecutionService`, whose scheduler coalesces
 this caller's shifted rows with every other client's same-structure
 traffic before executing — the service-backed gradient path.
@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.circuits.batch import CircuitBatch, group_by_structure
 from repro.circuits.sweep import Sweep
-from repro.hardware.backend import sweep_expectations
 from repro.sim import gates as _gates
 
 #: The two-term shift for generators with eigenvalues +/-1 (Eq. 2).
@@ -92,15 +91,16 @@ def build_shifted_circuits(
 
 
 def shift_sweep(
-    sweep: Sweep, param_indices: Sequence[int]
+    sweep: Sweep, param_indices: Sequence[int], shift: float = SHIFT
 ) -> tuple[Sweep, list[tuple[int, int]]]:
     """:func:`build_shifted_circuits` for every row of a sweep, as a sweep.
 
     Row ``b`` of ``sweep`` expands to ``2 x len(index_map)`` rows,
     alternating ``plus, minus`` per shifted occurrence: the offset
-    column of that occurrence carries ``offset ± pi/2`` — exactly the
+    column of that occurrence carries ``offset ± shift`` — exactly the
     float64 offset :meth:`~repro.circuits.OpTemplate.shifted` stores —
-    and every other value is the base row's.
+    and every other value is the base row's.  The default shift is
+    the two-term rule's ``pi/2``; finite differences pass ``eps``.
 
     Returns:
         ``(shifted, index_map)``; ``index_map[k]`` is the
@@ -124,8 +124,8 @@ def shift_sweep(
         np.arange(sweep.size)[:, None] * repeats
         + 2 * np.arange(len(index_map))
     ).ravel()
-    literals[plus, columns] += SHIFT
-    literals[plus + 1, columns] -= SHIFT
+    literals[plus, columns] += shift
+    literals[plus + 1, columns] -= shift
     return Sweep(template, literals, params), index_map
 
 
@@ -204,8 +204,8 @@ def parameter_shift_jacobian_batch(
         )
         if indices:
             shifted, index_map = shift_sweep(sweep, indices)
-            expectations = sweep_expectations(
-                backend, shifted, shots=shots, purpose=purpose
+            expectations = backend.run_sweep(
+                shifted, shots=shots, purpose=purpose
             ).reshape(sweep.size, len(index_map), 2, sweep.n_qubits)
             halves = 0.5 * (expectations[:, :, 0] - expectations[:, :, 1])
             for pair, (param_index, _) in enumerate(index_map):

@@ -5,7 +5,6 @@ from repro.hardware.backend import (
     CircuitRunMeter,
     ExecutionResult,
     IdealBackend,
-    sweep_expectations,
 )
 from repro.hardware.job import (
     Job,
@@ -41,5 +40,4 @@ __all__ = [
     "quantum_runtime_seconds",
     "reset_job_ids",
     "submit_job",
-    "sweep_expectations",
 ]

@@ -12,19 +12,16 @@ every execution — Fig. 6's x-axis is *#inferences*, i.e. circuits run.
 
 Batched execution
 -----------------
-:meth:`Backend.run` partitions each submission into same-structure
-groups via :meth:`QuantumCircuit.structure_signature` and hands every
-group to :meth:`Backend._execute_batch` in one call.  A backend that
-can evolve many same-structure rows at once implements
-:meth:`Backend._execute_sweep` instead: it receives a
-:class:`~repro.circuits.sweep.Sweep` — one structure template plus a
-``(B, n_columns)`` angle matrix — and the base ``_execute_batch``
-adapts circuit groups onto it (stacked into a
-:class:`~repro.circuits.CircuitBatch`).  :meth:`Backend.run_sweep`
-hands callers that already hold a sweep (the training loop, the
-parameter-shift engine) to the same kernel with no circuit objects and
-no counts dicts; executors without a native kernel run the sweep's
-circuits instead.
+Every backend implements one hook, :meth:`Backend._execute_sweep`: it
+receives a :class:`~repro.circuits.sweep.Sweep` — one structure
+template plus a ``(B, n_columns)`` angle matrix — and returns the rows'
+expectations (and sampled outcomes).  :meth:`Backend.run` is the
+circuit adapter onto it: it partitions a submission into
+same-structure groups via :meth:`QuantumCircuit.structure_signature`
+and stacks each group into a :class:`~repro.circuits.CircuitBatch`.
+:meth:`Backend.run_sweep` hands callers that already hold a sweep (the
+training loop, the gradient engines) to the same hook with no circuit
+objects and no counts dicts.
 
 Both simulator backends execute every circuit the same way: each
 structure compiles once into a fused :class:`~repro.sim.compile.
@@ -241,87 +238,28 @@ class Backend(abc.ABC):
         self.meter = CircuitRunMeter()
 
     @abc.abstractmethod
-    def _execute(self, circuit, shots: int) -> ExecutionResult:
-        """Run a single circuit (implemented by subclasses)."""
-
     def _execute_sweep(
         self, sweep: Sweep, shots: int
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Run every row of a sweep; override to execute natively.
+        """Run every row of a sweep — the one execution hook.
 
-        The one kernel hook of the simulator backends: both
-        :meth:`run` (through the :meth:`_execute_batch` adapter) and
-        :meth:`run_sweep` land here.
+        :meth:`run` (circuits or a sweep) and :meth:`run_sweep` both
+        land here after validation and the fault site, and meter the
+        rows once it returns.
 
         Returns:
             ``(expectations, outcomes)`` — ``(B, n_qubits)`` per-row Z
             expectations and the ``(B, 2^n)`` sampled outcome matrix,
             or ``None`` for exact execution (no shots drawn).
         """
-        raise NotImplementedError
 
-    def _execute_batch(self, circuits: Sequence, shots: int) -> list[ExecutionResult]:
-        """Run several *same-structure* circuits; override to vectorize.
-
-        :meth:`run` only calls this with circuits sharing one
-        :meth:`~repro.circuits.QuantumCircuit.structure_signature`, in
-        submission order within the group.  On a backend implementing
-        :meth:`_execute_sweep` this is the adapter onto it: the group
-        is stacked into a :class:`~repro.circuits.CircuitBatch` and
-        each row's counts dict is built from the outcome matrix.
-        Otherwise it falls back to per-circuit :meth:`_execute`.
-        """
-        if type(self)._execute_sweep is Backend._execute_sweep:
-            return [self._execute(circuit, shots) for circuit in circuits]
-        return _row_results(
-            *self._execute_sweep(CircuitBatch(circuits), shots), shots
-        )
-
-    def _run_rows(
-        self, sweep: Sweep, shots: int, purpose: str, validate: bool
+    def _run_group(
+        self, sweep: Sweep, shots: int
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Validate, execute and meter a sweep on the native kernel.
-
-        Shared by :meth:`run` (given a sweep) and :meth:`run_sweep`;
-        the caller has checked shots and :meth:`supports_sweeps`.
-        """
-        if validate:
-            sweep.template.validate()
+        """Execute one structure group: fault site, then the kernel."""
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire(_faults.SITE_EXECUTE_BATCH, backend=self.name)
-        expectations, outcomes = self._execute_sweep(sweep, shots)
-        self._record_run(
-            sweep.size, 0 if outcomes is None else shots * sweep.size, purpose
-        )
-        return expectations, outcomes
-
-    def supports_batching(self) -> bool:
-        """Whether :meth:`run` should use the structure-grouped fast path.
-
-        True exactly when the subclass overrides :meth:`_execute_batch`
-        or :meth:`_execute_sweep`.  Backends with sequential semantics
-        (per-circuit RNG consumption in submission order) stay on the
-        plain loop, so enabling the fast path for one backend never
-        perturbs another's seeded streams.
-        """
-        cls = type(self)
-        return (
-            cls._execute_batch is not Backend._execute_batch
-            or cls._execute_sweep is not Backend._execute_sweep
-        )
-
-    def supports_sweeps(self) -> bool:
-        """Whether :meth:`run_sweep` executes the angle matrix natively.
-
-        True when the subclass implements :meth:`_execute_sweep` and
-        keeps the base :meth:`_execute_batch` adapter — a subclass that
-        hooks ``_execute_batch`` sees every sweep as circuits instead.
-        """
-        cls = type(self)
-        return (
-            cls._execute_sweep is not Backend._execute_sweep
-            and cls._execute_batch is Backend._execute_batch
-        )
+        return self._execute_sweep(sweep, shots)
 
     def results_deterministic(self) -> bool:
         """Whether repeated runs of one circuit give bit-identical results.
@@ -337,12 +275,13 @@ class Backend(abc.ABC):
     def exact_execution(self) -> bool:
         """Whether execution ignores ``shots`` and returns exact values.
 
-        True when :meth:`_execute` computes exact expectations and never
-        draws samples (results report ``shots=0`` regardless of the
-        requested count).  :meth:`run` uses this to accept ``shots=0``
-        submissions — rejecting them on an exact backend contradicted
-        the backend's own accounting.  Default False; exact backends
-        (e.g. :class:`IdealBackend` with ``exact=True``) override.
+        True when :meth:`_execute_sweep` computes exact expectations
+        and never draws samples (results report ``shots=0`` regardless
+        of the requested count).  :meth:`run` uses this to accept
+        ``shots=0`` submissions — rejecting them on an exact backend
+        contradicted the backend's own accounting.  Default False;
+        exact backends (e.g. :class:`IdealBackend` with ``exact=True``)
+        override.
         """
         return False
 
@@ -355,19 +294,17 @@ class Backend(abc.ABC):
     ) -> list[ExecutionResult]:
         """Validate, execute, and meter a batch of circuits.
 
-        When the backend implements :meth:`_execute_batch`, the
-        submission is partitioned into same-structure groups (in
-        first-appearance order) and each group is dispatched as one
-        batch; results are reassembled in submission order.  The meter
-        records the shots each execution actually consumed.
+        The submission is partitioned into same-structure groups (in
+        first-appearance order); each group is stacked into a
+        :class:`~repro.circuits.CircuitBatch` and executed as one
+        sweep, and results are reassembled in submission order.  The
+        meter records the shots each execution actually consumed.
 
         Args:
             circuits: ``QuantumCircuit`` objects, or a
                 :class:`~repro.circuits.sweep.Sweep` — one already
                 grouped structure group, one result per row (the
-                serving tier's flushes).  Backends that cannot run a
-                sweep natively (:meth:`supports_sweeps` is False) run
-                its circuits.
+                serving tier's flushes).
             shots: Measurement shots per circuit (the paper uses 1024).
             purpose: Free-form tag for the usage meter.
             validate: Set False only for circuits already validated
@@ -375,15 +312,14 @@ class Backend(abc.ABC):
                 so the hot path does not pay the structural checks
                 twice.
 
-        On the batched path, validation runs **once per structure
-        group** rather than once per circuit: every structural check
-        (gate names, wire ranges, parameter-slot usage) is a function
-        of the structure signature and the parameter-vector length, so
-        a group representative plus a per-member length comparison
-        covers the whole group — a parameter-shift sweep validates its
-        thousands of clones at the cost of one.  A sweep's rows all
-        have its template's parameter count, so validating the
-        template covers them.
+        Validation runs **once per structure group** rather than once
+        per circuit: every structural check (gate names, wire ranges,
+        parameter-slot usage) is a function of the structure signature
+        and the parameter-vector length, so a group representative plus
+        a per-member length comparison covers the whole group — a
+        parameter-shift sweep validates its thousands of clones at the
+        cost of one.  A sweep's rows all have its template's parameter
+        count, so validating the template covers them.
 
         ``shots=0`` is accepted exactly when the backend's execution is
         exact (:meth:`exact_execution`) — such backends ignore the shot
@@ -393,14 +329,11 @@ class Backend(abc.ABC):
         """
         self._check_shots(shots)
         if isinstance(circuits, Sweep):
-            if self.supports_sweeps():
-                return _row_results(
-                    *self._run_rows(circuits, shots, purpose, validate),
-                    shots,
-                )
-            circuits = circuits.circuits()
-        circuits = list(circuits)
-        if self.supports_batching() and len(circuits) > 1:
+            if validate:
+                circuits.template.validate()
+            results = _row_results(*self._run_group(circuits, shots), shots)
+        else:
+            circuits = list(circuits)
             groups = group_by_structure(circuits)
             if validate:
                 for _, members in groups:
@@ -416,32 +349,15 @@ class Backend(abc.ABC):
                             != representative.num_parameters
                         ):
                             member.validate()
-            results: list[ExecutionResult | None] = [None] * len(circuits)
+            results = [None] * len(circuits)
             for positions, members in groups:
-                if _faults.ACTIVE is not None:
-                    _faults.ACTIVE.fire(
-                        _faults.SITE_EXECUTE_BATCH, backend=self.name
-                    )
-                group_results = self._execute_batch(members, shots)
-                if len(group_results) != len(members):
-                    raise RuntimeError(
-                        f"{type(self).__name__}._execute_batch returned "
-                        f"{len(group_results)} results for "
-                        f"{len(members)} circuits"
-                    )
+                group_results = _row_results(
+                    *self._run_group(CircuitBatch(members), shots), shots
+                )
                 for position, result in zip(positions, group_results):
                     results[position] = result
-        else:
-            if validate:
-                for circuit in circuits:
-                    circuit.validate()
-            if _faults.ACTIVE is not None and circuits:
-                _faults.ACTIVE.fire(
-                    _faults.SITE_EXECUTE_BATCH, backend=self.name
-                )
-            results = [self._execute(circuit, shots) for circuit in circuits]
         self._record_run(
-            len(circuits), sum(r.shots for r in results), purpose
+            len(results), sum(r.shots for r in results), purpose
         )
         return results
 
@@ -453,17 +369,15 @@ class Backend(abc.ABC):
         The angle-matrix twin of :meth:`expectations`: the same shots
         rule, fault site, metering and results, but no
         ``ExecutionResult`` or counts dict per row.  The template is
-        validated once (not once per row).  Backends that cannot run
-        the matrix natively (:meth:`supports_sweeps` is False)
-        materialize the rows' circuits (:meth:`Sweep.circuits
-        <repro.circuits.sweep.Sweep.circuits>`) and run those.
+        validated once (not once per row).
         """
-        if not self.supports_sweeps():
-            return self.expectations(
-                sweep.circuits(), shots=shots, purpose=purpose
-            )
         self._check_shots(shots)
-        return self._run_rows(sweep, shots, purpose, validate=True)[0]
+        sweep.template.validate()
+        expectations, outcomes = self._run_group(sweep, shots)
+        self._record_run(
+            sweep.size, 0 if outcomes is None else shots * sweep.size, purpose
+        )
+        return expectations
 
     def _check_shots(self, shots: int) -> None:
         if shots < 0 or (shots == 0 and not self.exact_execution()):
@@ -593,9 +507,6 @@ class IdealBackend(Backend):
             circuits = CircuitBatch(circuits)
         return self._evolve(circuits).probabilities()
 
-    def _execute(self, circuit, shots: int) -> ExecutionResult:
-        return self._execute_batch([circuit], shots)[0]
-
     def _execute_sweep(self, sweep: Sweep, shots: int):
         state = self._evolve(sweep)
         if self.exact:
@@ -610,20 +521,3 @@ class IdealBackend(Backend):
             _measurement.expectation_z_from_outcome_matrix(outcomes),
             outcomes,
         )
-
-
-def sweep_expectations(
-    executor, sweep: Sweep, shots: int = 1024, purpose: str = "run"
-) -> np.ndarray:
-    """``executor.run_sweep(...)``, for any executor.
-
-    Executors without a ``run_sweep`` member (a duck-typed object
-    offering only the ``run`` / ``expectations`` / ``meter`` surface)
-    get the sweep's circuits instead — the same results and metering.
-    """
-    run_sweep = getattr(executor, "run_sweep", None)
-    if run_sweep is None:
-        return executor.expectations(
-            sweep.circuits(), shots=shots, purpose=purpose
-        )
-    return run_sweep(sweep, shots=shots, purpose=purpose)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware.backend import Backend, ExecutionResult
+from repro.hardware.backend import Backend
 from repro.noise.calibration import DeviceCalibration
 
 
@@ -81,27 +81,20 @@ class NoiseInjectionBackend(Backend):
         sigma = 1.0 / np.sqrt(shots)
         return cls(inner, shrink=shrink, sigma=sigma, seed=seed)
 
-    def _perturb(self, result: ExecutionResult) -> ExecutionResult:
-        noisy = result.expectations * (1.0 - self.shrink)
+    def exact_execution(self) -> bool:
+        """The wrapped backend's answer: jitter never draws shots."""
+        return self.inner.exact_execution()
+
+    def _execute_sweep(self, sweep, shots: int):
+        """The inner backend's kernel, then shrink and one jitter draw.
+
+        The ``(B, n_qubits)`` draw fills row by row, the stream order
+        of one draw per row.
+        """
+        expectations, outcomes = self.inner._execute_sweep(sweep, shots)
+        noisy = expectations * (1.0 - self.shrink)
         if self.sigma > 0:
             noisy = noisy + self._rng.normal(
                 0.0, self.sigma, size=noisy.shape
             )
-        noisy = np.clip(noisy, -1.0, 1.0)
-        return ExecutionResult(
-            counts=result.counts, expectations=noisy, shots=result.shots
-        )
-
-    def _execute(self, circuit, shots: int) -> ExecutionResult:
-        return self._perturb(self.inner._execute(circuit, shots))
-
-    def _execute_batch(self, circuits, shots: int) -> list[ExecutionResult]:
-        """Batch through the inner backend, then jitter in batch order."""
-        return [
-            self._perturb(result)
-            for result in self.inner._execute_batch(circuits, shots)
-        ]
-
-    def supports_batching(self) -> bool:
-        """Batch only when the wrapped backend actually vectorizes."""
-        return self.inner.supports_batching()
+        return np.clip(noisy, -1.0, 1.0), outcomes

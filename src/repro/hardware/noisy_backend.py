@@ -46,7 +46,7 @@ import numpy as np
 from repro.circuits.batch import CircuitBatch
 from repro.circuits.sweep import Sweep
 from repro.circuits.transpile import transpile as _transpile
-from repro.hardware.backend import Backend, ExecutionResult
+from repro.hardware.backend import Backend
 from repro.noise.calibration import DeviceCalibration, get_calibration
 from repro.noise.model import NoiseModel
 from repro.sim import compile as _compile
@@ -225,9 +225,6 @@ class NoisyBackend(Backend):
                 probs, sweep.n_qubits, marginal, logical_qubits
             )
         return probs
-
-    def _execute(self, circuit, shots: int) -> ExecutionResult:
-        return self._execute_batch([circuit], shots)[0]
 
     def _execute_sweep(self, sweep: Sweep, shots: int):
         """Vectorized noisy execution of one same-structure sweep.

@@ -5,9 +5,9 @@ path inside one process, ``repro.parallel`` shards that vectorized work
 across a persistent pool of worker processes — the reproduction's
 analogue of the paper's multi-device hardware queues (Sec. 3.2)::
 
-    Backend.run ──> ShardedBackend._execute_batch
+    Backend.run / run_sweep ──> ShardedBackend._execute_sweep
                         │  ShardPlanner (cost-model chunking,
-                        │   per-circuit SeedSequence substreams)
+                        │   per-row SeedSequence substreams)
                         ▼
                     WorkerPool ── pipes ──> spawned workers, each
                         │                   hosting a backend replica

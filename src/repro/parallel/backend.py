@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.circuits.batch import CircuitBatch
 from repro.circuits.sweep import Sweep
-from repro.hardware.backend import Backend, ExecutionResult
+from repro.hardware.backend import Backend
 from repro.parallel.pool import (
     RestartBudgetExhausted,
     WorkerCrashError,
@@ -170,9 +170,6 @@ class ShardedBackend(Backend):
         self.close()
 
     # -- capability queries (answered by the spec) ------------------------
-
-    def supports_batching(self) -> bool:
-        return True
 
     def results_deterministic(self) -> bool:
         # Mirrors the replicas: only an exact IdealBackend qualifies.
@@ -309,10 +306,6 @@ class ShardedBackend(Backend):
             serve_rows(local, kind, template, shard_rows)
             for shard_rows in rows
         ]
-
-    def _execute(self, circuit, shots: int) -> ExecutionResult:
-        """Single-circuit path: one one-row shard through the pool."""
-        return self._execute_batch([circuit], shots)[0]
 
     def _execute_sweep(self, sweep: Sweep, shots: int):
         """Shard one sweep's rows across the pool and reassemble.

@@ -2,12 +2,14 @@
 
 Everything above the hardware layer — the TrainingEngine, the
 parameter-shift / finite-difference / SPSA gradient engines, the
-evaluator — talks to a backend through three members: ``run``,
-``expectations``, and ``meter``.  ``ServiceExecutor`` implements
-exactly that surface on top of a shared service, so a training loop
-switches from direct execution to service-backed execution by swapping
-one object, and *many* training loops (threads) pointed at one service
-have their traffic coalesced into shared vectorized batches.
+evaluator — talks to a backend through four members: ``run``,
+``run_sweep``, ``expectations``, and ``meter``.  ``ServiceExecutor``
+implements exactly that surface on top of a shared service, so a
+training loop switches from direct execution to service-backed
+execution by swapping one object, and *many* training loops (threads)
+pointed at one service have their traffic coalesced into shared
+vectorized batches.  ``run_sweep`` submits the sweep itself — its
+rows are admitted as one already-grouped job, no circuit per row.
 
 The executor's meter is a **client-side** view: it records every
 circuit this client submitted — including ones the service answered
@@ -23,6 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.circuits.sweep import Sweep
 from repro.hardware.backend import CircuitRunMeter, ExecutionResult
 
 
@@ -75,6 +78,12 @@ class ServiceExecutor:
         )
         return results
 
+    def run_sweep(
+        self, sweep: Sweep, shots: int = 1024, purpose: str = "run"
+    ) -> np.ndarray:
+        """Per-row Z expectations of a sweep; see :meth:`Backend.run_sweep`."""
+        return self.expectations(sweep, shots=shots, purpose=purpose)
+
     def expectations(
         self,
         circuits: Sequence,
@@ -85,13 +94,13 @@ class ServiceExecutor:
         results = self.run(circuits, shots=shots, purpose=purpose)
         return np.stack([r.expectations for r in results])
 
-    def supports_batching(self) -> bool:
-        """The service coalesces, so batching is always on."""
-        return True
-
     def results_deterministic(self) -> bool:
         """Deterministic iff the whole routed pool is."""
         return self._service.router.results_deterministic()
+
+    def exact_execution(self) -> bool:
+        """Exact iff every routed backend ignores the shot count."""
+        return self._service.router.exact_execution()
 
     def seed(self, seed) -> None:
         """No-op: sampling randomness lives in the routed backends.

@@ -23,7 +23,9 @@ by structure, and each group is stacked into one
 :class:`~repro.circuits.sweep.Sweep` over a
 :class:`~repro.circuits.sweep.SweepTemplate` the service caches per
 structure — validated once per structure, not once per circuit.  A
-NaN or infinite angle fails the submission there
+submitted sweep already is one group; its rows move onto the cached
+template of its structure.  A NaN or infinite angle fails the
+submission there
 (:class:`~repro.resilience.InvalidCircuitError`).  Each work item is
 one ``(sweep, row)``: the stacked matrices are a snapshot, so a client
 rebinding its circuit after ``submit`` cannot change what runs.  A
@@ -121,7 +123,10 @@ class ServiceJob:
         deadline_s: float | None = None,
     ):
         self.job_id = job_id
-        self.circuits = list(circuits)
+        #: The submitted circuits, or the submitted :class:`Sweep`.
+        self.circuits = (
+            circuits if isinstance(circuits, Sweep) else list(circuits)
+        )
         self.shots = int(shots)
         self.purpose = purpose
         self.priority = int(priority)
@@ -427,7 +432,9 @@ class ExecutionService:
         circuits already memoized are served without execution.
 
         Args:
-            circuits: ``QuantumCircuit`` objects.
+            circuits: ``QuantumCircuit`` objects, or a
+                :class:`~repro.circuits.sweep.Sweep` — one already
+                grouped job, one result per row.
             shots: Shots per circuit; part of the coalescing key, so
                 only same-shot work shares a batch.
             purpose: Usage-meter tag (also part of the coalescing key —
@@ -561,18 +568,33 @@ class ExecutionService:
             self._templates.setdefault(key, []).append(template)
             return template
 
-    def _rows(self, circuits: list) -> list[tuple[list[int], Sweep]]:
+    def _rows(self, circuits) -> list[tuple[list[int], Sweep]]:
         """Admission: each structure group of a job as one validated sweep.
 
         Returns ``(positions, sweep)`` per group, ``positions`` being
         the group's indices into ``circuits``.  A member whose
         parameter count differs from its (valid) template's has unused
-        or missing parameters — its own validation reports which.
+        or missing parameters — its own validation reports which.  A
+        submitted sweep is one group: its rows are copied onto the
+        cached template of its structure, so they coalesce with every
+        other job of that structure.
 
         Raises:
             ValueError: A circuit failed validation.
             InvalidCircuitError: A resolved angle is NaN or infinite.
         """
+        if isinstance(circuits, Sweep):
+            template = self._template_for(circuits.template.reference)
+            if circuits.num_parameters != template.num_parameters:
+                circuits.template.validate()
+            return [(
+                range(circuits.size),
+                Sweep(
+                    template,
+                    circuits.literals.copy(),
+                    circuits.params.copy(),
+                ),
+            )]
         groups = []
         for positions, members in group_by_structure(circuits):
             template = self._template_for(members[0])

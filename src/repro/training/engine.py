@@ -38,10 +38,11 @@ from repro.gradients.adjoint_engine import (
     adjoint_engine_jacobian_batch,
     adjoint_forward_and_jacobian_batch,
 )
-from repro.gradients.finite_difference import finite_difference_jacobian
+from repro.gradients.finite_difference import (
+    finite_difference_jacobian_batch,
+)
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
-from repro.gradients.spsa import spsa_jacobian
-from repro.hardware.backend import sweep_expectations
+from repro.gradients.spsa import spsa_jacobian_batch
 from repro.ml.loss import cross_entropy
 from repro.ml.optim import make_optimizer
 from repro.ml.schedulers import CosineScheduler
@@ -161,21 +162,15 @@ class TrainingEngine:
                 sweep, self.backend, param_indices=indices
             )
         if engine == "finite_difference":
-            return [
-                finite_difference_jacobian(
-                    c, self.backend,
-                    shots=self.config.shots, param_indices=indices,
-                )
-                for c in sweep.circuits()
-            ]
+            return finite_difference_jacobian_batch(
+                sweep, self.backend,
+                shots=self.config.shots, param_indices=indices,
+            )
         if engine == "spsa":
-            return [
-                spsa_jacobian(
-                    c, self.backend,
-                    shots=self.config.shots, rng=self._spsa_rng,
-                )
-                for c in sweep.circuits()
-            ]
+            return spsa_jacobian_batch(
+                sweep, self.backend,
+                shots=self.config.shots, rng=self._spsa_rng,
+            )
         raise ValueError(f"unknown gradient engine {engine!r}")
 
     # -- one step of Alg. 1 -------------------------------------------------
@@ -205,8 +200,8 @@ class TrainingEngine:
                 param_indices=[int(i) for i in selected],
             )
         else:
-            expectations = sweep_expectations(
-                self.backend, sweep, shots=config.shots, purpose="forward"
+            expectations = self.backend.run_sweep(
+                sweep, shots=config.shots, purpose="forward"
             )
             jacobians = self._jacobians(sweep, selected)
 

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.circuits.ansatz import QnnArchitecture
 from repro.data.dataset import Dataset
-from repro.hardware.backend import sweep_expectations
 from repro.ml.metrics import accuracy as _accuracy
 from repro.training.heads import logits_from_expectations
 
@@ -27,11 +26,8 @@ def predict_logits(
     Returns:
         ``(batch, n_classes)`` logits.
     """
-    expectations = sweep_expectations(
-        backend,
-        architecture.sweep(features, theta),
-        shots=shots,
-        purpose=purpose,
+    expectations = backend.run_sweep(
+        architecture.sweep(features, theta), shots=shots, purpose=purpose
     )
     return logits_from_expectations(expectations, architecture.n_classes)
 

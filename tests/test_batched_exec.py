@@ -27,7 +27,6 @@ from repro.circuits import (
 from repro.gradients.finite_difference import finite_difference_jacobian
 from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
 from repro.hardware import (
-    Backend,
     IdealBackend,
     NoiseInjectionBackend,
     NoisyBackend,
@@ -48,21 +47,6 @@ from repro.sim import (
 )
 
 import dense_reference as ref
-
-class Sequential(Backend):
-    """Circuit-by-circuit execution: each circuit runs alone, as a batch
-    of one, on ``inner`` (an exact ``IdealBackend`` by default)."""
-
-    def __init__(self, inner=None):
-        super().__init__()
-        self.inner = IdealBackend(exact=True) if inner is None else inner
-
-    def exact_execution(self) -> bool:
-        return self.inner.exact_execution()
-
-    def _execute(self, circuit, shots):
-        return self.inner._execute(circuit, shots)
-
 
 class KrausOnly:
     """Noise model view without the superop fast path."""
@@ -299,7 +283,16 @@ class TestBackendEquivalence:
         )
         backend = IdealBackend(exact=True)
         grouped = finite_difference_jacobian(circuit, backend)
-        sequential = finite_difference_jacobian(circuit, Sequential())
+        eps = 1e-3
+        sequential = np.zeros_like(grouped)
+        for index in range(circuit.num_parameters):
+            for position in circuit.occurrences_of(index):
+                f_plus, f_minus = (
+                    backend.run([circuit.shifted(position, delta)])[0]
+                    .expectations
+                    for delta in (+eps, -eps)
+                )
+                sequential[:, index] += (f_plus - f_minus) / (2.0 * eps)
         assert np.array_equal(grouped, sequential)
         finite = finite_difference_jacobian(circuit, backend, eps=1e-5)
         shift = parameter_shift_jacobian_batch([circuit], backend)[0]
@@ -336,18 +329,6 @@ class TestMeterAccounting:
             one_by_one.run([circuit], purpose="gradient")
         assert grouped.meter.snapshot() == one_by_one.meter.snapshot()
         assert grouped.meter.by_purpose == {"forward": 2, "gradient": 3}
-
-    def test_noisy_backend_batches_by_default(self):
-        assert IdealBackend(exact=True).supports_batching()
-        noisy = NoisyBackend.from_device_name("ibmq_santiago")
-        assert noisy.supports_batching()
-        assert not Sequential(noisy).supports_batching()
-
-    def test_noise_injection_follows_inner(self):
-        ideal = NoiseInjectionBackend(IdealBackend(exact=True), seed=0)
-        assert ideal.supports_batching()
-        sequential = NoiseInjectionBackend(Sequential(), seed=0)
-        assert not sequential.supports_batching()
 
 
 def noisy_twins(device="ibmq_lima", transpile=False, seed=7):
@@ -654,7 +635,6 @@ class TestNoisyBatchedEquivalence:
             grouped.run(circuits, shots=128),
         ):
             assert a.counts == b.counts
-        assert grouped.supports_batching()
         stacked = grouped.observed_probabilities_batch(circuits)
         for row, circuit in zip(stacked, circuits):
             assert np.max(np.abs(row - ref.probabilities(circuit))) < 1e-10

@@ -9,10 +9,12 @@ from repro.circuits import get_architecture
 from repro.gradients import (
     adjoint_engine_jacobian,
     finite_difference_jacobian,
+    finite_difference_jacobian_batch,
     spsa_jacobian,
+    spsa_jacobian_batch,
 )
 from repro.gradients.adjoint_engine import adjoint_forward
-from repro.hardware import IdealBackend
+from repro.hardware import IdealBackend, NoisyBackend
 
 
 def mnist2_circuit(seed: int = 0):
@@ -119,6 +121,57 @@ class TestSPSA:
             spsa_jacobian(mnist2_circuit(), IdealBackend(), n_samples=0)
         with pytest.raises(ValueError):
             spsa_jacobian(mnist2_circuit(), IdealBackend(), c=0.0)
+
+
+class TestSweepRows:
+    """One sweep of every row's perturbed circuits equals one call per
+    row on a twin-seeded sampling backend: same Jacobians, same
+    direction stream, same metering."""
+
+    @staticmethod
+    def rows():
+        architecture = get_architecture("mnist2")
+        rng = np.random.default_rng(6)
+        return architecture.sweep(
+            rng.uniform(0, np.pi, (3, 16)), rng.uniform(-1, 1, 8)
+        )
+
+    @staticmethod
+    def twins():
+        return tuple(
+            NoisyBackend.from_device_name("ibmq_lima", seed=2)
+            for _ in range(2)
+        )
+
+    def test_finite_difference_rows_match_one_call_per_row(self):
+        sweep = self.rows()
+        batched, per_row = self.twins()
+        together = finite_difference_jacobian_batch(
+            sweep, batched, shots=256, param_indices=[0, 3, 6]
+        )
+        for jacobian, circuit in zip(together, sweep.circuits()):
+            alone = finite_difference_jacobian(
+                circuit, per_row, shots=256, param_indices=[0, 3, 6]
+            )
+            assert np.array_equal(jacobian, alone)
+        assert batched.meter.snapshot() == per_row.meter.snapshot()
+
+    def test_spsa_rows_match_one_call_per_row(self):
+        sweep = self.rows()
+        batched, per_row = self.twins()
+        rng_batched, rng_per_row = (
+            np.random.default_rng(9) for _ in range(2)
+        )
+        together = spsa_jacobian_batch(
+            sweep, batched, shots=256, rng=rng_batched
+        )
+        for jacobian, circuit in zip(together, sweep.circuits()):
+            alone = spsa_jacobian(
+                circuit, per_row, shots=256, rng=rng_per_row
+            )
+            assert np.array_equal(jacobian, alone)
+        assert rng_batched.random() == rng_per_row.random()
+        assert batched.meter.snapshot() == per_row.meter.snapshot()
 
 
 class TestAdjointEngine:

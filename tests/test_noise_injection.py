@@ -69,6 +69,46 @@ class TestWrapperMechanics:
         assert np.isclose(mild.sigma, 1 / np.sqrt(1024))
 
 
+class TestSweepExecution:
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            lambda: IdealBackend(exact=True),
+            lambda: IdealBackend(exact=False, seed=2),
+            lambda: NoisyBackend.from_device_name("ibmq_lima", seed=2),
+        ],
+        ids=["ideal_exact", "ideal_sampled", "noisy"],
+    )
+    def test_batch_rows_bit_identical_to_one_row_runs(self, inner):
+        """One ``(B, n_qubits)`` jitter draw consumes the stream in the
+        order of ``B`` one-row submissions."""
+        circuits = [ry_circuit(t) for t in (0.1, 0.5, 0.9, 1.3)]
+        batched = NoiseInjectionBackend(inner(), seed=5)
+        one_row = NoiseInjectionBackend(inner(), seed=5)
+        together = batched.run(circuits, shots=64)
+        alone = [one_row.run([c], shots=64)[0] for c in circuits]
+        for a, b in zip(together, alone):
+            assert np.array_equal(a.expectations, b.expectations)
+            assert a.counts == b.counts
+            assert a.shots == b.shots
+        assert batched.meter.snapshot() == one_row.meter.snapshot()
+
+    def test_exact_inner_accepts_zero_shots(self):
+        backend = NoiseInjectionBackend(IdealBackend(exact=True), seed=0)
+        assert backend.exact_execution()
+        result = backend.run([ry_circuit(0.5)], shots=0)[0]
+        assert result.shots == 0
+        assert backend.meter.shots == 0
+
+    def test_sampled_inner_rejects_zero_shots(self):
+        backend = NoiseInjectionBackend(
+            IdealBackend(exact=False, seed=0), seed=0
+        )
+        assert not backend.exact_execution()
+        with pytest.raises(ValueError, match="shots must be positive"):
+            backend.run([ry_circuit(0.5)], shots=0)
+
+
 class TestInjectionApproximatesDevice:
     def test_shrinkage_tracks_real_noisy_backend(self):
         """Calibration-derived shrinkage lands in the same regime as the

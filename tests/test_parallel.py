@@ -195,7 +195,7 @@ class TestBackendSpec:
 
     def test_rejects_unsupported_backends(self):
         class Custom(Backend):
-            def _execute(self, circuit, shots):
+            def _execute_sweep(self, sweep, shots):
                 raise NotImplementedError
 
         with pytest.raises(TypeError, match="BackendSpec"):
@@ -206,7 +206,7 @@ class TestBackendSpec:
         class inside a worker would silently change behavior."""
 
         class Tweaked(IdealBackend):
-            def _execute_batch(self, circuits, shots):
+            def _execute_sweep(self, sweep, shots):
                 raise RuntimeError("not what the spec would rebuild")
 
         with pytest.raises(TypeError, match="BackendSpec"):
@@ -599,12 +599,8 @@ class TestShardedBackendIntegration:
             def exact_execution(self):
                 return True
 
-            def _execute(self, circuit, shots):
-                return ExecutionResult(
-                    counts={},
-                    expectations=np.zeros(circuit.n_qubits),
-                    shots=0,
-                )
+            def _execute_sweep(self, sweep, shots):
+                return np.zeros((sweep.size, sweep.n_qubits)), None
 
         custom = Custom()
         with ExecutionService(custom, workers=2) as service:
@@ -763,7 +759,6 @@ class TestSweepShards:
         with ShardedBackend(
             IdealBackend(exact=True), workers=workers, min_shard_cost=0
         ) as sharded:
-            assert sharded.supports_sweeps()
             got = sharded.run_sweep(sweep, shots=0, purpose="fwd")
             results = sharded.run(sweep, shots=0, purpose="fwd")
             meter = sharded.meter.snapshot()

@@ -386,7 +386,7 @@ class TestCircuitBreaker:
 class TestRouterBreakers:
     def test_routing_steers_around_open_breaker(self):
         class Doomed(IdealBackend):
-            def _execute_batch(self, circuits, shots):
+            def _execute_sweep(self, sweep, shots):
                 raise TransientError("node down")
 
         good = IdealBackend(exact=True)
@@ -421,7 +421,7 @@ class TestRouterBreakers:
 
     def test_all_open_routes_to_soonest_probe(self):
         class Doomed(IdealBackend):
-            def _execute_batch(self, circuits, shots):
+            def _execute_sweep(self, sweep, shots):
                 raise TransientError("down")
 
         now = [0.0]
@@ -522,12 +522,12 @@ class FlakyBackend(IdealBackend):
         self.failures_left = failures
         self.calls = 0
 
-    def _execute_batch(self, circuits, shots):
+    def _execute_sweep(self, sweep, shots):
         self.calls += 1
         if self.failures_left > 0:
             self.failures_left -= 1
             raise TransientError("transient blip")
-        return super()._execute_batch(circuits, shots)
+        return super()._execute_sweep(sweep, shots)
 
 
 POISON_ANGLE = 9.25
@@ -536,20 +536,10 @@ POISON_ANGLE = 9.25
 class PoisonBackend(IdealBackend):
     """Deterministically rejects any batch containing the poison angle."""
 
-    def _check(self, circuits):
-        if any(
-            abs(float(c.parameters[0]) - POISON_ANGLE) < 1e-12
-            for c in circuits
-        ):
+    def _execute_sweep(self, sweep, shots):
+        if np.any(np.abs(sweep.params[:, 0] - POISON_ANGLE) < 1e-12):
             raise ValueError("poisoned circuit in batch")
-
-    def _execute(self, circuit, shots):
-        self._check([circuit])
-        return super()._execute(circuit, shots)
-
-    def _execute_batch(self, circuits, shots):
-        self._check(circuits)
-        return super()._execute_batch(circuits, shots)
+        return super()._execute_sweep(sweep, shots)
 
 
 class TestServingResilience:
@@ -637,15 +627,10 @@ class TestServingResilience:
         release = threading.Event()
 
         class StuckBackend(IdealBackend):
-            def _execute(self, circuit, shots):
+            def _execute_sweep(self, sweep, shots):
                 started.set()
                 release.wait(30.0)
-                return super()._execute(circuit, shots)
-
-            def _execute_batch(self, circuits, shots):
-                started.set()
-                release.wait(30.0)
-                return super()._execute_batch(circuits, shots)
+                return super()._execute_sweep(sweep, shots)
 
         with ExecutionService(
             StuckBackend(exact=True), enable_cache=False, workers=0
@@ -663,11 +648,9 @@ class TestServingResilience:
         executed = []
 
         class Recording(IdealBackend):
-            # Single circuits run as a batch of one, so every execution
-            # passes through _execute_batch.
-            def _execute_batch(self, circuits, shots):
-                executed.extend(circuits)
-                return super()._execute_batch(circuits, shots)
+            def _execute_sweep(self, sweep, shots):
+                executed.extend(range(sweep.size))
+                return super()._execute_sweep(sweep, shots)
 
         with ExecutionService(
             Recording(exact=True),

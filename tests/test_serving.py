@@ -32,17 +32,11 @@ class SlowBackend(IdealBackend):
         super().__init__(exact=True, **kwargs)
         self.delay_s = delay_s
 
-    def _execute(self, circuit, shots):
+    def _execute_sweep(self, sweep, shots):
         import time
 
         time.sleep(self.delay_s)
-        return super()._execute(circuit, shots)
-
-    def _execute_batch(self, circuits, shots):
-        import time
-
-        time.sleep(self.delay_s)
-        return super()._execute_batch(circuits, shots)
+        return super()._execute_sweep(sweep, shots)
 
 
 def ry_circuit(theta: float, n_qubits: int = 2) -> QuantumCircuit:
@@ -481,10 +475,7 @@ class TestExecutionService:
 
     def test_backend_failure_propagates_to_future(self):
         class ExplodingBackend(IdealBackend):
-            def _execute(self, circuit, shots):
-                raise RuntimeError("device offline")
-
-            def _execute_batch(self, circuits, shots):
+            def _execute_sweep(self, sweep, shots):
                 raise RuntimeError("device offline")
 
         service = ExecutionService(
@@ -774,29 +765,33 @@ class TestServiceExecutor:
     def test_training_engine_service_path_matches_direct(self):
         from repro.training import TrainingConfig, TrainingEngine
 
-        config = TrainingConfig(
-            task="mnist2",
-            steps=2,
-            batch_size=3,
-            gradient_engine="parameter_shift",
-            eval_every=0,
-            eval_size=8,
-            seed=11,
-        )
-        direct = TrainingEngine(config, IdealBackend(exact=True, seed=0))
-        direct_history = direct.train()
+        for engine in ("parameter_shift", "finite_difference", "spsa"):
+            config = TrainingConfig(
+                task="mnist2",
+                steps=2,
+                batch_size=3,
+                gradient_engine=engine,
+                eval_every=0,
+                eval_size=8,
+                seed=11,
+            )
+            direct = TrainingEngine(config, IdealBackend(exact=True, seed=0))
+            direct_history = direct.train()
 
-        with ExecutionService(IdealBackend(exact=True, seed=0)) as service:
-            served = TrainingEngine(config, service=service)
-            served_history = served.train()
+            with ExecutionService(
+                IdealBackend(exact=True, seed=0)
+            ) as service:
+                served = TrainingEngine(config, service=service)
+                served_history = served.train()
 
-        assert np.array_equal(direct.theta, served.theta)
-        assert [r.loss for r in direct_history.steps] == [
-            r.loss for r in served_history.steps
-        ]
-        assert (
-            direct.training_inferences() == served.training_inferences()
-        )
+            assert np.array_equal(direct.theta, served.theta), engine
+            assert [r.loss for r in direct_history.steps] == [
+                r.loss for r in served_history.steps
+            ]
+            assert (
+                direct.training_inferences()
+                == served.training_inferences()
+            )
 
     def test_training_engine_requires_backend_or_service(self):
         from repro.training import TrainingConfig, TrainingEngine
@@ -871,6 +866,55 @@ class TestSweepAdmission:
                     shots=0,
                 )
         assert len(calls) == 1
+
+    def test_submitted_sweep_coalesces_with_circuit_job(self):
+        from repro.circuits import get_architecture
+
+        arch = get_architecture("mnist4")
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(-1, 1, arch.num_parameters)
+        features = rng.uniform(0, np.pi, (5, arch.n_features))
+        circuits = [arch.full_circuit(x, theta) for x in features[:2]]
+        sweep = arch.sweep(features[2:], theta)
+        with ExecutionService(
+            IdealBackend(exact=True),
+            workers=0,
+            max_batch_size=5,
+            max_delay_s=30.0,
+        ) as service:
+            circuit_job = service.submit(circuits, shots=0)
+            sweep_job = service.submit(sweep, shots=0)
+            served = circuit_job.result(timeout=30) + sweep_job.result(
+                timeout=30
+            )
+            stats = service.scheduler.stats()
+            # The sweep's rows keyed the cache as the circuits they
+            # stand for.
+            again = service.submit(sweep.circuits(), shots=0)
+            again.result(timeout=30)
+        assert stats["flushes"] == 1
+        assert stats["largest_batch"] == 5
+        assert again.cache_hits == sweep.size
+        want = IdealBackend(exact=True).run_sweep(
+            arch.sweep(features, theta), shots=0
+        )
+        assert np.array_equal(
+            np.stack([r.expectations for r in served]), want
+        )
+
+    def test_non_finite_sweep_row_fails_submit(self):
+        from repro.circuits import get_architecture
+
+        arch = get_architecture("mnist2")
+        sweep = arch.sweep(
+            np.full((3, arch.n_features), 0.5),
+            np.zeros(arch.num_parameters),
+        )
+        sweep.params[1, 0] = np.inf  # mutated after construction
+        with ExecutionService(IdealBackend(exact=True), workers=0) as service:
+            with pytest.raises(JobError, match="non-finite"):
+                service.submit(sweep, shots=0)
+            assert service.pending_circuits == 0
 
     def test_parameter_count_mismatch_still_rejected(self):
         base = QuantumCircuit(1).add_trainable("ry", 0, 0)

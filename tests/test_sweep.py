@@ -26,12 +26,7 @@ from repro.gradients.parameter_shift import (
     parameter_shift_jacobian_batch,
     shift_sweep,
 )
-from repro.hardware import (
-    IdealBackend,
-    JobError,
-    NoisyBackend,
-    sweep_expectations,
-)
+from repro.hardware import IdealBackend, JobError, NoisyBackend
 from repro.parallel import ShardedBackend
 from repro.resilience import (
     FaultPlan,
@@ -197,20 +192,17 @@ class TestSweepBuilders:
 # -- run_sweep against expectations(circuits) -------------------------------
 
 
-class MinimalExecutor:
-    """Only the ``run`` / ``expectations`` / ``meter`` surface — no
-    ``run_sweep``, so sweeps reach it as circuits."""
+class CircuitPath:
+    """Runs every sweep as the circuits it stands for, through
+    ``Backend.run`` — the circuit-API twin of ``run_sweep``."""
 
     def __init__(self, backend):
         self._backend = backend
         self.meter = backend.meter
 
-    def run(self, circuits, shots=1024, purpose="run"):
-        return self._backend.run(circuits, shots=shots, purpose=purpose)
-
-    def expectations(self, circuits, shots=1024, purpose="run"):
+    def run_sweep(self, sweep, shots=1024, purpose="run"):
         return self._backend.expectations(
-            circuits, shots=shots, purpose=purpose
+            sweep.circuits(), shots=shots, purpose=purpose
         )
 
 
@@ -306,11 +298,9 @@ class TestRunSweep:
         direct = IdealBackend(exact=True).run_sweep(sweep, shots=0)
         with ExecutionService(IdealBackend(exact=True), workers=0) as svc:
             executor = svc.executor()
-            got = sweep_expectations(
-                executor, sweep, shots=0, purpose="forward"
-            )
-            # The rows travel as the circuits the circuit API builds:
-            # submitting those is a cache hit.
+            got = executor.run_sweep(sweep, shots=0, purpose="forward")
+            # The rows' cache keys are the fingerprints of the circuits
+            # the circuit API builds: submitting those is a cache hit.
             job = svc.submit(
                 [arch.full_circuit(x, theta) for x in features], shots=0
             )
@@ -318,20 +308,6 @@ class TestRunSweep:
         assert np.array_equal(got, direct)
         assert executor.meter.by_purpose == {"forward": 3}
         assert job.cache_hits == 3
-
-    def test_gradients_identical_through_minimal_executor(self):
-        arch, features, theta = _workload()
-        sweep = arch.sweep(features, theta)
-        native, minimal = _noisy(2), MinimalExecutor(_noisy(2))
-        got = parameter_shift_jacobian_batch(
-            sweep, native, param_indices=[1, 4]
-        )
-        want = parameter_shift_jacobian_batch(
-            sweep, minimal, param_indices=[1, 4]
-        )
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        assert native.meter.snapshot() == minimal.meter.snapshot()
 
 
 class TestTrainingTwins:
@@ -348,7 +324,7 @@ class TestTrainingTwins:
             seed=3,
         )
         native = TrainingEngine(config, _noisy(1))
-        circuit_path = TrainingEngine(config, MinimalExecutor(_noisy(1)))
+        circuit_path = TrainingEngine(config, CircuitPath(_noisy(1)))
         for _ in range(7):
             native.train_step()
             circuit_path.train_step()

@@ -242,6 +242,40 @@ class TestVqeEngine:
         with pytest.raises(ValueError, match="trainable"):
             VqeEngine(model, frozen, IdealBackend(exact=True))
 
+    def test_adjoint_through_exact_service_executor(self):
+        from repro.serving import ExecutionService
+
+        model = transverse_field_ising(3)
+        direct = VqeEngine(
+            model, hardware_efficient_ansatz(3, seed=2),
+            IdealBackend(exact=True), shots=0, steps=2,
+            gradient_engine="adjoint",
+        )
+        with ExecutionService(IdealBackend(exact=True), workers=0) as svc:
+            served = VqeEngine(
+                model, hardware_efficient_ansatz(3, seed=2),
+                svc.executor(), shots=0, steps=2,
+                gradient_engine="adjoint",
+            )
+            served.run()
+        direct.run()
+        assert [r.energy for r in served.records] == [
+            r.energy for r in direct.records
+        ]
+
+    def test_adjoint_rejects_sampled_service_executor(self):
+        from repro.serving import ExecutionService
+
+        with ExecutionService(
+            IdealBackend(exact=False, seed=0), workers=0
+        ) as svc:
+            with pytest.raises(ValueError, match="exact backend"):
+                VqeEngine(
+                    transverse_field_ising(3),
+                    hardware_efficient_ansatz(3, seed=2),
+                    svc.executor(), gradient_engine="adjoint",
+                )
+
     def test_circuits_per_step_accounting(self):
         model = transverse_field_ising(3)
         ansatz = hardware_efficient_ansatz(3, n_layers=1, seed=7)
