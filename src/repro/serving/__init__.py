@@ -8,6 +8,9 @@ The production-serving subsystem on top of the batched engine::
                                             │
                                        Backend pool
 
+A job enters the unbounded queue as one work item per structure
+group; ``queue_capacity``, counted in rows, is the only bound.
+
 See :mod:`repro.serving.service` for the full architecture notes.
 """
 

@@ -1,18 +1,20 @@
-"""Priority job queue with backpressure: the service's intake buffer.
+"""Priority job queue: the service's intake buffer.
 
 Clients hand work to the :class:`~repro.serving.ExecutionService`
-through this queue.  It is a classic bounded priority queue:
+through this queue.  It is an unbounded priority queue:
 
 * **priority** — lower numbers drain first (interactive traffic can cut
   ahead of bulk gradient sweeps); ties drain in submission order, so
   equal-priority traffic stays FIFO and exact-mode replays are
   deterministic;
-* **backpressure** — when ``maxsize`` items are waiting, ``put`` blocks
-  the submitting client (or raises :class:`QueueFull` after
-  ``timeout``), so a burst of producers cannot grow memory without
-  bound — the submission rate degrades to the drain rate instead;
-* **close** — shutting the service closes the queue; blocked producers
-  and the scheduler's consumer loop wake immediately.
+* **close** — shutting the service closes the queue; the scheduler's
+  consumer loop wakes immediately.
+
+The queue holds one work item per structure group of each job.  It
+has no bound of its own: the service's ``queue_capacity`` counts
+admitted rows across the whole pipeline (this queue, the coalescing
+buckets, executing flushes) and blocks ``submit`` before anything is
+put here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from time import monotonic as _monotonic
 
 
 class QueueFull(RuntimeError):
-    """``put`` timed out while the queue was at capacity."""
+    """A submission waited past its timeout for pipeline capacity."""
 
 
 class QueueClosed(RuntimeError):
@@ -32,66 +34,28 @@ class QueueClosed(RuntimeError):
 
 
 class JobQueue:
-    """Bounded, thread-safe priority queue for service work items.
+    """Unbounded, thread-safe priority queue for service work items."""
 
-    Args:
-        maxsize: Capacity bound triggering backpressure; ``0`` means
-            unbounded (no ``put`` ever blocks).
-    """
-
-    def __init__(self, maxsize: int = 0):
-        if maxsize < 0:
-            raise ValueError("maxsize cannot be negative")
-        self.maxsize = int(maxsize)
+    def __init__(self):
         self._heap: list[tuple[int, int, object]] = []
         self._sequence = itertools.count()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._closed = False
         # Telemetry.
         self.puts = 0
         self.gets = 0
         self.max_depth = 0
-        self.put_waits = 0  # puts that had to block on backpressure
 
-    def put(
-        self,
-        item,
-        priority: int = 0,
-        timeout: float | None = None,
-    ) -> None:
-        """Enqueue ``item``; blocks while the queue is at capacity.
-
-        Args:
-            item: Opaque payload.
-            priority: Lower drains first.
-            timeout: Seconds to wait for space; ``None`` waits forever.
+    def put(self, item, priority: int = 0) -> None:
+        """Enqueue ``item``; lower ``priority`` drains first.
 
         Raises:
-            QueueFull: The timeout elapsed with the queue still full.
             QueueClosed: The queue was closed.
         """
-        with self._not_full:
+        with self._lock:
             if self._closed:
                 raise QueueClosed("queue is closed")
-            if self.maxsize and len(self._heap) >= self.maxsize:
-                self.put_waits += 1
-                deadline = None
-                if timeout is not None:
-                    deadline = _monotonic() + timeout
-                while self.maxsize and len(self._heap) >= self.maxsize:
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - _monotonic()
-                        if remaining <= 0:
-                            raise QueueFull(
-                                f"queue stayed at capacity {self.maxsize} "
-                                f"for {timeout}s"
-                            )
-                    self._not_full.wait(remaining)
-                    if self._closed:
-                        raise QueueClosed("queue is closed")
             heapq.heappush(
                 self._heap, (int(priority), next(self._sequence), item)
             )
@@ -120,7 +84,6 @@ class JobQueue:
                 self._not_empty.wait(remaining)
             _, _, item = heapq.heappop(self._heap)
             self.gets += 1
-            self._not_full.notify()
             if self._heap:
                 # Chain the wakeup: ``put`` notifies exactly one
                 # consumer, so when several are blocked and items
@@ -131,26 +94,11 @@ class JobQueue:
                 self._not_empty.notify()
             return item
 
-    def drain(self) -> list:
-        """Atomically remove and return all queued items, in drain order.
-
-        Used at shutdown: the service fails every unstarted job
-        explicitly instead of leaving it queued behind a closed gate.
-        Frees capacity, so blocked producers wake (into
-        :class:`QueueClosed` if the queue is closed).
-        """
-        with self._lock:
-            items = [item for _, _, item in sorted(self._heap)]
-            self._heap.clear()
-            self._not_full.notify_all()
-            return items
-
     def close(self) -> None:
-        """Refuse new work and wake every blocked producer/consumer."""
+        """Refuse new work and wake every blocked consumer."""
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
 
     @property
     def closed(self) -> bool:
@@ -168,6 +116,4 @@ class JobQueue:
                 "max_depth": self.max_depth,
                 "puts": self.puts,
                 "gets": self.gets,
-                "put_waits": self.put_waits,
-                "maxsize": self.maxsize,
             }

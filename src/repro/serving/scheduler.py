@@ -3,8 +3,9 @@
 The batched engine is fastest when a backend receives *many*
 same-structure rows at once — but individual clients each submit only
 a handful.  The scheduler closes that gap: it drains the service's
-:class:`~repro.serving.JobQueue` and coalesces work items — admitted
-angle-matrix rows — into **buckets** keyed by
+:class:`~repro.serving.JobQueue` and coalesces work items — the
+admitted angle-matrix rows of one structure group of one job — into
+**buckets** keyed by
 
     ``(sweep template, shots, purpose)``
 
@@ -13,11 +14,13 @@ so rows from independent clients that share a structural template
 row of one task) accumulate into a single bucket.  A bucket is flushed
 to the :class:`~repro.serving.Router` when either
 
-* it reaches ``max_batch_size`` circuits (**size flush**), or
+* it reaches ``max_batch_size`` rows (**size flush**) — an item larger
+  than the bucket's room is split, and its remainder opens the next
+  bucket, or
 * its oldest item has waited ``max_delay_s`` seconds (**deadline
   flush**) — the latency bound a single idle client pays.
 
-Each flush stacks its items' rows into one
+Each flush concatenates its items' rows into one
 :class:`~repro.circuits.sweep.Sweep` and makes one ``Backend.run``
 call with it on one routed backend — one vectorized execution of one
 structure group; shots and purpose are part of the bucket key
@@ -36,9 +39,9 @@ crashes, injected chaos) are retried with exponential backoff and
 jitter, each attempt re-routed — the breaker-aware router naturally
 steers retries away from the backend that just failed.  When retries
 are exhausted — or the failure is deterministic and retrying would be
-pointless — a multi-item flush is **bisected**: each half retries
-independently, recursively, until the poisoned item is isolated to a
-single-row flush whose job alone fails (with a
+pointless — a multi-item flush is **bisected** by work items: each half
+retries independently, recursively, until the poisoned item is
+isolated to a single-item flush whose job alone fails (with a
 :class:`~repro.resilience.FlushError` carrying the backend name, flush
 key, attempt count, and worker slot).  Healthy items riding in the
 same bucket as a poison pill still get their results.
@@ -66,48 +69,72 @@ from repro.serving.router import Router
 
 @dataclasses.dataclass
 class WorkItem:
-    """One admitted row awaiting execution, tied back to its submission.
+    """The admitted rows of one structure group of one job.
 
     Attributes:
-        sweep: The admitted :class:`~repro.circuits.sweep.Sweep` this
-            row belongs to (one per structure group of the job).
-        row: The row's index in ``sweep``.
+        sweep: The admitted :class:`~repro.circuits.sweep.Sweep` of the
+            group (its angle matrices are a snapshot taken at submit).
+        rows: Index array of this item's rows in ``sweep``.
         shots: Requested shots.
         purpose: Usage-meter tag.
         job: The originating :class:`~repro.serving.ServiceJob`.
-        index: Slot in the job's result list this item fills.
-        fingerprint: Cache key, pre-computed at submit time (``None``
-            when the cache is disabled).
-        release: Called exactly once when the item resolves (result or
-            failure); the service's backpressure accounting.
+        indices: Slots in the job's result list, one per row.
+        fingerprints: Cache keys, one per row, pre-computed at submit
+            time (``None`` when the cache is disabled).
+        release: Called exactly once, with the row count, when the
+            item resolves (results or failure); the service's
+            backpressure accounting.
     """
 
     sweep: Sweep
-    row: int
+    rows: np.ndarray
     shots: int
     purpose: str
     job: object
-    index: int
-    fingerprint: str | None = None
+    indices: np.ndarray
+    fingerprints: list[str] | None = None
     release: object | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def split(self, k: int) -> tuple["WorkItem", "WorkItem"]:
+        """The first ``k`` rows and the rest, as two items of the job."""
+        keys = self.fingerprints
+        return tuple(
+            dataclasses.replace(
+                self,
+                rows=self.rows[part],
+                indices=self.indices[part],
+                fingerprints=None if keys is None else keys[part],
+            )
+            for part in (slice(None, k), slice(k, None))
+        )
+
+    def resolve(self) -> None:
+        """Return the item's rows to the service's pending count."""
+        if self.release is not None:
+            self.release(self.size)
 
 
 def stack_rows(items: list[WorkItem]) -> Sweep:
     """The rows of same-template items, in item order, as one sweep."""
     return Sweep(
         items[0].sweep.template,
-        np.stack([item.sweep.literals[item.row] for item in items]),
-        np.stack([item.sweep.params[item.row] for item in items]),
+        np.concatenate([item.sweep.literals[item.rows] for item in items]),
+        np.concatenate([item.sweep.params[item.rows] for item in items]),
     )
 
 
 class _Bucket:
     """Accumulating same-key work items plus their flush deadline."""
 
-    __slots__ = ("items", "deadline")
+    __slots__ = ("items", "rows", "deadline")
 
     def __init__(self, deadline: float):
         self.items: list[WorkItem] = []
+        self.rows = 0
         self.deadline = deadline
 
 
@@ -239,14 +266,24 @@ class CoalescingScheduler:
         # template itself keys the bucket — by identity, no signature
         # hashing.
         key = (item.sweep.template, item.shots, item.purpose)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = _Bucket(time.monotonic() + self.max_delay_s)
-            self._buckets[key] = bucket
-        bucket.items.append(item)
-        if len(bucket.items) >= self.max_batch_size:
-            del self._buckets[key]
-            self._dispatch(bucket, "size")
+        while item is not None:
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = _Bucket(time.monotonic() + self.max_delay_s)
+                self._buckets[key] = bucket
+            # An item larger than the bucket's room fills it and opens
+            # the next bucket with the rest, so each flush holds the
+            # rows it would if they had arrived one at a time.
+            room = self.max_batch_size - bucket.rows
+            if item.size > room:
+                head, item = item.split(room)
+            else:
+                head, item = item, None
+            bucket.items.append(head)
+            bucket.rows += head.size
+            if bucket.rows >= self.max_batch_size:
+                del self._buckets[key]
+                self._dispatch(bucket, "size")
 
     def _flush_expired(self) -> None:
         now = time.monotonic()
@@ -270,8 +307,8 @@ class CoalescingScheduler:
                 self.deadline_flushes += 1
             else:
                 self.drain_flushes += 1
-            self.circuits_dispatched += len(bucket.items)
-            self.largest_batch = max(self.largest_batch, len(bucket.items))
+            self.circuits_dispatched += bucket.rows
+            self.largest_batch = max(self.largest_batch, bucket.rows)
         for item in bucket.items:
             item.job._mark_running()
         assert self._pool is not None
@@ -291,10 +328,9 @@ class CoalescingScheduler:
         for item in items:
             job = item.job
             if getattr(job, "error", None) is not None:
-                if item.release is not None:
-                    item.release()
+                item.resolve()
                 with self._stats_lock:
-                    self.dropped_resolved += 1
+                    self.dropped_resolved += item.size
                 continue
             deadline = getattr(job, "deadline", None)
             if deadline is not None and deadline.expired():
@@ -304,10 +340,9 @@ class CoalescingScheduler:
                         f"deadline before execution"
                     )
                 )
-                if item.release is not None:
-                    item.release()
+                item.resolve()
                 with self._stats_lock:
-                    self.deadline_failures += 1
+                    self.deadline_failures += item.size
                 continue
             live.append(item)
         return live
@@ -320,9 +355,9 @@ class CoalescingScheduler:
     def _run_slice(self, items: list[WorkItem], reason: str) -> None:
         """Execute one flush slice: retry transients, bisect poison.
 
-        The recursion bottoms out at single-item slices, so a
-        deterministic failure is always quarantined to exactly the
-        jobs that caused it.
+        The recursion bottoms out at single-item slices — the rows of
+        one job — so a deterministic failure is always quarantined to
+        exactly the jobs that caused it.
         """
         sweep = stack_rows(items)
         shots = items[0].shots
@@ -363,8 +398,7 @@ class CoalescingScheduler:
                 # clients unblock, then let the exception surface.
                 for item in items:
                     item.job._fail(exc)
-                    if item.release is not None:
-                        item.release()
+                    item.resolve()
                 raise
             if len(items) > 1:
                 # The poison could be any member: bisect, letting each
@@ -387,24 +421,24 @@ class CoalescingScheduler:
             failure.__cause__ = exc
             for item in items:
                 item.job._fail(failure)
-                if item.release is not None:
-                    item.release()
+                item.resolve()
             return
         with self._stats_lock:
             self.last_flush = {
                 "reason": reason,
-                "batch_size": len(items),
+                "batch_size": sweep.size,
                 "backend": backend.name,
                 "meter": window,
             }
-        if self._cache is not None:
-            for item, result in zip(items, results):
-                if item.fingerprint is not None:
-                    self._cache.put(item.fingerprint, result)
-        for item, result in zip(items, results):
-            item.job._fulfill(item.index, result)
-            if item.release is not None:
-                item.release()
+        start = 0
+        for item in items:
+            chunk = results[start:start + item.size]
+            start += item.size
+            if self._cache is not None and item.fingerprints is not None:
+                for key, result in zip(item.fingerprints, chunk):
+                    self._cache.put(key, result)
+            item.job._fulfill(item.indices, chunk)
+            item.resolve()
 
     def stats(self) -> dict:
         """Telemetry snapshot."""

@@ -7,9 +7,9 @@ returns immediately with a :class:`ServiceJob` (a future), and the
 pipeline behind it is::
 
     clients ── submit() ──> JobQueue ──> CoalescingScheduler ──> Router
-                  │ (rows,                 (bucket rows by         │
-                  │  priority,              template across        ▼
-                  │  backpressure)          clients, flush on  Backend pool
+                  │ (item per   (priority,  (bucket rows by         │
+                  │  group;      unbounded)  template across        ▼
+                  │  row bound)              clients, flush on  Backend pool
                   └── ResultCache ◄──────── size or deadline)  (one Sweep)
 
 Submissions walk the same lifecycle as :class:`repro.hardware.Job`
@@ -27,10 +27,12 @@ submitted sweep already is one group; its rows move onto the cached
 template of its structure.  A NaN or infinite angle fails the
 submission there
 (:class:`~repro.resilience.InvalidCircuitError`).  Each work item is
-one ``(sweep, row)``: the stacked matrices are a snapshot, so a client
+the uncached rows of one group, so a job makes one ``JobQueue.put``
+per structure group.  The stacked matrices are a snapshot, so a client
 rebinding its circuit after ``submit`` cannot change what runs.  A
-flush stacks its items' rows into one sweep, which the router hands to
-``Backend.run`` as one structure group.
+flush concatenates its items' rows into one sweep, which the router
+hands to ``Backend.run`` as one structure group.  The intake queue is
+unbounded: ``queue_capacity``, counted in rows, is the only bound.
 
 Caching: when *every* routed backend reports
 ``results_deterministic()`` (exact expectations, no sampling, no
@@ -39,7 +41,8 @@ repeat submissions are served from the cache without touching a
 backend.  Admission computes every row's key from the sweep's angle
 matrix in one pass (:meth:`~repro.circuits.sweep.Sweep.
 fingerprints`), hex-identical to
-:func:`~repro.circuits.circuit_fingerprint`.  Stochastic backends
+:func:`~repro.circuits.circuit_fingerprint`, and looks each one up, so
+a partly cached sweep queues only its missing rows.  Stochastic backends
 never cache — each run must be a fresh random realization.
 """
 
@@ -48,6 +51,8 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Sequence
+
+import numpy as np
 
 from repro.circuits.batch import group_by_structure
 from repro.circuits.sweep import Sweep, SweepTemplate
@@ -157,11 +162,13 @@ class ServiceJob:
     def _mark_running(self) -> None:
         self._advance_to(JobStatus.RUNNING)
 
-    def _fulfill(self, index: int, result: ExecutionResult) -> None:
+    def _fulfill(self, indices, results) -> None:
+        """Fill result slots ``indices`` with ``results``, in order."""
         with self._lock:
-            if self._results[index] is None:
-                self._remaining -= 1
-            self._results[index] = result
+            for index, result in zip(indices, results):
+                if self._results[index] is None:
+                    self._remaining -= 1
+                self._results[index] = result
             finished = self._remaining == 0
         if finished:
             self._advance_to(JobStatus.DONE)
@@ -244,13 +251,13 @@ class ExecutionService:
         max_batch_size: Coalescer size-flush threshold.
         max_delay_s: Coalescer deadline-flush bound — the worst-case
             extra latency a lone submission pays for batching.
-        queue_capacity: Backpressure bound on circuits pending anywhere
-            in the service (intake queue, coalescing buckets, or
-            executing).  Submitters block when it is reached, so burst
-            traffic degrades to the drain rate instead of growing
-            memory without bound.  ``0`` = unbounded.  A single
-            submission larger than the bound is admitted alone (it
-            could otherwise never run).
+        queue_capacity: The service's only backpressure bound: rows
+            pending anywhere in the service (intake queue, coalescing
+            buckets, or executing).  Submitters block when it is
+            reached, so burst traffic degrades to the drain rate
+            instead of growing memory without bound.  ``0`` =
+            unbounded.  A single submission larger than the bound is
+            admitted alone (it could otherwise never run).
         cache_capacity: LRU entries for the exact-result cache.
         enable_cache: Master switch; the cache additionally requires
             every backend to be deterministic (exact mode).
@@ -302,9 +309,8 @@ class ExecutionService:
             reset_timeout_s=reset_timeout_s,
         )
         # The intake queue itself is unbounded: _admit() already bounds
-        # every circuit in the pipeline (queue included), and a second
-        # cap here would only make oversized submissions block twice.
-        self.queue = JobQueue(maxsize=0)
+        # every row in the pipeline, queue included.
+        self.queue = JobQueue()
         self.cache: ResultCache | None = None
         if enable_cache and self.router.results_deterministic():
             self.cache = ResultCache(capacity=cache_capacity)
@@ -376,16 +382,13 @@ class ExecutionService:
         executing circuits — so it is real end-to-end backpressure, not
         just an intake-buffer limit.
         """
-        if not self.queue_capacity:
-            with self._pending_cond:
-                self._pending += n_circuits
-            return
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._pending_cond:
             # An oversized submission is admitted once the pipeline is
             # empty; refusing it forever would deadlock the client.
             while (
-                self._pending
+                self.queue_capacity
+                and self._pending
                 and self._pending + n_circuits > self.queue_capacity
             ):
                 if self._stopped:
@@ -401,10 +404,10 @@ class ExecutionService:
                 self._pending_cond.wait(remaining)
             self._pending += n_circuits
 
-    def _release_one(self) -> None:
-        """A pending circuit resolved (result, cache fill, or failure)."""
+    def _release(self, n_circuits: int) -> None:
+        """``n_circuits`` pending rows resolved (results or failure)."""
         with self._pending_cond:
-            self._pending -= 1
+            self._pending -= n_circuits
             self._pending_cond.notify_all()
 
     @property
@@ -440,8 +443,8 @@ class ExecutionService:
             purpose: Usage-meter tag (also part of the coalescing key —
                 keeps per-purpose accounting exact).
             priority: Queue priority; lower runs first.
-            timeout: Seconds to wait for queue capacity before raising
-                :class:`~repro.serving.QueueFull` (backpressure).
+            timeout: Seconds to wait for ``queue_capacity`` room before
+                raising :class:`~repro.serving.QueueFull` (backpressure).
             deadline_s: End-to-end latency bound for this job; work
                 not finished within it fails with
                 :class:`~repro.resilience.DeadlineExceeded` instead of
@@ -481,44 +484,49 @@ class ExecutionService:
             self.circuits_submitted += len(job.circuits)
 
         pending: list[WorkItem] = []
+        hits: list[int] = []
+        hit_results: list[ExecutionResult] = []
         for positions, sweep in groups:
-            keys = (
-                sweep.fingerprints()
-                if self.cache is not None
-                else [None] * sweep.size
-            )
-            for row, (index, key) in enumerate(zip(positions, keys)):
-                if key is not None:
-                    cached = self.cache.get(key)
-                    if cached is not None:
-                        job.cache_hits += 1
-                        with self._lock:
-                            self.circuits_from_cache += 1
-                        job._fulfill(index, cached)
-                        continue
+            indices = np.asarray(positions)
+            rows = np.arange(sweep.size)
+            keys = None
+            if self.cache is not None:
+                keys = sweep.fingerprints()
+                cached = [self.cache.get(key) for key in keys]
+                hit = np.array([result is not None for result in cached])
+                hits.extend(indices[hit])
+                hit_results.extend(r for r in cached if r is not None)
+                rows = np.flatnonzero(~hit)
+                keys = [keys[row] for row in rows]
+            if rows.size:
                 pending.append(
                     WorkItem(
                         sweep=sweep,
-                        row=row,
+                        rows=rows,
                         shots=shots,
                         purpose=purpose,
                         job=job,
-                        index=index,
-                        fingerprint=key,
-                        release=self._release_one,
+                        indices=indices[rows],
+                        fingerprints=keys,
+                        release=self._release,
                     )
                 )
+        if hits:
+            job.cache_hits += len(hits)
+            with self._lock:
+                self.circuits_from_cache += len(hits)
+            job._fulfill(hits, hit_results)
 
         if not job.circuits:
             job._advance_to(JobStatus.DONE)
             job._done.set()
             return job
         if not pending:
-            # Fully served from cache; the last _fulfill completed it.
+            # Fully served from cache; the _fulfill above completed it.
             return job
 
         try:
-            self._admit(len(pending), timeout)
+            self._admit(sum(item.size for item in pending), timeout)
         except Exception as exc:
             job._fail(exc)
             raise
@@ -535,8 +543,7 @@ class ExecutionService:
             # late _fulfill calls are absorbed and release themselves);
             # un-enqueued reservations are returned here.  The client
             # sees the shutdown error both here and via the future.
-            for _ in range(len(pending) - enqueued):
-                self._release_one()
+            self._release(sum(item.size for item in pending[enqueued:]))
             job._fail(exc)
             raise
         return job

@@ -486,30 +486,6 @@ class TestJobQueueShutdown:
             assert not thread.is_alive()
         assert sorted(consumed) == list(range(8))
 
-    def test_drain_empties_and_orders(self):
-        queue = JobQueue()
-        queue.put("low", priority=5)
-        queue.put("high", priority=1)
-        queue.put("mid", priority=3)
-        assert queue.drain() == ["high", "mid", "low"]
-        assert len(queue) == 0
-
-    def test_drain_unblocks_producers(self):
-        queue = JobQueue(maxsize=1)
-        queue.put("a")
-        unblocked = threading.Event()
-
-        def producer():
-            queue.put("b", timeout=5.0)
-            unblocked.set()
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        time.sleep(0.05)
-        assert queue.drain() == ["a"]
-        assert unblocked.wait(5.0)
-        thread.join(timeout=5.0)
-
 
 # -- serving-tier resilience -------------------------------------------------
 
@@ -594,6 +570,43 @@ class TestServingResilience:
         assert stats["scheduler"]["bisections"] >= 1
         assert stats["scheduler"]["flush_failures"] == 1
         assert service.pending_circuits == 0  # nothing leaked
+
+    def test_poisoned_job_split_across_flushes_fails_alone(self):
+        # Two single-row jobs leave room for two of the poisoned job's
+        # three rows, so its rows ride two 4-row flushes, and the
+        # 6-row healthy job spans two more.
+        with ExecutionService(
+            PoisonBackend(exact=True),
+            enable_cache=False,
+            workers=0,
+            max_batch_size=4,
+            max_delay_s=0.2,
+            retry_policy=RetryPolicy(max_attempts=1),
+        ) as service:
+            singles = [
+                service.submit([ry_circuit(a)], shots=0) for a in (0.1, 0.2)
+            ]
+            poisoned = service.submit(
+                [ry_circuit(a) for a in (0.3, POISON_ANGLE, 0.4)], shots=0
+            )
+            bulk = [ry_circuit(0.5 + 0.1 * k) for k in range(6)]
+            healthy = service.submit(bulk, shots=0)
+            singles += [
+                service.submit([ry_circuit(a)], shots=0) for a in (1.5, 1.6)
+            ]
+            served = healthy.result(timeout=30) + [
+                job.result(timeout=30)[0] for job in singles
+            ]
+            with pytest.raises(JobError) as excinfo:
+                poisoned.result(timeout=30)
+        want = IdealBackend(exact=True).run(
+            bulk + [ry_circuit(a) for a in (0.1, 0.2, 1.5, 1.6)], shots=0
+        )
+        for got, expected in zip(served, want, strict=True):
+            assert np.array_equal(got.expectations, expected.expectations)
+        assert isinstance(excinfo.value.__cause__, FlushError)
+        assert service.stats()["scheduler"]["flush_failures"] == 1
+        assert service.pending_circuits == 0
 
     def test_injected_flush_fault_is_retried_transparently(self):
         plan = FaultPlan(

@@ -123,29 +123,6 @@ class TestJobQueue:
     def test_get_timeout_returns_none(self):
         assert JobQueue().get(timeout=0.01) is None
 
-    def test_backpressure_blocks_then_raises(self):
-        queue = JobQueue(maxsize=1)
-        queue.put("x")
-        with pytest.raises(QueueFull):
-            queue.put("y", timeout=0.01)
-        assert queue.stats()["put_waits"] == 1
-
-    def test_backpressure_releases_when_drained(self):
-        queue = JobQueue(maxsize=1)
-        queue.put("x")
-        done = threading.Event()
-
-        def producer():
-            queue.put("y", timeout=5)
-            done.set()
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        assert queue.get(timeout=1) == "x"
-        assert done.wait(timeout=1)
-        thread.join()
-        assert queue.get(timeout=1) == "y"
-
     def test_close_rejects_new_work_and_wakes_consumers(self):
         queue = JobQueue()
         queue.put("last")
@@ -507,7 +484,7 @@ class TestExecutionService:
             def _fail(self, exc):
                 self.failure = exc
 
-            def _fulfill(self, index, result):
+            def _fulfill(self, indices, results):
                 pass
 
         class InterruptRouter:
@@ -522,18 +499,18 @@ class TestExecutionService:
         items = [
             WorkItem(
                 sweep=CircuitBatch([ghz_circuit()]),
-                row=0,
+                rows=np.array([0]),
                 shots=16,
                 purpose="run",
                 job=job,
-                index=0,
-                release=lambda: released.append(True),
+                indices=np.array([0]),
+                release=released.append,
             )
         ]
         with pytest.raises(KeyboardInterrupt):
             scheduler._run_batch(items, "size")
         assert isinstance(job.failure, KeyboardInterrupt)
-        assert released == [True]
+        assert released == [1]
 
     def test_pool_dispatched_interrupt_reaches_main_thread(self, monkeypatch):
         # The dispatch pool stores a worker's re-raised exception on a
@@ -588,11 +565,11 @@ class TestExecutionService:
         items = [
             WorkItem(
                 sweep=CircuitBatch([ghz_circuit()]),
-                row=0,
+                rows=np.array([0]),
                 shots=16,
                 purpose="run",
                 job=job,
-                index=0,
+                indices=np.array([0]),
             )
         ]
         scheduler._run_batch(items, "size")  # must not raise
@@ -637,7 +614,8 @@ class TestExecutionService:
         assert stats["scheduler"]["flushes"] >= 1
         assert stats["scheduler"]["last_flush"]["meter"]["circuits"] > 0
         assert len(stats["router"]["backends"]) == 2
-        assert stats["queue"]["puts"] == 6
+        # One structure group: one queue put, however many rows.
+        assert stats["queue"]["puts"] == 1
 
 
 class TestCrossClientCoalescing:
@@ -793,6 +771,41 @@ class TestServiceExecutor:
                 == served.training_inferences()
             )
 
+    @pytest.mark.parametrize("max_batch_size", [256, 7])
+    def test_noisy_pgp_training_service_path_matches_direct(
+        self, max_batch_size
+    ):
+        # QC-Train-PGP on the noisy emulator: each step's sweep is one
+        # job whose rows the coalescer splits into whole flushes (or
+        # many 7-row ones), and the sampled results must not notice.
+        from repro.pruning import PruningHyperparams
+        from repro.training import TrainingConfig, TrainingEngine
+
+        config = TrainingConfig(
+            task="mnist4",
+            steps=4,
+            batch_size=8,
+            shots=1024,
+            pruning=PruningHyperparams(
+                accumulation_window=1, pruning_window=2, ratio=0.5
+            ),
+            eval_every=0,
+            eval_size=8,
+            seed=0,
+        )
+        direct = TrainingEngine(
+            config, NoisyBackend.from_device_name("ibmq_jakarta", seed=0)
+        )
+        direct.train()
+        with ExecutionService(
+            NoisyBackend.from_device_name("ibmq_jakarta", seed=0),
+            workers=0,
+            max_batch_size=max_batch_size,
+        ) as service:
+            served = TrainingEngine(config, service=service)
+            served.train()
+        assert np.array_equal(direct.theta, served.theta)
+
     def test_training_engine_requires_backend_or_service(self):
         from repro.training import TrainingConfig, TrainingEngine
 
@@ -927,3 +940,58 @@ class TestSweepAdmission:
             with pytest.raises(JobError, match="never used"):
                 service.submit([extra], shots=0)
             assert service.pending_circuits == 0
+
+    def test_oversized_job_splits_across_flushes_with_single_row_jobs(self):
+        rng = np.random.default_rng(3)
+        big = [ry_circuit(a) for a in rng.uniform(0, np.pi, 60)]
+        singles = [ry_circuit(a) for a in rng.uniform(0, np.pi, 20)]
+        single_jobs = []
+        with ExecutionService(
+            IdealBackend(exact=True),
+            workers=0,
+            max_batch_size=24,
+            max_delay_s=0.01,
+        ) as service:
+            def client():
+                for circuit in singles:
+                    single_jobs.append(service.submit([circuit], shots=0))
+
+            thread = threading.Thread(target=client)
+            thread.start()
+            big_job = service.submit(big, shots=0)
+            thread.join()
+            served = big_job.result(timeout=30) + [
+                job.result(timeout=30)[0] for job in single_jobs
+            ]
+            stats = service.scheduler.stats()
+            puts = service.queue.stats()["puts"]
+        direct = IdealBackend(exact=True).run(big + singles, shots=0)
+        for got, want in zip(served, direct, strict=True):
+            assert np.array_equal(got.expectations, want.expectations)
+        assert stats["largest_batch"] == 24
+        assert stats["circuits_dispatched"] == len(big) + len(singles)
+        assert puts == 1 + len(singles)
+
+    def test_partly_cached_sweep_queues_only_missing_rows(self):
+        from repro.circuits import get_architecture
+
+        arch = get_architecture("mnist4")
+        rng = np.random.default_rng(8)
+        theta = rng.uniform(-1, 1, arch.num_parameters)
+        sweep = arch.sweep(rng.uniform(0, np.pi, (10, arch.n_features)), theta)
+        with ExecutionService(
+            IdealBackend(exact=True), workers=0, max_batch_size=4
+        ) as service:
+            service.run(sweep.circuits()[::2], shots=0)  # every other row
+            before = service.scheduler.stats()["circuits_dispatched"]
+            job = service.submit(sweep, shots=0)
+            served = job.result(timeout=30)
+            dispatched = (
+                service.scheduler.stats()["circuits_dispatched"] - before
+            )
+        assert job.cache_hits == 5
+        assert dispatched == 5
+        want = IdealBackend(exact=True).run_sweep(sweep, shots=0)
+        assert np.array_equal(
+            np.stack([result.expectations for result in served]), want
+        )
