@@ -153,13 +153,14 @@ class NoiseModel:
     def superop_for(self, op) -> np.ndarray | None:
         """Composed 4x4 channel matrix applied per touched qubit of ``op``.
 
-        Fast path for the density simulators: the whole per-qubit channel
-        stack (depolarizing + thermal relaxation + coherent bias) collapses
-        into a single superoperator.  Returns ``None`` when the model is
-        noise-free (``scale == 0``).  Like :meth:`channels_for`, accepts
-        a ``BoundOp`` or an ``OpTemplate``; the returned (cached) matrix
-        is angle-independent and therefore shared across every circuit
-        of a batched evolution.
+        The whole per-qubit channel stack (depolarizing + thermal
+        relaxation + coherent bias) collapsed into a single
+        superoperator — bit for bit the matrix the plan compiler builds
+        from :meth:`channels_for` for each touched wire.  Returns
+        ``None`` when the model is noise-free (``scale == 0``).  Like
+        :meth:`channels_for`, accepts a ``BoundOp`` or an
+        ``OpTemplate``; the returned (cached) matrix is
+        angle-independent.
         """
         if self.scale == 0.0:
             return None

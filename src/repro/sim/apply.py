@@ -150,8 +150,11 @@ def kraus_to_superop(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     """
     if not kraus_ops:
         raise ValueError("channel must have at least one Kraus operator")
-    dim = kraus_ops[0].shape[0]
+    ops = np.asarray(kraus_ops, dtype=np.complex128)
+    count, dim, _ = ops.shape
+    # Every np.kron(K, conj(K)) at once: [(i, k), (j, l)] = K_ij conj(K_kl).
+    terms = (ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :])
     out = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for kraus in kraus_ops:
-        out += np.kron(kraus, kraus.conj())
+    for term in terms.reshape(count, dim * dim, dim * dim):
+        out += term
     return out

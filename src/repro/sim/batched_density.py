@@ -102,9 +102,9 @@ class BatchedDensityMatrix:
 
         Replays the batch structure's compiled density :class:`~repro.
         sim.compile.ExecutionPlan`, whose steps interleave the gates
-        with the noise model's channels (precomposed per-wire
-        superoperators, or generic Kraus steps for models without the
-        ``superop_for`` fast path).  A stack still at its default
+        with the noise model's channels (each wire's ``channels_for``
+        stack precomposed into one superoperator and folded into that
+        wire's chain).  A stack still at its default
         ``|0...0><0...0|`` rows lets a sweep whose rows share angle
         prefixes replay as a prefix trie; results are bit-identical
         either way.

@@ -37,9 +37,10 @@ tensor, instead of one GEMM per gate:
   superoperator application per wire per segment
   (:class:`WireChainStep`).  A channel only fences fusion on its own
   wire; diagonal two-qubit gates in between still specialize to
-  elementwise multiplies.  Noise models without the ``superop_for``
-  fast path fall back to per-gate Kraus steps with no fusion, keeping
-  the generic channel ordering exact.
+  elementwise multiplies.  Any model that yields single-wire
+  ``(kraus_ops, wires)`` channels from ``channels_for`` lowers this
+  way: each wire's channels after a gate compose into one 4x4 via
+  :func:`~repro.sim.apply.kraus_to_superop`.
 * **Prefix-trie replay** — rows of a fresh sweep that agree on every
   angle consumed so far hold the same state (a parameter-shift row and
   its base row up to the shifted gate; duplicated rows throughout).
@@ -88,6 +89,7 @@ from repro.sim import gates as _gates
 FUSE_MAX = 2
 
 _EYE2 = np.eye(2, dtype=np.complex128)
+_EYE4 = np.eye(4, dtype=np.complex128)
 
 #: Basis permutation swapping the two wires of a 4x4 matrix.
 _SWAP_PERM = np.array([0, 2, 1, 3], dtype=np.intp)
@@ -664,36 +666,6 @@ class WireChainStep:
         return self._layout.apply(tensor, superops)
 
 
-@dataclasses.dataclass
-class KrausStep:
-    """A generic Kraus channel step (density only, no fusion)."""
-
-    wires: tuple[int, ...]
-    kraus_ops: tuple[np.ndarray, ...]
-
-    kind = "kraus"
-
-    def finalize(self, n_qubits: int, mode: str, layout: _Layout) -> None:
-        _require_density(mode)
-        # The generic Kraus kernel expects the canonical axis order:
-        # restore it first and reset the symbolic layout.
-        self._restore = layout.restore()
-        layout.perm = tuple(range(layout.rank))
-
-    def param_ops(self):
-        return []
-
-    def operand(self, matrices):
-        return None
-
-    def apply(self, tensor, operand):
-        if self._restore is not None:
-            tensor = tensor.transpose(self._restore)
-        return _apply.apply_kraus_to_density_batched(
-            tensor, self.kraus_ops, self.wires
-        )
-
-
 # ---------------------------------------------------------------------------
 # Prefix-trie replay schedules
 # ---------------------------------------------------------------------------
@@ -1001,16 +973,10 @@ class ExecutionPlan:
                 total += cost_model.diag_gate_ops(self.n_qubits)
             elif step.kind == "permutation":
                 total += cost_model.permutation_gate_ops(self.n_qubits)
-            elif step.kind == "superop":
+            else:  # superop
                 # One 4x4 on the wire's fused (ket, bra) index pair of
                 # the density tensor: like a single-qubit GEMM.
                 total += cost_model.kqubit_gate_ops(self.n_qubits, 1)
-            else:  # kraus: one conjugation per operator
-                total += 2.0 * len(step.kraus_ops) * (
-                    cost_model.kqubit_gate_ops(
-                        self.n_qubits, len(step.wires)
-                    )
-                )
         return total
 
     def describe(self) -> str:
@@ -1618,7 +1584,7 @@ def _merge_adjacent(steps: list) -> list:
 
 
 def _compile_noisy_superop(
-    ops: list[_Op], superops: list[np.ndarray | None], fuse_max: int
+    ops: list[_Op], channels: list[dict[int, np.ndarray]]
 ) -> list:
     """Wire-chain lowering of a noisy op sequence (density mode).
 
@@ -1628,7 +1594,8 @@ def _compile_noisy_superop(
     their own specialized step, and seed fresh chains with their
     channels.  Chains on untouched wires stay open across other wires'
     activity — a reorder that only ever commutes disjoint-support
-    operations.
+    operations.  ``channels[i]`` is op ``i``'s ``{wire: superoperator}``
+    from :func:`_channel_superops`.
     """
     steps: list = []
     chains: "OrderedDict[int, list[_Factor]]" = OrderedDict()
@@ -1638,10 +1605,9 @@ def _compile_noisy_superop(
         if factors:
             steps.append(WireChainStep(wire, _fold_factors(factors)))
 
-    for op, superop in zip(ops, superops):
+    for op, superops in zip(ops, channels):
         if len(op.wires) == 1:
-            wire = op.wires[0]
-            chain = chains.setdefault(wire, [])
+            chain = chains.setdefault(op.wires[0], [])
             if op.parameterized:
                 chain.append(
                     _Factor(
@@ -1651,41 +1617,54 @@ def _compile_noisy_superop(
             else:
                 matrix = _gates.fixed_gate_matrix(op.name)
                 chain.append(_Factor(matrix=_kron_conj(matrix)))
-            if superop is not None:
-                chain.append(_Factor(matrix=superop))
         else:
             for wire in op.wires:
                 flush(wire)
             step = _finalize_block(_Block(op))
             if step is not None:
                 steps.append(step)
-            if superop is not None:
-                for wire in op.wires:
-                    chains.setdefault(wire, []).append(
-                        _Factor(matrix=superop)
-                    )
+        for wire, superop in superops.items():
+            chains.setdefault(wire, []).append(_Factor(matrix=superop))
     for wire in list(chains):
         flush(wire)
     return steps
 
 
-def _compile_noisy_kraus(ops: list[_Op], noise_model) -> list:
-    """Per-gate lowering for generic Kraus-only noise models.
+def _channel_superops(ops: list[_Op], noise_model) -> list[dict]:
+    """Per op, the ``{wire: 4x4 superoperator}`` of its trailing channels.
 
-    No fusion: the circuit's exact gate/channel interleaving is
-    preserved, each gate becoming its own (still specialized) single-op
-    step.
+    Each wire's channels compose in the order ``channels_for`` yields
+    them, left-multiplying from the identity exactly as
+    :meth:`~repro.noise.NoiseModel.superop_for` does; channels on
+    different wires commute, so yield order across wires is free.  A
+    model that hands out the same Kraus lists per gate type composes
+    each distinct wire stack once per compile.
     """
-    steps: list = []
+    composed: dict[tuple, tuple] = {}  # stack ids -> (stack, superop)
+    out = []
     for op in ops:
-        step = _finalize_block(_Block(op))
-        if step is not None:
-            steps.append(step)
+        stacks: dict[int, list] = {}
         for kraus_ops, wires in noise_model.channels_for(
             _TemplateView(op.name, op.wires)
         ):
-            steps.append(KrausStep(tuple(wires), tuple(kraus_ops)))
-    return steps
+            if len(wires) != 1:
+                raise ValueError(
+                    f"channel after {op.name!r} acts on wires "
+                    f"{tuple(wires)}; plans lower single-wire channels only"
+                )
+            stacks.setdefault(int(wires[0]), []).append(kraus_ops)
+        superops = {}
+        for wire, stack in stacks.items():
+            key = tuple(map(id, stack))
+            if key not in composed:
+                superop = _EYE4
+                for kraus_ops in stack:
+                    superop = _apply.kraus_to_superop(kraus_ops) @ superop
+                # Holding the stack keeps its ids from being reused.
+                composed[key] = (stack, superop)
+            superops[wire] = composed[key][1]
+        out.append(superops)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1711,11 +1690,13 @@ def compile_circuit(
             enter the plan, so the plan serves every circuit sharing
             the representative's ``structure_signature``.
         mode: ``"statevector"`` or ``"density"``.
-        noise_model: Optional noise model (density mode only); its
-            per-gate channels are baked in as precomposed superoperator
-            steps (or generic Kraus steps when the model offers no
-            ``superop_for``).  The plan is only valid for this exact
-            model — cache accordingly.
+        noise_model: Optional noise model (density mode only): any
+            object whose ``channels_for(op)`` yields ``(kraus_ops,
+            wires)`` pairs after each op.  Each wire's channels are
+            baked in as one precomposed superoperator folded into that
+            wire's chain; a channel on more than one wire raises
+            ``ValueError``.  The plan is only valid for this exact model
+            — cache accordingly.
         fuse_max: Maximum combined wire support of a fused block
             (1..2; larger blocks would need generic embeddings).
 
@@ -1744,18 +1725,12 @@ def compile_circuit(
     if noise_model is None:
         steps = _compile_unitary(ops, fuse_max)
     else:
-        fast = getattr(noise_model, "superop_for", None)
-        if fast is None:
-            steps = _compile_noisy_kraus(ops, noise_model)
+        channels = _channel_superops(ops, noise_model)
+        if any(channels):
+            steps = _compile_noisy_superop(ops, channels)
         else:
-            superops = [
-                fast(_TemplateView(op.name, op.wires)) for op in ops
-            ]
-            if all(s is None for s in superops):
-                # Noise-free model (scale 0): full unitary fusion.
-                steps = _compile_unitary(ops, fuse_max)
-            else:
-                steps = _compile_noisy_superop(ops, superops, fuse_max)
+            # Noise-free model (scale 0): full unitary fusion.
+            steps = _compile_unitary(ops, fuse_max)
     steps = _merge_adjacent(steps)
     return ExecutionPlan(
         n_qubits=circuit.n_qubits,

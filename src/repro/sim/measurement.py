@@ -48,9 +48,14 @@ def expectation_z_from_counts(
 def expectation_z_from_probabilities(probs: np.ndarray) -> np.ndarray:
     """Per-qubit <Z> from an exact probability vector of length 2^n."""
     probs = np.asarray(probs, dtype=np.float64)
-    if 2 ** int(np.log2(probs.size)) != probs.size:
-        raise ValueError("probability vector length is not a power of two")
     return expectation_z_from_prob_matrix(probs.reshape(1, -1))[0]
+
+
+def _n_qubits(dim: int) -> int:
+    """Qubit count of a length-``dim`` outcome axis (a power of two)."""
+    if not (dim > 0 and dim & (dim - 1) == 0):
+        raise ValueError(f"row length {dim} is not a power of two")
+    return dim.bit_length() - 1
 
 
 def expectation_z_from_prob_matrix(probs: np.ndarray) -> np.ndarray:
@@ -62,22 +67,32 @@ def expectation_z_from_prob_matrix(probs: np.ndarray) -> np.ndarray:
     Returns:
         ``(B, n)`` expectations, ``out[b, k] = P_b(bit k=0) - P_b(bit k=1)``.
 
-    The marginal of qubit ``k`` is taken with a reshape-based reduction
-    — view the row as ``(2^k, 2, 2^(n-k-1))`` and sum the outer axes —
-    which reduces each batch row on its own, so stacking circuits never
-    changes a single bit of the readout.
+    A halving reduction: qubit 0 is the most significant bit, so its
+    ``<Z>`` is the sum of each row's upper half minus its lower half,
+    and adding the two halves marginalizes it out, leaving a
+    ``(B, 2^(n-1))`` buffer over qubits ``1..n-1`` to repeat on.  The
+    first level writes a fresh buffer (``probs`` is never mutated);
+    later levels add in place.  About ``2 * 2^n`` reads per row in
+    contiguous runs, where one strided pass per qubit costs
+    ``n * 2^n``.  Every sum runs along a single row, so stacking
+    circuits never changes a bit of the readout.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("expected a (B, 2^n) probability matrix")
     batch, dim = probs.shape
-    n_qubits = int(np.log2(dim))
-    if 2**n_qubits != dim:
-        raise ValueError("probability row length is not a power of two")
+    n_qubits = _n_qubits(dim)
     out = np.empty((batch, n_qubits), dtype=np.float64)
+    buf = probs
     for k in range(n_qubits):
-        marginal = probs.reshape(batch, 2**k, 2, -1).sum(axis=(1, 3))
-        out[:, k] = marginal[:, 0] - marginal[:, 1]
+        half = dim >> (k + 1)
+        halves = buf[:, : 2 * half].reshape(batch, 2, half).sum(axis=2)
+        out[:, k] = halves[:, 0] - halves[:, 1]
+        upper, lower = buf[:, :half], buf[:, half : 2 * half]
+        if buf is probs:
+            buf = upper + lower
+        else:
+            upper += lower
     return out
 
 
@@ -104,7 +119,7 @@ def sample_outcome_matrix(
 
 def outcome_matrix_to_counts(outcomes: np.ndarray) -> list[dict[str, int]]:
     """Convert an outcome matrix into per-row bitstring count dicts."""
-    n_qubits = int(np.log2(outcomes.shape[1]))
+    n_qubits = _n_qubits(outcomes.shape[1])
     results = []
     for row in outcomes:
         counts: dict[str, int] = {}
@@ -125,9 +140,7 @@ def expectation_z_from_outcome_matrix(outcomes: np.ndarray) -> np.ndarray:
     outcomes = np.asarray(outcomes)
     if outcomes.ndim != 2:
         raise ValueError("expected a (B, 2^n) outcome matrix")
-    dim = outcomes.shape[1]
-    if 2 ** int(np.log2(dim)) != dim:
-        raise ValueError("outcome row length is not a power of two")
+    _n_qubits(outcomes.shape[1])
     totals = outcomes.sum(axis=1)
     if np.any(totals == 0):
         raise ValueError("counts are empty")

@@ -49,7 +49,7 @@ from repro.sim import (
 import dense_reference as ref
 
 class KrausOnly:
-    """Noise model view without the superop fast path."""
+    """Noise model view that offers only ``channels_for``."""
 
     def __init__(self, model):
         self.channels_for = model.channels_for
@@ -404,6 +404,9 @@ class TestBatchedDensityMatrix:
             )
             want = ref.density_matrix(circuits[row], KrausOnly(model))
             assert np.max(np.abs(stacked.matrices[row] - want)) < 1e-10
+        # One lowering: the Kraus-only view replays the full model's plan.
+        full = run_density_batch(CircuitBatch(circuits), noise_model=model)
+        assert np.array_equal(stacked.matrices, full.matrices)
 
     def test_sampling_matches_sequential_stream(self):
         rng = np.random.default_rng(103)

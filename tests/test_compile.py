@@ -5,7 +5,7 @@ The plan layer's contract has three legs:
 * plan replay agrees with the dense reference oracle
   (``tests/dense_reference.py``) within 1e-10 on every engine
   (statevector / density, single / batched, logical / transpiled, ideal
-  / noisy with superoperator or Kraus-only noise models), and is
+  / noisy with full or Kraus-only noise models), and is
   deterministic per seed;
 * a single-state engine is a batch of one: its result is bit-identical
   to the circuit's row of a larger batch under the same plan;
@@ -39,7 +39,6 @@ from repro.sim.compile import (
     ConstantStep,
     DiagStep,
     FusedStep,
-    KrausStep,
     PermutationStep,
     WireChainStep,
 )
@@ -91,7 +90,7 @@ def sweep_circuit(n_qubits=4, layers=("ry", "rzz", "rz", "cz"), reps=3, seed=5):
 
 
 class KrausOnly:
-    """Noise model view without the ``superop_for`` fast path."""
+    """Noise model view that offers only ``channels_for``."""
 
     def __init__(self, model):
         self.channels_for = model.channels_for
@@ -170,15 +169,40 @@ class TestCompilerLowering:
         )
         kinds = plan.step_counts()
         assert kinds.get("superop", 0) > 0
-        assert kinds.get("kraus", 0) == 0
+        assert set(kinds) <= {"superop", "matmul", "diag", "permutation"}
         assert any(isinstance(s, WireChainStep) for s in plan.steps)
 
-    def test_kraus_only_model_gets_kraus_steps(self):
+    def test_kraus_only_model_lowers_to_wire_chains(self):
+        """``channels_for`` alone lowers to the same wire chains, and the
+        chains' superoperators are bit-identical to ``superop_for``'s."""
         model = NoiseModel(get_calibration("ibmq_manila"))
+        circuit = sweep_circuit()
         plan = compile_circuit(
-            sweep_circuit(), mode="density", noise_model=KrausOnly(model)
+            circuit, mode="density", noise_model=KrausOnly(model)
         )
-        assert any(isinstance(s, KrausStep) for s in plan.steps)
+        full = compile_circuit(circuit, mode="density", noise_model=model)
+        assert plan.describe() == full.describe()
+        assert any(isinstance(s, WireChainStep) for s in plan.steps)
+        lone = QuantumCircuit(2).add("rzz", (0, 1), 0.4)
+        chains = compile_circuit(
+            lone, mode="density", noise_model=KrausOnly(model)
+        ).steps[1:]
+        assert [step.wire for step in chains] == [0, 1]
+        want = model.superop_for(lone.operations[0])
+        for step in chains:
+            (factor,) = step.factors
+            assert np.array_equal(factor.matrix, want)
+
+    def test_multi_wire_channel_is_rejected_at_compile_time(self):
+        class PairChannel:
+            def channels_for(self, op):
+                yield [np.eye(4, dtype=complex)], (0, 1)
+
+        circuit = QuantumCircuit(2).add("h", 0)
+        with pytest.raises(ValueError, match="single-wire"):
+            compile_circuit(
+                circuit, mode="density", noise_model=PairChannel()
+            )
 
     def test_scale_zero_model_compiles_pure_unitary(self):
         model = NoiseModel(get_calibration("ibmq_lima"), scale=0.0)
@@ -241,8 +265,7 @@ class TestFusedEquivalence:
         base = random_structure(rng, n_qubits, n_ops=int(rng.integers(4, 18)))
         circuits = [rebind(base, rng) for _ in range(4)]
         plan = compile_circuit(base, mode="density", noise_model=model)
-        if kraus_only:
-            assert any(isinstance(s, KrausStep) for s in plan.steps)
+        assert any(isinstance(s, WireChainStep) for s in plan.steps)
         batch = CircuitBatch(circuits)
         stacked = BatchedDensityMatrix(n_qubits, 4).evolve(batch, plan=plan)
         for row, circuit in enumerate(circuits):

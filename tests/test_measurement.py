@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import measurement as m
+
+import dense_reference as ref
 
 PROBS = st.floats(min_value=0.0, max_value=1.0)
 
@@ -81,6 +85,70 @@ class TestExpectations:
     def test_outcome_matrix_validated(self, outcomes, message):
         with pytest.raises(ValueError, match=message):
             m.expectation_z_from_outcome_matrix(outcomes)
+
+
+class TestHalvingReadout:
+    """The one ``<Z>`` reduction every engine and sampled path ends in."""
+
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    def test_matches_dense_reference_and_batch_of_one(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        probs = rng.dirichlet(np.ones(2**n_qubits), size=6)
+        before = probs.copy()
+        stacked = m.expectation_z_from_prob_matrix(probs)
+        assert np.array_equal(probs, before)
+        assert stacked.shape == (6, n_qubits)
+        for row, values in zip(probs, stacked):
+            assert np.max(np.abs(values - ref.expectations_z(row))) < 1e-14
+            alone = m.expectation_z_from_prob_matrix(row[np.newaxis])
+            assert np.array_equal(alone[0], values)
+            assert np.array_equal(
+                m.expectation_z_from_probabilities(row), values
+            )
+
+    @pytest.mark.parametrize("n_qubits", [1, 4, 10])
+    def test_outcome_matrix_matches_dense_reference(self, n_qubits):
+        rng = np.random.default_rng(100 + n_qubits)
+        probs = rng.dirichlet(np.ones(2**n_qubits), size=5)
+        outcomes = m.sample_outcome_matrix(probs, 1024, rng)
+        before = outcomes.copy()
+        stacked = m.expectation_z_from_outcome_matrix(outcomes)
+        assert np.array_equal(outcomes, before)
+        for row, values in zip(outcomes, stacked):
+            want = ref.expectations_z(row / row.sum())
+            assert np.max(np.abs(values - want)) < 1e-14
+            alone = m.expectation_z_from_outcome_matrix(row[np.newaxis])
+            assert np.array_equal(alone[0], values)
+
+    def test_sampled_outcomes_pinned(self):
+        """Sampling is untouched by the readout: a recorded seed's draw."""
+        probs = np.random.default_rng(0).random((3, 8))
+        probs /= probs.sum(axis=1, keepdims=True)
+        outcomes = m.sample_outcome_matrix(
+            probs, 64, np.random.default_rng(7)
+        )
+        assert np.array_equal(
+            outcomes,
+            [
+                [11, 7, 1, 0, 10, 18, 3, 14],
+                [11, 17, 11, 0, 10, 0, 12, 3],
+                [15, 10, 12, 8, 0, 5, 9, 5],
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "readout,empty",
+        [
+            (m.expectation_z_from_prob_matrix, np.zeros((2, 0))),
+            (m.expectation_z_from_probabilities, np.zeros(0)),
+            (m.expectation_z_from_outcome_matrix, np.zeros((2, 0), int)),
+        ],
+    )
+    def test_empty_rows_raise_value_error(self, readout, empty):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="power of two"):
+                readout(empty)
 
 
 class TestReadoutError:

@@ -6,8 +6,9 @@ rows — replays as a prefix trie (``repro.sim.compile._prefix_trie``).
 The contract pinned here:
 
 * every row is ``np.array_equal`` to the same row run as a batch of
-  one, and within 1e-10 of the dense reference, on statevector,
-  superoperator-density and Kraus-only density plans;
+  one, and within 1e-10 of the dense reference, on statevector and
+  density plans, the latter lowered from a full noise model or from a
+  Kraus-only view of it;
 * the trie engages only on what the input shows — rows that start
   equal, enough work (``TRIE_MIN_WORK``), rows not already distinct at
   the first parameterized step — and otherwise the plain replay runs.
@@ -33,7 +34,7 @@ from repro.noise.calibration import get_calibration
 from repro.noise.model import NoiseModel
 from repro.sim import BatchedDensityMatrix, BatchedStatevector, compile_circuit
 from repro.sim import compile as sim_compile
-from repro.sim.compile import KrausStep
+from repro.sim.compile import WireChainStep
 
 import dense_reference as ref
 
@@ -42,7 +43,7 @@ _PAIRS = ["rzz", "rxx", "cz", "cx"]
 
 
 class KrausOnly:
-    """Noise model view without the ``superop_for`` fast path."""
+    """Noise model view that offers only ``channels_for``."""
 
     def __init__(self, model):
         self.channels_for = model.channels_for
@@ -132,8 +133,7 @@ def build_plan(circuit, engine: str):
     if engine == "kraus":
         model = KrausOnly(model)
     plan = compile_circuit(circuit, mode="density", noise_model=model)
-    if engine == "kraus":
-        assert any(isinstance(step, KrausStep) for step in plan.steps)
+    assert any(isinstance(step, WireChainStep) for step in plan.steps)
     return plan, model
 
 
