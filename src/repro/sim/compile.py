@@ -8,10 +8,12 @@ flushes, worker-pool shards) then replays on a ``(B, 2, ..., 2)``
 tensor, instead of one GEMM per gate:
 
 * **Fusion** — adjacent gates whose combined wire support stays within
-  ``FUSE_MAX`` qubits collapse into one stacked unitary: fewer, fatter
+  the register's block width (2 wires below 6 qubits, ``FUSE_MAX`` = 3
+  from there on) collapse into one stacked unitary: fewer, fatter
   GEMMs.  Gates on disjoint wires commute exactly, so a gate may join
   the deepest open block that shares its wires even when unrelated
-  gates sit between them in program order.
+  gates sit between them in program order.  ``_embed`` lifts each op
+  into its block.
 * **Constant folding** — runs of parameterless gates precompose into a
   single matrix at compile time, shared batch-wide forever.
 * **Kernel specialization** — blocks that are diagonal become one
@@ -28,7 +30,7 @@ tensor, instead of one GEMM per gate:
   per gate type (:func:`repro.sim.gates.batched_rotation` over every
   occurrence x batch row at once), instead of one build per op per
   call.  Steps then compose the prebuilt ``(B, d, d)`` stacks with
-  plain ``matmul`` and compile-time kron embeddings.
+  plain ``matmul``, each op already lifted into its block.
 * **Noise segments** (density mode) — each gate's per-wire channel
   stack is precomposed into a single 4x4 superoperator at compile
   time, and — because a single-qubit unitary's conjugation is itself a
@@ -73,6 +75,7 @@ per-row operations on exactly the data its rows would run alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
@@ -82,17 +85,13 @@ import numpy as np
 from repro.sim import apply as _apply
 from repro.sim import gates as _gates
 
-#: Default maximum combined wire support of one fused unitary block.
-#: 2 keeps every fused matrix at most 4x4 — single-qubit runs and
-#: two-qubit neighborhoods collapse while application cost per step
-#: stays at the cost of one two-qubit gate.
-FUSE_MAX = 2
+#: Widest fused block, in wires; see :func:`compile_circuit`.  From 6
+#: qubits an 8x8 block costs about what a 4x4 one does per pass over
+#: the state and saves passes; the ``4^k`` block matrix never outgrows
+#: the ``2^n`` state.
+FUSE_MAX = 3
 
-_EYE2 = np.eye(2, dtype=np.complex128)
 _EYE4 = np.eye(4, dtype=np.complex128)
-
-#: Basis permutation swapping the two wires of a 4x4 matrix.
-_SWAP_PERM = np.array([0, 2, 1, 3], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -102,28 +101,9 @@ _SWAP_PERM = np.array([0, 2, 1, 3], dtype=np.intp)
 # Parameterized ops are *prepared* once per plan execution: one
 # vectorized closed-form evaluation per (gate type, embedding) group
 # builds the matrices for every occurrence x batch row at once, already
-# lifted into the basis their step consumes them in (kron-embedded into
-# a 2-wire block, conjugation superoperator, bare diagonal, ...).
+# lifted into the basis their step consumes them in (gathered into a
+# fused block, conjugation superoperator, bare diagonal, ...).
 # Steps then reduce to plain matmuls / gathers over prebuilt stacks.
-
-def _embed0(mats: np.ndarray) -> np.ndarray:
-    # kron(U, I): the op acts on the block's first (most significant)
-    # wire — out[..., (i,k), (j,l)] = U[..., i, j] * eye[k, l], via one
-    # broadcast multiply (cheaper than einsum on these tiny stacks).
-    out = mats[..., :, None, :, None] * _EYE2[None, :, None, :]
-    return out.reshape(mats.shape[:-2] + (4, 4))
-
-
-def _embed1(mats: np.ndarray) -> np.ndarray:
-    # kron(I, U): the op acts on the block's second wire.
-    out = mats[..., None, :, None, :] * _EYE2[:, None, :, None]
-    return out.reshape(mats.shape[:-2] + (4, 4))
-
-
-def _embed_swap(mats: np.ndarray) -> np.ndarray:
-    # Two-qubit op whose wire order is reversed within the block.
-    return mats[..., _SWAP_PERM, :][..., :, _SWAP_PERM]
-
 
 def _kron_conj(mats: np.ndarray) -> np.ndarray:
     """``U (x) conj(U)``: the superoperator of a unitary conjugation."""
@@ -131,14 +111,40 @@ def _kron_conj(mats: np.ndarray) -> np.ndarray:
     return out.reshape(mats.shape[:-2] + (4, 4))
 
 
-#: Embedding applied group-wide during preparation, keyed by tag.
-_EMBEDDINGS = {
-    "raw": lambda mats: mats,
-    "embed0": _embed0,
-    "embed1": _embed1,
-    "swap": _embed_swap,
-    "kron": _kron_conj,
-}
+@functools.lru_cache(maxsize=None)
+def _gather_map(axes: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+    """Flat gather index and 0/1 mask lifting an op on ``axes`` of a
+    ``k``-wire block: entry ``(r, c)`` is the op's entry at the bits of
+    ``r`` and ``c`` on ``axes``, times 1 where they agree off ``axes``
+    (``kron(U, I)``'s products, any placement).  Shared, so read-only.
+    """
+    jmap = _expand_map(axes, k)
+    index = (jmap[:, None] * 2 ** len(axes) + jmap[None, :]).ravel()
+    rest = np.arange(2**k) & ~sum(1 << (k - 1 - a) for a in axes)
+    mask = (rest[:, None] == rest[None, :]).ravel().astype(np.complex128)
+    index.flags.writeable = mask.flags.writeable = False
+    return index, mask
+
+
+def _embed(tag, mats: np.ndarray) -> np.ndarray:
+    """Lift op matrices into the basis their step consumes them in.
+
+    ``tag`` is ``"kron"`` (a wire chain's conjugation superoperator) or
+    ``(axes, k)``, the op's axes in a ``k``-wire block.  The mask
+    multiplies complex by complex, as ``kron(U, I)`` does: the same
+    entries, signed zeros included.
+    """
+    if tag == "kron":
+        return _kron_conj(mats)
+    axes, k = tag
+    if axes == tuple(range(k)):
+        return mats
+    index, mask = _gather_map(axes, k)
+    lead = mats.shape[:-2]
+    out = mats.reshape(lead + (-1,))[..., index]
+    if len(axes) < k:
+        out *= mask
+    return out.reshape(lead + (2**k, 2**k))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,7 +153,7 @@ class _ParamUse:
 
     name: str
     position: int
-    embed: str  # key of _EMBEDDINGS, or "diag" for bare diagonals
+    embed: object  # an _embed tag, or "diag" for bare diagonals
 
 
 @dataclasses.dataclass
@@ -155,7 +161,7 @@ class _ParamGroup:
     """All same-way-consumed occurrences of one gate type in a plan."""
 
     name: str
-    embed: str
+    embed: object
     positions: list[int]
     steps: list[int]  # index of the step consuming each position
     closed_form: bool
@@ -249,33 +255,14 @@ def _prepare_matrices(
         if group.embed == "diag":
             prepared = _group_diagonals(group, stacked)
         else:
-            prepared = _EMBEDDINGS[group.embed](
-                _group_raw_matrices(group, stacked)
+            prepared = _embed(
+                group.embed, _group_raw_matrices(group, stacked)
             )
         start = 0
         for position, value in zip(group.positions, values):
             matrices[position] = prepared[start : start + len(value)]
             start += len(value)
     return matrices
-
-
-def _embed_tag(axes: tuple[int, ...], block_k: int) -> str:
-    """Pick the embedding that lifts an op matrix into block basis."""
-    if block_k == 1:
-        return "raw"
-    if block_k == 2:
-        if axes == (0,):
-            return "embed0"
-        if axes == (1,):
-            return "embed1"
-        if axes == (0, 1):
-            return "raw"
-        if axes == (1, 0):
-            return "swap"
-    raise ValueError(
-        f"no embedding for axes {axes} in a {block_k}-wire block "
-        f"(fuse_max > 2 is not supported)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +330,17 @@ class _Layout:
         return tuple(int(i) for i in np.argsort(self.perm))
 
 
+def _spent(tensor: np.ndarray, operand: np.ndarray) -> np.ndarray | None:
+    """A replay intermediate's buffer, dead once copied into ``operand``,
+    as its matmul's output: one fresh state-sized array per step, not
+    two, keeps wide replays out of allocator page-fault churn.  ``None``
+    when ``operand`` is a view of ``tensor`` (the overlap forces a copy).
+    """
+    if np.may_share_memory(operand, tensor):
+        return None
+    return tensor.reshape(operand.shape)
+
+
 class _MatmulLayout:
     """Per-step transpose/reshape recipe under deferred layout."""
 
@@ -352,11 +350,11 @@ class _MatmulLayout:
         self.fwd = layout.to_front(axes)
         self.dim = 2 ** len(axes)
 
-    def apply(self, tensor: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    def apply(self, tensor, mats, owned: bool) -> np.ndarray:
         moved = tensor.transpose(self.fwd)
         flat = moved.reshape(tensor.shape[0], self.dim, -1)
-        out = np.matmul(mats, flat)
-        return out.reshape(moved.shape)
+        out = _spent(tensor, flat) if owned else None
+        return np.matmul(mats, flat, out=out).reshape(moved.shape)
 
     def take(self, tensor: np.ndarray, source: np.ndarray) -> np.ndarray:
         moved = tensor.transpose(self.fwd)
@@ -439,11 +437,11 @@ class ConstantStep:
     def operand(self, matrices):
         return None
 
-    def apply(self, tensor, operand):
-        out = self._ket.apply(tensor, self.matrix)
+    def apply(self, tensor, operand, owned):
+        out = self._ket.apply(tensor, self.matrix, owned)
         if self._bra is None:
             return out
-        return self._bra.apply(out, self._conj)
+        return self._bra.apply(out, self._conj, True)
 
 
 @dataclasses.dataclass
@@ -459,7 +457,7 @@ class _Factor:
     matrix: np.ndarray | None = None
     name: str | None = None
     position: int | None = None
-    embed: str | None = None
+    embed: object = None  # the _embed tag of a parameterized op
 
 
 def _fold_factors(factors: list[_Factor]) -> list[_Factor]:
@@ -529,11 +527,11 @@ class FusedStep:
     def operand(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def apply(self, tensor, block):
-        out = self._ket.apply(tensor, block)
+    def apply(self, tensor, block, owned):
+        out = self._ket.apply(tensor, block, owned)
         if self._bra is None:
             return out
-        return self._bra.apply(out, block.conj())
+        return self._bra.apply(out, block.conj(), True)
 
 
 @dataclasses.dataclass
@@ -584,8 +582,9 @@ class DiagStep:
             total = d if total is None else total * d
         return total
 
-    def apply(self, tensor, diags):
-        out = tensor * self._ket.factor(diags)
+    def apply(self, tensor, diags, owned):
+        factor = self._ket.factor(diags)
+        out = np.multiply(tensor, factor, out=tensor if owned else None)
         if self._bra is not None:
             out *= self._bra.factor(diags.conj())
         return out
@@ -618,7 +617,7 @@ class PermutationStep:
     def operand(self, matrices):
         return None
 
-    def apply(self, tensor, operand):
+    def apply(self, tensor, operand, owned):
         out = self._ket.take(tensor, self.source)
         if self._bra is None:
             return out
@@ -662,8 +661,8 @@ class WireChainStep:
     def operand(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def apply(self, tensor, superops):
-        return self._layout.apply(tensor, superops)
+    def apply(self, tensor, superops, owned):
+        return self._layout.apply(tensor, superops, owned)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +869,8 @@ class ExecutionPlan:
         """Evolve a stacked ``(B,) + (2,)*n`` (or ``*2n``) tensor.
 
         Args:
-            tensor: The stacked states, canonical axis order.
+            tensor: The stacked states, canonical axis order; never
+                written (steps after the first overwrite intermediates).
             params: The rows' angle source — a :class:`~repro.circuits.
                 sweep.Sweep` (or ``CircuitBatch``).
             fresh: The caller's promise that every row of ``tensor`` is
@@ -886,15 +886,18 @@ class ExecutionPlan:
         )
         if schedule.leaves is not None:
             tensor = tensor[:1]
+        owned = False
         for step, split, gather in zip(
             self.steps, schedule.splits, schedule.gathers
         ):
             if split is not None:
                 tensor = tensor[split]
+                owned = True
             operand = step.operand(matrices)
             if gather is not None:
                 operand = operand[gather]
-            tensor = step.apply(tensor, operand)
+            tensor = step.apply(tensor, operand, owned)
+            owned = True
         if schedule.leaves is not None:
             tensor = tensor[schedule.leaves]
         if self._restore is not None:
@@ -1125,7 +1128,8 @@ class _AdjointMatmul:
             _contract(stack, g_kets, jacobian, columns)
         if pending.ndim == 3:
             pending = pending[:, None]
-        return np.matmul(pending, stack).reshape(moved.shape)
+        out = _spent(tensor, stack)
+        return np.matmul(pending, stack, out=out).reshape(moved.shape)
 
 
 class _AdjointPermutation:
@@ -1227,8 +1231,9 @@ class AdjointPlan:
                         items.append(("param", factor.position))
                     else:
                         spec = _adjoint_shift_spec(factor.name)
-                        generator = _EMBEDDINGS[factor.embed](
-                            _gates.pauli_word_matrix(spec.generator)
+                        generator = _embed(
+                            factor.embed,
+                            _gates.pauli_word_matrix(spec.generator),
                         )
                         covered.add(factor.position)
                         items.append(
@@ -1282,7 +1287,7 @@ class AdjointPlan:
             combined: ``(B, 1 + T) + (2,) * n`` tensor in canonical axis
                 order — row ``(b, 0)`` circuit ``b``'s forward output
                 ket, rows ``(b, 1:)`` its observable bras.  The sweep
-                owns it: diagonal steps un-apply in place.
+                owns it: steps un-apply in place.
             params: The batch parameter source (a ``Sweep`` or
                 ``CircuitBatch``) the forward pass ran with.
             jacobian: ``(B, T, n_params)`` float64 accumulator; entry
@@ -1421,25 +1426,25 @@ def _finalize_block(block: _Block):
         return DiagStep(wires, constant, diag_ops)
     factors = []
     for op in block.ops:
-        embed = _embed_tag(_block_axes(block, op), k)
+        embed = (_block_axes(block, op), k)
         if op.parameterized:
             factors.append(
                 _Factor(name=op.name, position=op.position, embed=embed)
             )
         else:
-            matrix = _EMBEDDINGS[embed](_gates.fixed_gate_matrix(op.name))
+            matrix = _embed(embed, _gates.fixed_gate_matrix(op.name))
             factors.append(_Factor(matrix=matrix))
     return FusedStep(wires, _fold_factors(factors))
 
 
-def _partition_unitary(ops: list[_Op], fuse_max: int) -> list[_Block]:
+def _partition_unitary(ops: list[_Op], width: int) -> list[_Block]:
     """Greedy multi-open-block fusion of a noise-free op sequence.
 
     A gate joins the *deepest* open block that shares any of its wires
-    (provided the union support stays within ``fuse_max``); every block
+    (provided the union support stays within ``width``); every block
     opened later is then guaranteed disjoint from the gate's wires, so
     the emission reorder only ever commutes disjoint-support gates.
-    When the union would exceed ``fuse_max``, that block and everything
+    When the union would exceed ``width``, that block and everything
     opened before it are emitted and a fresh block starts.
     """
     open_blocks: list[_Block] = []
@@ -1453,7 +1458,7 @@ def _partition_unitary(ops: list[_Op], fuse_max: int) -> list[_Block]:
                 break
         if deepest is not None:
             union = set(open_blocks[deepest].wires) | wires
-            if len(union) <= fuse_max:
+            if len(union) <= width:
                 open_blocks[deepest].add(op)
                 continue
             emitted.extend(open_blocks[: deepest + 1])
@@ -1464,7 +1469,7 @@ def _partition_unitary(ops: list[_Op], fuse_max: int) -> list[_Block]:
 
 
 def _merge_adjacent_blocks(
-    blocks: list[_Block], fuse_max: int
+    blocks: list[_Block], width: int
 ) -> list[_Block]:
     """Greedily merge neighbouring blocks whose union support fits.
 
@@ -1477,7 +1482,7 @@ def _merge_adjacent_blocks(
     for block in blocks:
         if (
             merged
-            and len(set(merged[-1].wires) | set(block.wires)) <= fuse_max
+            and len(set(merged[-1].wires) | set(block.wires)) <= width
         ):
             for op in block.ops:
                 merged[-1].add(op)
@@ -1486,11 +1491,9 @@ def _merge_adjacent_blocks(
     return merged
 
 
-def _compile_unitary(ops: list[_Op], fuse_max: int) -> list:
+def _compile_unitary(ops: list[_Op], width: int) -> list:
     steps = []
-    blocks = _merge_adjacent_blocks(
-        _partition_unitary(ops, fuse_max), fuse_max
-    )
+    blocks = _merge_adjacent_blocks(_partition_unitary(ops, width), width)
     for block in blocks:
         step = _finalize_block(block)
         if step is not None:
@@ -1538,19 +1541,12 @@ def _merge_permutation(
     full = []
     for step in (a, b):
         axes = tuple(wires.index(w) for w in step.wires)
-        jmap = _expand_map(axes, k)
-        # Lift step.source to the union index space: replace the
-        # step's local bits of each index with their permuted values.
-        lifted = np.empty(2**k, dtype=np.intp)
-        m = len(step.wires)
-        for i in range(2**k):
-            local = int(step.source[jmap[i]])
-            out = i
-            for t, axis in enumerate(axes):
-                bit = (local >> (m - 1 - t)) & 1
-                shift = k - 1 - axis
-                out = (out & ~(1 << shift)) | (bit << shift)
-            lifted[i] = out
+        # Lift step.source to the union index space: keep each index's
+        # bits off the step's axes, put its local source's bits on them.
+        local = step.source[_expand_map(axes, k)]
+        lifted = np.arange(2**k) & ~sum(1 << (k - 1 - x) for x in axes)
+        for t, axis in enumerate(axes):
+            lifted |= ((local >> (len(axes) - 1 - t)) & 1) << (k - 1 - axis)
         full.append(lifted)
     # a then b: out[i] = in[a_src[b_src[i]]].
     return PermutationStep(tuple(wires), full[0][full[1]])
@@ -1676,12 +1672,12 @@ class _TemplateView:
 
 
 def compile_circuit(
-    circuit,
-    mode: str = "statevector",
-    noise_model=None,
-    fuse_max: int = FUSE_MAX,
+    circuit, mode: str = "statevector", noise_model=None
 ) -> ExecutionPlan:
     """Lower a circuit's structure into an :class:`ExecutionPlan`.
+
+    Fused blocks span up to ``min(FUSE_MAX, max(2, n // 2))`` wires of
+    an ``n``-qubit register: 2 below 6 qubits, 3 from there on.
 
     Args:
         circuit: A representative :class:`~repro.circuits.
@@ -1697,8 +1693,6 @@ def compile_circuit(
             wire's chain; a channel on more than one wire raises
             ``ValueError``.  The plan is only valid for this exact model
             — cache accordingly.
-        fuse_max: Maximum combined wire support of a fused block
-            (1..2; larger blocks would need generic embeddings).
 
     Returns:
         The compiled plan.
@@ -1707,8 +1701,6 @@ def compile_circuit(
         raise ValueError("mode must be 'statevector' or 'density'")
     if noise_model is not None and mode != "density":
         raise ValueError("noise models require density mode")
-    if not 1 <= fuse_max <= 2:
-        raise ValueError("fuse_max must be 1 or 2")
     ops = []
     for position, template in enumerate(circuit.templates):
         spec = _gates.get_gate(template.name)
@@ -1722,15 +1714,16 @@ def compile_circuit(
             )
         )
 
+    width = min(FUSE_MAX, max(2, circuit.n_qubits // 2))
     if noise_model is None:
-        steps = _compile_unitary(ops, fuse_max)
+        steps = _compile_unitary(ops, width)
     else:
         channels = _channel_superops(ops, noise_model)
         if any(channels):
             steps = _compile_noisy_superop(ops, channels)
         else:
             # Noise-free model (scale 0): full unitary fusion.
-            steps = _compile_unitary(ops, fuse_max)
+            steps = _compile_unitary(ops, width)
     steps = _merge_adjacent(steps)
     return ExecutionPlan(
         n_qubits=circuit.n_qubits,

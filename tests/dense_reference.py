@@ -54,6 +54,28 @@ def embed(matrix: np.ndarray, wires, n_qubits: int) -> np.ndarray:
     return full
 
 
+def kron_permute(matrix: np.ndarray, axes, n_qubits: int) -> np.ndarray:
+    """Lift a ``k``-qubit matrix onto ``axes`` by Kronecker product.
+
+    ``kron(matrix, I)`` acts on the first ``k`` qubits in the gate's
+    wire order; transposing its ``(2,) * 2n`` index tensor then moves
+    gate qubit ``t`` to axis ``axes[t]`` and the identity's qubits, in
+    order, to the remaining axes.  With no identity qubits left the
+    matrix is only permuted.
+    """
+    axes = list(axes)
+    k = len(axes)
+    full = matrix
+    if k < n_qubits:
+        eye = np.eye(2 ** (n_qubits - k), dtype=np.complex128)
+        full = np.kron(matrix, eye)
+    source = axes + [a for a in range(n_qubits) if a not in axes]
+    order = [int(t) for t in np.argsort(source)]
+    tensor = full.reshape((2,) * (2 * n_qubits))
+    tensor = tensor.transpose(order + [n_qubits + t for t in order])
+    return tensor.reshape(2**n_qubits, 2**n_qubits)
+
+
 def gate_unitary(op, n_qubits: int) -> np.ndarray:
     return embed(get_gate(op.name).matrix(*op.params), op.wires, n_qubits)
 

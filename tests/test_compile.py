@@ -15,6 +15,8 @@ The plan layer's contract has three legs:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from repro.sim import (
     Statevector,
     compile_circuit,
 )
+from repro.sim import compile as sim_compile
 from repro.sim.compile import (
     ConstantStep,
     DiagStep,
@@ -377,6 +380,53 @@ class TestSeedPathBitIdentity:
         assert np.array_equal(
             backend.observed_probabilities(circuits[1]), grouped[1]
         )
+
+
+class TestReplayBuffers:
+    """Steps after the first write into the replay's own intermediates;
+    the caller's tensor is never written, and results match the dense
+    reference whichever step kind comes first."""
+
+    @staticmethod
+    def first_step_circuit(first: str) -> QuantumCircuit:
+        circuit = QuantumCircuit(3, num_parameters=3)
+        for wire in range(3):
+            circuit.add_trainable(first, wire, wire)
+        # cx spans all three wires with the open blocks: it closes them.
+        circuit.add("rzz", (0, 2), 0.3).add("cx", (1, 2)).add("h", 0)
+        circuit.add("ry", 2, 0.7).add("cz", (0, 1))
+        return circuit
+
+    @pytest.mark.parametrize("first", ["rz", "ry"])
+    @pytest.mark.parametrize("mode", ["statevector", "density"])
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_input_tensor_is_never_written(self, first, mode, fresh):
+        rng = np.random.default_rng(43)
+        base = self.first_step_circuit(first)
+        theta = rng.uniform(-np.pi, np.pi, 3)
+        # Repeated rows share every prefix: the trie replays them.
+        circuits = [base.bound(theta)] * 2 + [rebind(base, rng)]
+        batch = CircuitBatch(circuits)
+        model = None
+        if mode == "density":
+            model = NoiseModel(get_calibration("ibmq_santiago"))
+        plan = compile_circuit(base, mode=mode, noise_model=model)
+        kinds = {"rz": DiagStep, "ry": FusedStep}
+        if model is None:
+            assert isinstance(plan.steps[0], kinds[first])
+        engine = BatchedDensityMatrix if model else BatchedStatevector
+        tensor = engine(3, 3).tensor
+        before = tensor.copy()
+        with mock.patch.object(sim_compile, "TRIE_MIN_WORK", 0):
+            assert (plan._schedule(batch, fresh).leaves is not None) == fresh
+            out = plan.run(tensor, batch, fresh=fresh)
+        assert np.array_equal(tensor, before)
+        for row, circuit in zip(out, circuits):
+            if model is None:
+                want = ref.statevector(circuit)
+            else:
+                want = ref.density_matrix(circuit, model)
+            assert np.max(np.abs(row.reshape(want.shape) - want)) < 1e-10
 
 
 class TestPlanCache:
