@@ -45,8 +45,9 @@ Both backends are single-process; :mod:`repro.parallel` scales past one
 core.  :class:`~repro.parallel.ShardedBackend` is a drop-in ``Backend``
 that shards every structure group across a persistent pool of worker
 processes, each hosting its own replica of one of the backends above
-(rebuilt from a picklable :class:`~repro.parallel.BackendSpec`), and
-merges the workers' per-shard meter windows back into its facade meter.
+(rebuilt from a picklable :class:`~repro.parallel.BackendSpec`).  It
+meters like every backend here: :meth:`Backend.run` and
+:meth:`Backend.run_sweep` record each submission once, on the facade.
 """
 
 from __future__ import annotations
@@ -176,34 +177,6 @@ class CircuitRunMeter:
             "by_purpose": by_purpose,
             "shots_by_purpose": shots_by_purpose,
         }
-
-    def merge(self, window: dict) -> None:
-        """Fold a snapshot-shaped dict into this meter, field by field.
-
-        The aggregation primitive for multi-process execution: each
-        worker process meters its own shards and ships the
-        :meth:`diff` window back over the pipe (a meter itself cannot
-        cross the process boundary — it holds a lock), and the facade
-        backend merges every window here so its meter reads as if it
-        had executed the circuits itself, purpose breakdowns included.
-
-        Args:
-            window: A dict shaped like :meth:`snapshot` /
-                :meth:`diff` output.
-        """
-        with self._lock:
-            self.circuits += window["circuits"]
-            self.shots += window["shots"]
-            for purpose, count in window.get("by_purpose", {}).items():
-                self.by_purpose[purpose] = (
-                    self.by_purpose.get(purpose, 0) + count
-                )
-            for purpose, count in window.get(
-                "shots_by_purpose", {}
-            ).items():
-                self.shots_by_purpose[purpose] = (
-                    self.shots_by_purpose.get(purpose, 0) + count
-                )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -356,7 +329,7 @@ class Backend(abc.ABC):
                 )
                 for position, result in zip(positions, group_results):
                     results[position] = result
-        self._record_run(
+        self.meter.record(
             len(results), sum(r.shots for r in results), purpose
         )
         return results
@@ -374,7 +347,7 @@ class Backend(abc.ABC):
         self._check_shots(shots)
         sweep.template.validate()
         expectations, outcomes = self._run_group(sweep, shots)
-        self._record_run(
+        self.meter.record(
             sweep.size, 0 if outcomes is None else shots * sweep.size, purpose
         )
         return expectations
@@ -386,19 +359,6 @@ class Backend(abc.ABC):
                 "backends whose execution is exact)"
             )
 
-    def _record_run(
-        self, n_circuits: int, total_shots: int, purpose: str
-    ) -> None:
-        """Meter one completed :meth:`run`; override to re-route.
-
-        The default records on :attr:`meter`.  A facade backend whose
-        execution is metered elsewhere (``repro.parallel``'s
-        :class:`~repro.parallel.ShardedBackend` merges worker-side
-        meter windows instead, to the same totals) overrides this to a
-        no-op so the submission is not counted twice.
-        """
-        self.meter.record(n_circuits, total_shots, purpose)
-
     def expectations(
         self,
         circuits: Sequence,
@@ -409,7 +369,14 @@ class Backend(abc.ABC):
 
         Returns:
             Array of shape ``(len(circuits), n_qubits)``.
+
+        Raises:
+            ValueError: ``circuits`` is empty (nothing runs or meters).
         """
+        if not isinstance(circuits, Sweep):
+            circuits = list(circuits)
+            if not circuits:
+                raise ValueError("need at least one circuit")
         results = self.run(circuits, shots=shots, purpose=purpose)
         return np.stack([r.expectations for r in results])
 

@@ -12,7 +12,8 @@ analogue of the paper's multi-device hardware queues (Sec. 3.2)::
                     WorkerPool ── pipes ──> spawned workers, each
                         │                   hosting a backend replica
                         ▼                   rebuilt from a BackendSpec
-                    gather in submission order, merge meter windows
+                    gather in submission order; Backend.run /
+                    run_sweep meter the submission once
 
 Pieces: :class:`BackendSpec` (picklable backend recipe),
 :class:`ShardPlanner` / :class:`Shard` (cost-balanced chunking + RNG

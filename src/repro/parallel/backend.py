@@ -16,13 +16,11 @@ worker processes.  The facade keeps the base class's whole contract:
   :class:`~repro.parallel.WorkerPool` (the template goes to each
   worker once), and the answered expectation and outcome arrays are
   gathered back into row order;
-* the facade :class:`~repro.hardware.CircuitRunMeter` is fed by
-  merging each worker's per-shard meter window — totals *and* the
-  ``by_purpose`` / ``shots_by_purpose`` breakdowns — so inference
-  accounting reads exactly as if the facade had executed every circuit
-  itself (see the README's serving architecture notes; the
-  ``Backend.run`` facade-side record is suppressed via
-  ``_record_run`` to avoid double counting).
+* metering is the base class's too: ``Backend.run`` / ``run_sweep``
+  record each submission once on the facade
+  :class:`~repro.hardware.CircuitRunMeter`, under the caller's
+  purpose, so inference accounting reads exactly as if the facade had
+  executed every circuit itself.  Workers ship back arrays only.
 
 Determinism: exact-mode results are bit-identical to the
 single-process batched path for *any* worker count (exact execution
@@ -41,11 +39,11 @@ replica from its spec, and executes the *same planned shards with the
 same seeds* in-process.  Because shard seeds are position-keyed and
 the in-process kernel is the very ``serve_rows`` workers run,
 degraded results are bit-identical (exact) / seed-identical (sampled)
-to what the pool would have produced — slower, never wrong.  Meter
-windows from the failed pool attempt are discarded before the replay,
-so no shard is double-counted.  Hung-shard detection is on by default,
-with per-shard timeouts derived from the :mod:`repro.scaling` cost
-model (see :func:`~repro.parallel.shard.shard_timeout_s`).
+to what the pool would have produced — slower, never wrong.  The
+submission is metered once whichever path answered it.  Hung-shard
+detection is on by default, with per-shard timeouts derived from the
+:mod:`repro.scaling` cost model (see
+:func:`~repro.parallel.shard.shard_timeout_s`).
 """
 
 from __future__ import annotations
@@ -155,7 +153,6 @@ class ShardedBackend(Backend):
         self._warned_fallback = False
         self._local_replica: Backend | None = None
         self._seed_seq = np.random.SeedSequence(self._seed)
-        self._active_purpose = "run"
 
     # -- lifecycle -------------------------------------------------------
 
@@ -185,26 +182,7 @@ class ShardedBackend(Backend):
 
     # -- execution -------------------------------------------------------
 
-    def run(self, circuits, shots=1024, purpose="run", validate=True):
-        """See :meth:`Backend.run`; the purpose rides along to workers."""
-        self._active_purpose = purpose
-        try:
-            return super().run(
-                circuits, shots=shots, purpose=purpose, validate=validate
-            )
-        finally:
-            self._active_purpose = "run"
-
-    def run_sweep(self, sweep, shots=1024, purpose="run"):
-        """See :meth:`Backend.run_sweep`; the purpose rides along too."""
-        self._active_purpose = purpose
-        try:
-            return super().run_sweep(sweep, shots=shots, purpose=purpose)
-        finally:
-            self._active_purpose = "run"
-
-    def _record_run(self, n_circuits, total_shots, purpose) -> None:
-        """No-op: worker meter windows were already merged."""
+    run = Backend.run  # class-own: perfbench/trace.py wraps __dict__["run"]
 
     def _spawn_seeds(self, n: int) -> list | None:
         """Per-row substreams for a sampled group (None if exact).
@@ -308,14 +286,7 @@ class ShardedBackend(Backend):
         ]
 
     def _execute_sweep(self, sweep: Sweep, shots: int):
-        """Shard one sweep's rows across the pool and reassemble.
-
-        Meter windows travel inside the responses and are merged only
-        after the executing path (pool or in-process fallback, see
-        :meth:`_scatter`) succeeded end to end — a failed pool attempt
-        contributes nothing, so the replay cannot double-count.
-        """
-        purpose = self._active_purpose
+        """Shard one sweep's rows across the pool and reassemble."""
         shards = self.planner.plan(
             sweep, seeds=self._spawn_seeds(sweep.size)
         )
@@ -323,11 +294,11 @@ class ShardedBackend(Backend):
             sweep,
             "sweep",
             shards,
-            lambda shard: (shard.seeds, shots, purpose),
+            lambda shard: (shard.seeds, shots),
         )
         expectations = np.empty((sweep.size, sweep.n_qubits))
         outcomes = None
-        for shard, ((shard_expectations, shard_outcomes), window) in zip(
+        for shard, (shard_expectations, shard_outcomes) in zip(
             shards, responses
         ):
             expectations[shard.positions] = shard_expectations
@@ -338,7 +309,6 @@ class ShardedBackend(Backend):
                         dtype=shard_outcomes.dtype,
                     )
                 outcomes[shard.positions] = shard_outcomes
-            self.meter.merge(window)
         return expectations, outcomes
 
     # -- distribution passthrough (noisy parity) -------------------------
@@ -366,7 +336,7 @@ class ShardedBackend(Backend):
         shards = self.planner.plan(sweep)
         responses = self._scatter(sweep, "probs", shards, lambda shard: ())
         rows = np.empty((sweep.size, 2**sweep.n_qubits), dtype=np.float64)
-        for shard, (shard_rows, _) in zip(shards, responses):
+        for shard, shard_rows in zip(shards, responses):
             rows[shard.positions] = shard_rows
         return rows
 

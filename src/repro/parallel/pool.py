@@ -10,7 +10,7 @@ startup cost (interpreter + NumPy import + noise-model construction) is
 paid once per pool, not once per submission.
 
 Work crosses the pipe as angle arrays, not circuits.  A shard request
-is ``("sweep", (digest, literals, params, seeds, shots, purpose))``:
+is ``("sweep", (digest, literals, params, seeds, shots))``:
 the rows' slices of a :class:`~repro.circuits.sweep.Sweep`'s value
 matrices plus the name of its :class:`~repro.circuits.sweep.
 SweepTemplate`.  The template itself travels once per worker
@@ -36,8 +36,8 @@ Execution of one shard inside a worker (:func:`execute_shard`):
 
 The answer is the ``(expectations, outcomes)`` arrays — ``outcomes``
 is ``None`` for exact execution, and the facade builds any counts
-dicts from the outcome matrix — plus the replica's meter window
-(:meth:`~repro.hardware.CircuitRunMeter.diff`) for the facade to merge.
+dicts from the outcome matrix.  Nothing about metering crosses the
+pipe: the facade's ``Backend.run`` meters the submission once.
 
 Failure handling (the resilience tier)
 --------------------------------------
@@ -160,48 +160,6 @@ def _register(held: dict, digest: str, template) -> None:
     held[digest] = template
 
 
-def batch_probabilities(backend: Backend, rows) -> np.ndarray:
-    """Stacked outcome distributions for one same-structure group.
-
-    The replica's ``observed_probabilities_batch`` of a
-    :class:`~repro.circuits.sweep.Sweep` (or same-structure circuits):
-    for a :class:`~repro.hardware.NoisyBackend` the *observed*
-    distributions (noise + readout error), for an
-    :class:`~repro.hardware.IdealBackend` the exact Born-rule ones — in
-    both cases what the backend's own sampler draws from, computed by
-    replaying the replica's cached plan.  Rows are bit-identical to the
-    same rows evaluated in any other grouping (a batch of one
-    included), which is what keeps sharded results independent of how
-    a group was chunked.
-    """
-    return backend.observed_probabilities_batch(rows)
-
-
-def _meter_window(backend: Backend, before: dict, purpose: str) -> dict:
-    """The shard's meter delta, purpose entries included even at zero.
-
-    :meth:`CircuitRunMeter.diff` drops zero-delta purposes, but an
-    exact-mode run *records* ``shots_by_purpose[purpose] = 0`` — and
-    the facade merge must reproduce that entry bit-for-bit, or a
-    sharded backend's meter would not compare equal to a direct
-    backend's after identical traffic.  A shard is exactly one run
-    under one purpose, so the delta is computed for that key alone.
-    """
-    after = backend.meter.snapshot()
-    return {
-        "circuits": after["circuits"] - before["circuits"],
-        "shots": after["shots"] - before["shots"],
-        "by_purpose": {
-            purpose: after["by_purpose"].get(purpose, 0)
-            - before["by_purpose"].get(purpose, 0)
-        },
-        "shots_by_purpose": {
-            purpose: after["shots_by_purpose"].get(purpose, 0)
-            - before["shots_by_purpose"].get(purpose, 0)
-        },
-    }
-
-
 def execute_shard(
     backend: Backend,
     template: SweepTemplate,
@@ -209,29 +167,28 @@ def execute_shard(
     params: np.ndarray,
     seeds: list | None,
     shots: int,
-    purpose: str,
-) -> tuple[tuple[np.ndarray, np.ndarray | None], dict]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Run one shard's rows on a backend replica.
 
-    Returns ``((expectations, outcomes), window)``: the rows' ``(B,
-    n_qubits)`` Z expectations, their ``(B, 2^n)`` sampled outcome
-    matrix (``None`` for exact execution) and the replica's meter
-    window.  Exact backends run the rows' sweep through
-    ``Backend.run_sweep``; sampling backends compute the rows'
-    distributions batch-wide and then sample each row from its own
-    seed substream (see module docstring).  Also the in-process
-    **fallback kernel**: when the facade degrades after pool
-    exhaustion it runs the very same function on a local replica, so
-    degraded results stay bit-identical to pooled ones.
+    Returns ``(expectations, outcomes)``: the rows' ``(B, n_qubits)`` Z
+    expectations and their ``(B, 2^n)`` sampled outcome matrix
+    (``None`` for exact execution).  Exact backends run the rows'
+    sweep through ``Backend.run_sweep``; sampling backends compute the
+    rows' distributions batch-wide (the replica's
+    ``observed_probabilities_batch``: what its own sampler draws from,
+    bit-identical to the same rows in any other grouping) and then
+    sample each row from its own seed substream (see module
+    docstring).  Also the in-process **fallback kernel**: when the
+    facade degrades after pool exhaustion it runs the very same
+    function on a local replica, so degraded results stay
+    bit-identical to pooled ones.
     """
     sweep = Sweep(template, literals, params)
-    before = backend.meter.snapshot()
     if backend.exact_execution():
-        expectations = backend.run_sweep(sweep, shots=shots, purpose=purpose)
-        return (expectations, None), _meter_window(backend, before, purpose)
+        return backend.run_sweep(sweep, shots=shots), None
     if seeds is None:
         raise ValueError("sampling execution needs per-row seed substreams")
-    probs = batch_probabilities(backend, sweep)
+    probs = backend.observed_probabilities_batch(sweep)
     # Every row draws from its own substream into one outcome matrix,
     # which is read out in one vectorized pass.
     outcomes = np.stack(
@@ -241,22 +198,23 @@ def execute_shard(
         ]
     )
     expectations = _measurement.expectation_z_from_outcome_matrix(outcomes)
-    backend.meter.record(sweep.size, shots * sweep.size, purpose)
-    return (expectations, outcomes), _meter_window(backend, before, purpose)
+    return expectations, outcomes
 
 
-def serve_rows(backend: Backend, kind: str, template, rows) -> tuple:
+def serve_rows(
+    backend: Backend, kind: str, template, rows
+) -> tuple | np.ndarray:
     """Answer one ``"sweep"`` or ``"probs"`` request's rows.
 
     What a worker does with a request, and what the facade's
     in-process fallback does with the same rows: ``"sweep"`` rows are
-    ``(literals, params, seeds, shots, purpose)`` for
-    :func:`execute_shard`; ``"probs"`` rows are ``(literals, params)``
-    and answer ``(distributions, None)``.
+    ``(literals, params, seeds, shots)`` for :func:`execute_shard`;
+    ``"probs"`` rows are ``(literals, params)`` and answer the
+    distributions array.
     """
     if kind == "sweep":
         return execute_shard(backend, template, *rows)
-    return batch_probabilities(backend, Sweep(template, *rows)), None
+    return backend.observed_probabilities_batch(Sweep(template, *rows))
 
 
 def _worker_main(
@@ -313,7 +271,7 @@ def _worker_main(
                     serve_rows(backend, kind, templates[digest], rows),
                 )
             elif kind == "ping":
-                response = ("ok", (backend.name, None))
+                response = ("ok", backend.name)
             else:
                 raise ValueError(f"unknown request kind {kind!r}")
         except Exception as exc:
@@ -583,8 +541,8 @@ class WorkerPool:
 
         Each request is a ``(kind, payload)`` tuple as understood by
         the worker loop: ``("sweep", (digest, literals, params, seeds,
-        shots, purpose))``, ``("probs", (digest, literals, params))``
-        or ``("ping", None)``.  Requests for one worker execute in the
+        shots))``, ``("probs", (digest, literals, params))`` or
+        ``("ping", None)``.  Requests for one worker execute in the
         order given; distinct workers execute concurrently.  Returns
         one response payload per request, aligned with the input order.
 

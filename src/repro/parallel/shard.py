@@ -4,10 +4,10 @@ The unit of sharded execution is the same as the batched engine's: a
 structure group — a :class:`~repro.circuits.sweep.Sweep` of rows over
 one template.  The planner decides how many chunks a group is worth —
 sending two tiny rows through two process pipes costs more than
-evolving them in one stacked call — using the gate/qubit cost estimates of
-:mod:`repro.scaling.cost_model`: a group is split only while each chunk
-keeps at least ``min_shard_cost`` estimated flops, and never into more
-chunks than workers.
+evolving them in one stacked call — using the compiled plan's cost
+estimate (:mod:`repro.scaling.cost_model` formulas): a group is split
+only while each chunk keeps at least ``min_shard_cost`` estimated
+flops, and never into more chunks than workers.
 
 Randomness contract
 -------------------
@@ -32,34 +32,19 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.circuits.sweep import Sweep
-from repro.scaling import cost_model
 
 
-def circuit_cost(circuit, density: bool = False, plan=None) -> float:
+def circuit_cost(circuit, plan, density: bool = False) -> float:
     """Estimated flops to simulate one circuit once.
 
-    Uses :func:`repro.scaling.cost_model.classical_ops` with the
-    circuit's own gate counts in place of the paper's reference
-    workload (single-qubit gates as rotations, multi-qubit gates as
-    RZZ-class ops).  Density-matrix evolution touches ``2^n`` times
-    more amplitudes than a statevector, hence the ``density`` factor.
-
-    When the executing backend runs compiled fused plans, pass the
-    circuit structure's :class:`~repro.sim.compile.ExecutionPlan` —
-    the estimate then counts the plan's actual fused GEMM / diagonal /
-    permutation steps (:meth:`~repro.sim.compile.ExecutionPlan.
-    cost_ops`) instead of one GEMM per source gate, which keeps shard
-    sizing accurate under fusion.
+    Prices the fused GEMM / diagonal / permutation steps of the
+    circuit structure's compiled :class:`~repro.sim.compile.
+    ExecutionPlan` (:meth:`~repro.sim.compile.ExecutionPlan.cost_ops`),
+    so shard sizing follows what the workers replay.  Density-matrix
+    evolution touches ``2^n`` times more amplitudes than a
+    statevector, hence the ``density`` factor.
     """
-    if plan is not None:
-        cost = plan.cost_ops()
-    else:
-        single = sum(1 for t in circuit.templates if len(t.wires) == 1)
-        multi = len(circuit.templates) - single
-        workload = cost_model.CircuitWorkload(
-            n_rotation_gates=single, n_rzz_gates=multi, n_circuits=1
-        )
-        cost = cost_model.classical_ops(circuit.n_qubits, workload)
+    cost = plan.cost_ops()
     if density:
         cost *= 2.0 ** circuit.n_qubits
     return cost

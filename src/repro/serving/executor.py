@@ -90,7 +90,15 @@ class ServiceExecutor:
         shots: int = 1024,
         purpose: str = "run",
     ) -> np.ndarray:
-        """Per-qubit Z expectations, stacked ``(len(circuits), n_qubits)``."""
+        """Per-qubit Z expectations, stacked ``(len(circuits), n_qubits)``.
+
+        Raises:
+            ValueError: ``circuits`` is empty (nothing is submitted).
+        """
+        if not isinstance(circuits, Sweep):
+            circuits = list(circuits)
+            if not circuits:
+                raise ValueError("need at least one circuit")
         results = self.run(circuits, shots=shots, purpose=purpose)
         return np.stack([r.expectations for r in results])
 

@@ -78,6 +78,12 @@ class TestIdealBackend:
                 [bell_circuit()], shots=0
             )
 
+    def test_expectations_of_nothing_raise_before_running(self):
+        backend = IdealBackend(exact=True)
+        with pytest.raises(ValueError, match="need at least one circuit"):
+            backend.expectations([])
+        assert backend.meter.snapshot() == IdealBackend().meter.snapshot()
+
     def test_negative_shots_rejected_everywhere(self):
         with pytest.raises(ValueError, match="shots"):
             IdealBackend(exact=True).run([bell_circuit()], shots=-1)

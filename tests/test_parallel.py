@@ -15,7 +15,13 @@ import pytest
 
 from repro.circuits import CircuitBatch, QuantumCircuit
 from repro.circuits.operation import BoundOp, OpTemplate
-from repro.hardware import Backend, ExecutionResult, IdealBackend, NoisyBackend
+from repro.hardware import (
+    Backend,
+    ExecutionResult,
+    IdealBackend,
+    NoiseInjectionBackend,
+    NoisyBackend,
+)
 from repro.noise import NoiseModel, get_calibration
 from repro.parallel import (
     BackendSpec,
@@ -26,7 +32,7 @@ from repro.parallel import (
     circuit_cost,
     default_workers,
 )
-from repro.parallel.pool import batch_probabilities, execute_shard
+from repro.parallel.pool import execute_shard
 from repro.sim import compile_circuit, expectation_z_from_counts
 from repro.sim.measurement import outcome_matrix_to_counts
 
@@ -51,7 +57,7 @@ def per_row_sample(row, shots, seed):
     return counts, expectation_z_from_counts(counts, n_qubits)
 
 
-def sweep_requests(sweep, shards, shots, purpose):
+def sweep_requests(sweep, shards, shots):
     """The facade's ``"sweep"`` request for each shard of ``sweep``."""
     return [
         (
@@ -64,7 +70,6 @@ def sweep_requests(sweep, shards, shots, purpose):
                     sweep.params[shard.positions],
                     shard.seeds,
                     shots,
-                    purpose,
                 ),
             ),
         )
@@ -281,7 +286,7 @@ class TestWorkerPool:
                 sweep = CircuitBatch(ring_circuits(4))
                 shards = planner.plan(sweep)
                 responses = pool.run_shards(
-                    sweep_requests(sweep, shards, 0, "test"),
+                    sweep_requests(sweep, shards, 0),
                     templates={sweep.template.digest: sweep.template},
                 )
                 assert len(responses) == 2
@@ -289,6 +294,7 @@ class TestWorkerPool:
             assert stats["alive"] == 2
             assert stats["shards_executed"] == 6
             assert stats["restarts"] == 0
+            assert pool.run_shards([(1, ("ping", None))]) == ["ideal"]
 
     def test_crash_detection_retries_on_fresh_worker(self):
         circuits = ring_circuits(6)
@@ -314,10 +320,10 @@ class TestWorkerPool:
             # The worker survives its own exception and stays usable.
             sweep = CircuitBatch(ring_circuits(2))
             responses = pool.run_shards(
-                sweep_requests(sweep, ShardPlanner(1).plan(sweep), 0, "t"),
+                sweep_requests(sweep, ShardPlanner(1).plan(sweep), 0),
                 templates={sweep.template.digest: sweep.template},
             )
-            (expectations, outcomes), _ = responses[0]
+            expectations, outcomes = responses[0]
             assert expectations.shape == (2, 3)
             assert outcomes is None
 
@@ -446,16 +452,16 @@ class TestShardedBackendSampling:
         seeds = list(np.random.SeedSequence(8).spawn(len(circuits)))
         sweep = CircuitBatch(circuits)
         replica = IdealBackend(exact=False, seed=3)
-        (expectations, outcomes), _ = execute_shard(
+        expectations, outcomes = execute_shard(
             replica, sweep.template, sweep.literals, sweep.params, seeds,
-            shots=64, purpose="run",
+            shots=64,
         )
         assert replica.plan_cache.stats()["misses"] > 0
         want = IdealBackend(
             exact=False, seed=3
         ).observed_probabilities_batch(circuits)
         assert np.array_equal(
-            batch_probabilities(replica, circuits), want
+            replica.observed_probabilities_batch(circuits), want
         )
         counts_rows = outcome_matrix_to_counts(outcomes)
         for row, seed, counts, got in zip(
@@ -539,6 +545,21 @@ class TestShardedBackendMetering:
         ) as sharded:
             sharded.run(circuits, purpose="serve")
             assert sharded.meter.snapshot() == direct.meter.snapshot()
+
+    def test_wrapper_over_the_facade_meters_once_under_its_purpose(self):
+        """A wrapper that calls the facade's kernel directly meters on
+        its own meter only, as it does over a plain backend."""
+        circuits = ring_circuits(2)
+        plain = IdealBackend(exact=True)
+        direct = NoiseInjectionBackend(plain, seed=0)
+        direct.run(circuits, shots=0, purpose="train")
+        inner = IdealBackend(exact=True)
+        with ShardedBackend(inner, workers=2, min_shard_cost=0) as sharded:
+            wrapped = NoiseInjectionBackend(sharded, seed=0)
+            wrapped.run(circuits, shots=0, purpose="train")
+            assert wrapped.meter.snapshot() == direct.meter.snapshot()
+            assert wrapped.meter.by_purpose == {"train": 2}
+            assert inner.meter.snapshot() == plain.meter.snapshot()
 
     def test_wrapping_adopts_the_template_meter(self):
         inner = IdealBackend(exact=True)
@@ -717,7 +738,8 @@ class TestSweepShards:
         self, backend_kind, workers
     ):
         """Sampled and noisy rows from the pool are seed-identical to
-        running the same shard function in-process, meters included."""
+        running the same shard function in-process, and the facade
+        meters the run as a direct backend does."""
         from repro.parallel.pool import serve_rows
 
         circuits = ring_circuits(5)
@@ -735,18 +757,20 @@ class TestSweepShards:
             meter = sharded.meter.snapshot()
         local = build()
         seeds = np.random.SeedSequence(23).spawn(len(circuits))
-        (expectations, outcomes), window = serve_rows(
+        expectations, outcomes = serve_rows(
             local,
             "sweep",
             sweep.template,
-            (sweep.literals, sweep.params, seeds, 96, "grad"),
+            (sweep.literals, sweep.params, seeds, 96),
         )
         counts = outcome_matrix_to_counts(outcomes)
         for result, row, row_counts in zip(got, expectations, counts):
             assert np.array_equal(result.expectations, row)
             assert result.counts == row_counts
             assert result.shots == 96
-        assert meter == local.meter.snapshot()
+        direct = build()
+        direct.run(sweep, shots=96, purpose="grad")
+        assert meter == direct.meter.snapshot()
         assert meter["by_purpose"] == {"grad": 5}
         assert meter["shots_by_purpose"] == {"grad": 5 * 96}
 

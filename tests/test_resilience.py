@@ -40,6 +40,7 @@ from repro.resilience import (
 )
 from repro.serving import ExecutionService, JobQueue, Router
 from repro.serving.service import ServiceJob
+from repro.sim import compile_circuit
 
 
 def ry_circuit(angle: float, n_qubits: int = 2) -> QuantumCircuit:
@@ -766,12 +767,17 @@ class TestErrorTaxonomy:
         assert issubclass(ResilienceWarning, UserWarning)
 
 
+def planned_cost(circuit, density=False):
+    """The planner's per-row cost: the compiled plan's, as workers replay."""
+    return circuit_cost(circuit, compile_circuit(circuit), density=density)
+
+
 class TestShardTimeouts:
     def test_timeout_scales_with_cost_above_floor(self):
         small = Shard(worker=0, positions=[0])
         big = Shard(worker=0, positions=list(range(64)))
-        t_small = shard_timeout_s(small, circuit_cost(ry_circuit(0.1, 2)))
-        t_big = shard_timeout_s(big, circuit_cost(ry_circuit(0.1, 8)))
+        t_small = shard_timeout_s(small, planned_cost(ry_circuit(0.1, 2)))
+        t_big = shard_timeout_s(big, planned_cost(ry_circuit(0.1, 8)))
         from repro.parallel.shard import TIMEOUT_FLOOR_S
 
         assert t_small >= TIMEOUT_FLOOR_S
@@ -781,8 +787,8 @@ class TestShardTimeouts:
         shard = Shard(worker=0, positions=list(range(32)))
         circuit = ry_circuit(0.1, 8)
         assert shard_timeout_s(
-            shard, circuit_cost(circuit, density=True)
-        ) > shard_timeout_s(shard, circuit_cost(circuit))
+            shard, planned_cost(circuit, density=True)
+        ) > shard_timeout_s(shard, planned_cost(circuit))
 
 
 class TestServiceJobDeadline:

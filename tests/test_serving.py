@@ -740,6 +740,14 @@ class TestServiceExecutor:
             )
         assert stacked.shape == (2, 3)
 
+    def test_expectations_of_nothing_raise_before_submitting(self):
+        with ExecutionService(IdealBackend(exact=True)) as service:
+            executor = service.executor()
+            with pytest.raises(ValueError, match="need at least one circuit"):
+                executor.expectations([])
+            assert executor.meter.circuits == 0
+            assert service.submissions == 0
+
     def test_training_engine_service_path_matches_direct(self):
         from repro.training import TrainingConfig, TrainingEngine
 
