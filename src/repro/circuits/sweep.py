@@ -103,7 +103,7 @@ class SweepTemplate:
         #: parameter ops), or ``None`` for parameterless ops.
         self.columns = columns
         #: The op position each column belongs to.
-        self._owners = np.array(
+        self.owners = np.array(
             list(range(n_ops)) + extra_owners, dtype=np.intp
         )
         self.literals = np.array(values + extra, dtype=np.float64)
@@ -201,7 +201,7 @@ class SweepTemplate:
         differs = (
             literals.view(np.int64) != self.literals.view(np.int64)
         ).any(axis=0)
-        positions = np.unique(self._owners[differs]).tolist()
+        positions = np.unique(self.owners[differs]).tolist()
         per_position = []
         for pos in positions:
             columns = self.column_list(pos)

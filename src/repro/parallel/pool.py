@@ -22,9 +22,9 @@ after a crash resends them.
 
 Execution of one shard inside a worker (:func:`execute_shard`):
 
-* exact backends run the rows through ``Backend.run_sweep`` (no
-  randomness involved, results are bit-identical to the parent's own
-  batched path);
+* exact backends run the rows through the replica's
+  ``Backend._execute_sweep`` hook (no randomness involved, results are
+  bit-identical to the parent's own batched path);
 * sampling backends split the work: the *expensive* part — the stacked
   statevector / density evolution and readout post-processing — is
   computed batch-wide via the replica's vectorized path, then each
@@ -172,9 +172,10 @@ def execute_shard(
 
     Returns ``(expectations, outcomes)``: the rows' ``(B, n_qubits)`` Z
     expectations and their ``(B, 2^n)`` sampled outcome matrix
-    (``None`` for exact execution).  Exact backends run the rows'
-    sweep through ``Backend.run_sweep``; sampling backends compute the
-    rows' distributions batch-wide (the replica's
+    (``None`` for exact execution).  Exact backends run the sweep on
+    the replica's ``_execute_sweep`` hook (the facade validates, fires
+    the fault site and meters); sampling backends compute the rows'
+    distributions batch-wide (the replica's
     ``observed_probabilities_batch``: what its own sampler draws from,
     bit-identical to the same rows in any other grouping) and then
     sample each row from its own seed substream (see module
@@ -185,7 +186,7 @@ def execute_shard(
     """
     sweep = Sweep(template, literals, params)
     if backend.exact_execution():
-        return backend.run_sweep(sweep, shots=shots), None
+        return backend._execute_sweep(sweep, shots)
     if seeds is None:
         raise ValueError("sampling execution needs per-row seed substreams")
     probs = backend.observed_probabilities_batch(sweep)

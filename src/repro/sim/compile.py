@@ -29,8 +29,11 @@ tensor, instead of one GEMM per gate:
   the *whole plan* are built up front, one vectorized closed-form call
   per gate type (:func:`repro.sim.gates.batched_rotation` over every
   occurrence x batch row at once), instead of one build per op per
-  call.  Steps then compose the prebuilt ``(B, d, d)`` stacks with
-  plain ``matmul``, each op already lifted into its block.
+  call; an op whose angles every row shares is built once, as a
+  ``(1, d, d)`` stack that broadcasts.  Steps then compose the
+  prebuilt stacks with plain ``matmul`` (each op already lifted into
+  its block) last factor first, at batch 1 until the first per-row
+  factor: operand cost scales with distinct angles, not rows.
 * **Noise segments** (density mode) — each gate's per-wire channel
   stack is precomposed into a single 4x4 superoperator at compile
   time, and — because a single-qubit unitary's conjugation is itself a
@@ -69,7 +72,9 @@ Numerical contract: plan replay agrees with a dense reference (full
 deterministic (same plan, same inputs → same bits).  A circuit's row is
 bit-identical whatever batch it rides in, including a batch of one, and
 whatever rows share its angle prefix: a trie node runs exactly the
-per-row operations on exactly the data its rows would run alone.
+per-row operations on exactly the data its rows would run alone.  The
+plan's structure alone fixes the order a step composes its factors in,
+so a row's operand is the same matmuls on the same inputs in any batch.
 """
 
 from __future__ import annotations
@@ -241,16 +246,24 @@ def _prepare_matrices(
     the rows each occurrence needs.  ``rows`` is ``None`` (every row,
     as the plain replay and the adjoint sweep consume them) or a
     per-step list of row selections — a prefix trie asks each step for
-    one representative row per distinct value of its own angles.
+    one representative row per distinct value of its own angles.  An
+    op whose columns are bitwise identical in every row is built from
+    row 0 alone, a ``(1, d, d)`` stack (``(1, d)`` diagonal) that
+    broadcasts.
     """
+    bits = params.angles.view(np.int64)
+    per_row = np.zeros(n_ops, dtype=bool)
+    per_row[params.template.owners[(bits != bits[:1]).any(axis=0)]] = True
     matrices: list[np.ndarray | None] = [None] * n_ops
     for group in groups:
-        values = [params.op_params(p) for p in group.positions]
-        if rows is not None:
-            values = [
-                value[rows[step]]
-                for value, step in zip(values, group.steps)
-            ]
+        values = []
+        for position, step in zip(group.positions, group.steps):
+            value = params.op_params(position)
+            if not per_row[position]:
+                value = value[:1]
+            elif rows is not None:
+                value = value[rows[step]]
+            values.append(value)
         stacked = values[0] if len(values) == 1 else np.concatenate(values)
         if group.embed == "diag":
             prepared = _group_diagonals(group, stacked)
@@ -478,15 +491,18 @@ def _fold_factors(factors: list[_Factor]) -> list[_Factor]:
 
 
 def _compose_factors(factors: list[_Factor], matrices: list) -> np.ndarray:
-    """Left-multiply the factor sequence into one (stacked) matrix."""
+    """Compose the factor sequence into one (stacked) matrix, last
+    factor first (``acc = acc @ F``): a shared tail stays at batch 1
+    until the first per-row factor, in an order fixed by structure.
+    """
     acc = None
-    for factor in factors:
+    for factor in reversed(factors):
         mat = (
             factor.matrix
             if factor.matrix is not None
             else matrices[factor.position]
         )
-        acc = mat if acc is None else np.matmul(mat, acc)
+        acc = mat if acc is None else np.matmul(acc, mat)
     return acc
 
 

@@ -561,6 +561,20 @@ class TestShardedBackendMetering:
             assert wrapped.meter.by_purpose == {"train": 2}
             assert inner.meter.snapshot() == plain.meter.snapshot()
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_degraded_run_meters_on_the_facade_only(self, exact):
+        """In-process fallback rows, exact or sampled, run on the local
+        replica's kernel: only the facade meters the submission."""
+        with ShardedBackend(
+            IdealBackend(exact=exact, seed=0), workers=2, min_shard_cost=0
+        ) as sharded:
+            sharded._degraded = True  # as after RestartBudgetExhausted
+            shots = 0 if exact else 64
+            sharded.run(ring_circuits(4), shots=shots, purpose="x")
+            assert sharded.meter.by_purpose == {"x": 4}
+            assert sharded._local_backend().meter.by_purpose == {}
+            assert not sharded.pool._started
+
     def test_wrapping_adopts_the_template_meter(self):
         inner = IdealBackend(exact=True)
         with ShardedBackend(inner, workers=2) as sharded:
