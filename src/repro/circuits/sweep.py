@@ -165,19 +165,32 @@ class SweepTemplate:
         """
         literals = np.tile(self.literals, (len(circuits), 1))
         reference = self.reference._templates
+        n_columns = self.n_columns
+        # Flat indices into ``literals`` and their values, written with
+        # one assignment once every row is read.
+        flat: list[int] = []
+        values: list[float] = []
         for index, circuit in enumerate(circuits):
             row = circuit._templates
+            offset = index * n_columns
             for pos in self._valued:
                 t = row[pos]
                 if t is reference[pos]:
                     continue
                 if t.param_index is not None:
-                    literals[index, pos] = t.offset
+                    flat.append(offset + pos)
+                    values.append(t.offset)
                 elif len(t.params) == 1:
-                    literals[index, pos] = t.params[0]
+                    flat.append(offset + pos)
+                    values.append(t.params[0])
                 else:
-                    literals[index, self.columns[pos]] = t.params
-        params = np.stack([circuit._parameters for circuit in circuits])
+                    flat.extend(
+                        offset + column for column in self.column_list(pos)
+                    )
+                    values.extend(t.params)
+        if values:
+            literals.flat[flat] = values
+        params = np.array([circuit._parameters for circuit in circuits])
         return literals, params
 
     def column_list(self, position: int) -> list[int]:
@@ -264,12 +277,6 @@ class Sweep:
                 f"params must be ({literals.shape[0]}, "
                 f"{template.num_parameters}), got {params.shape}"
             )
-        self.template = template
-        self.literals = literals
-        self.params = params
-        self.size = literals.shape[0]
-        self.n_qubits = template.n_qubits
-        self.templates = template.templates
         angles = literals.copy()
         if template.trainable_columns.size:
             angles[:, template.trainable_columns] += params[
@@ -284,7 +291,34 @@ class Sweep:
                 f"row {row} has a non-finite angle {angles[row, column]} "
                 f"in column {column}"
             )
+        self._bind(template, literals, params, angles)
+
+    def _bind(self, template, literals, params, angles) -> None:
+        self.template = template
+        self.literals = literals
+        self.params = params
+        self.size = literals.shape[0]
+        self.n_qubits = template.n_qubits
+        self.templates = template.templates
         self.angles = angles
+
+    @classmethod
+    def admitted(
+        cls,
+        template: SweepTemplate,
+        literals: np.ndarray,
+        params: np.ndarray,
+        angles: np.ndarray,
+    ) -> "Sweep":
+        """A sweep of rows taken from admitted sweeps of ``template``.
+
+        ``angles`` are those rows' resolved angles, already checked, so
+        nothing is re-derived — the serving tier's flushes concatenate
+        admitted rows this way.
+        """
+        sweep = cls.__new__(cls)
+        sweep._bind(template, literals, params, angles)
+        return sweep
 
     # -- what compiled plans and gradient engines read -------------------
 

@@ -5,8 +5,10 @@ API ("created, validated, queued, and finally run", Sec. 3.2) and counts
 every execution — Fig. 6's x-axis is *#inferences*, i.e. circuits run.
 ``Backend`` reproduces that contract:
 
-* :meth:`Backend.run` takes circuits and a shot count, returns
-  :class:`ExecutionResult` objects with counts and per-qubit Z expectations;
+* :meth:`Backend.run` takes circuits and a shot count, returns one
+  :class:`ExecutionResult` per circuit — a row view over the run's
+  expectation and outcome matrices, its counts dict formatted on first
+  access;
 * every call is metered by a :class:`CircuitRunMeter`, so experiments can
   report inference budgets exactly like the paper does.
 
@@ -138,10 +140,9 @@ class CircuitRunMeter:
     def diff(self, since: dict) -> dict:
         """Delta between the current counters and an earlier snapshot.
 
-        Lets a caller report per-window usage — the serving scheduler
-        snapshots a backend's meter around each flush and publishes the
-        diff as that flush's cost.  Purposes whose delta is zero are
-        omitted from the breakdowns.
+        Lets a caller report per-window usage (e.g. a benchmark's
+        circuits per round).  Purposes whose delta is zero are omitted
+        from the breakdowns.
 
         Contract: every delta is **non-negative**.  Counters only grow
         between snapshots, but a :meth:`reset` inside the window makes
@@ -179,20 +180,120 @@ class CircuitRunMeter:
         }
 
 
-@dataclasses.dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome of running one circuit.
+    """Outcome of running one circuit: a row of its run's result matrices.
 
     Attributes:
-        counts: Bitstring -> count mapping (empty when the backend was
-            asked for exact expectations).
-        expectations: Per-qubit Pauli-Z expectation estimates.
+        expectations: Per-qubit Pauli-Z expectation estimates — a row
+            view of the run's ``(B, n_qubits)`` matrix.
         shots: Shots used (0 for exact evaluation).
+        outcomes: The ``(2^n,)`` row of the run's sampled outcome
+            counts, or ``None`` for exact evaluation.
+        counts: Bitstring -> count mapping (empty for exact
+            evaluation), formatted from ``outcomes`` on first access.
     """
 
-    counts: dict[str, int]
-    expectations: np.ndarray
-    shots: int
+    __slots__ = ("expectations", "shots", "outcomes", "_counts")
+
+    def __init__(
+        self,
+        expectations: np.ndarray,
+        shots: int = 0,
+        outcomes: np.ndarray | None = None,
+        counts: dict[str, int] | None = None,
+    ):
+        self.expectations = expectations
+        self.shots = shots
+        self.outcomes = outcomes
+        self._counts = counts
+
+    @property
+    def counts(self) -> dict[str, int]:
+        if self._counts is None:
+            self._counts = (
+                {}
+                if self.outcomes is None
+                else _measurement.outcome_matrix_to_counts(
+                    self.outcomes[np.newaxis]
+                )[0]
+            )
+        return self._counts
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecutionResult(expectations={self.expectations!r}, "
+            f"shots={self.shots})"
+        )
+
+
+class RunResults(list):
+    """One :class:`ExecutionResult` per circuit, in submission order.
+
+    What :meth:`Backend.run` and the serving tier's jobs return.  A
+    single structure group's rows view its result matrices, kept here
+    (``None`` for submissions of several groups):
+
+    Attributes:
+        expectations: The ``(B, n_qubits)`` matrix the rows view.
+        outcomes: The ``(B, 2^n)`` sampled outcome matrix (``None``
+            when any row is exact).
+        shots: Shots consumed across all rows.
+    """
+
+    __slots__ = ("expectations", "outcomes", "shots")
+
+    def __init__(self, rows=(), expectations=None, outcomes=None, shots=0):
+        super().__init__(rows)
+        self.expectations = expectations
+        self.outcomes = outcomes
+        self.shots = shots
+
+    def expectation_matrix(self) -> np.ndarray:
+        """The ``(B, n_qubits)`` expectations: the group's matrix itself,
+        or stacked from the rows of several groups.
+
+        Raises:
+            ValueError: The circuits differ in width.
+        """
+        if self.expectations is not None:
+            return self.expectations
+        return np.stack([result.expectations for result in self])
+
+
+def assemble_results(n_rows: int, blocks) -> RunResults:
+    """Row views over per-group result matrices, in submission order.
+
+    Args:
+        n_rows: Circuits in the submission.
+        blocks: ``(positions, expectations, outcomes, shots)`` per
+            structure group — the group's submission positions, its
+            ``(g, n_qubits)`` and ``(g, 2^n)``-or-``None`` matrices,
+            and the shots each row consumed (a scalar, or one per row;
+            a row with 0 shots is exact and has no outcome row).
+    """
+    rows = [None] * n_rows
+    for positions, expectations, outcomes, shots in blocks:
+        shots = (
+            shots.tolist() if isinstance(shots, np.ndarray)
+            else [shots] * len(expectations)
+        )
+        if outcomes is None:
+            views = [ExecutionResult(row) for row in expectations]
+        else:
+            views = [
+                ExecutionResult(row, used, outcome if used else None)
+                for row, used, outcome in zip(expectations, shots, outcomes)
+            ]
+        if len(blocks) == 1:
+            return RunResults(
+                views,
+                expectations,
+                outcomes if all(shots) else None,
+                sum(shots),
+            )
+        for position, view in zip(positions, views):
+            rows[position] = view
+    return RunResults(rows, shots=sum(row.shots for row in rows))
 
 
 class Backend(abc.ABC):
@@ -264,13 +365,14 @@ class Backend(abc.ABC):
         shots: int = 1024,
         purpose: str = "run",
         validate: bool = True,
-    ) -> list[ExecutionResult]:
+    ) -> RunResults:
         """Validate, execute, and meter a batch of circuits.
 
         The submission is partitioned into same-structure groups (in
         first-appearance order); each group is stacked into a
         :class:`~repro.circuits.CircuitBatch` and executed as one
-        sweep, and results are reassembled in submission order.  The
+        sweep, and results are row views over the groups' result
+        matrices, in submission order (:func:`assemble_results`).  The
         meter records the shots each execution actually consumed.
 
         Args:
@@ -304,9 +406,11 @@ class Backend(abc.ABC):
         if isinstance(circuits, Sweep):
             if validate:
                 circuits.template.validate()
-            results = _row_results(*self._run_group(circuits, shots), shots)
+            n_rows = circuits.size
+            groups = [(range(n_rows), circuits)]
         else:
             circuits = list(circuits)
+            n_rows = len(circuits)
             groups = group_by_structure(circuits)
             if validate:
                 for _, members in groups:
@@ -322,16 +426,21 @@ class Backend(abc.ABC):
                             != representative.num_parameters
                         ):
                             member.validate()
-            results = [None] * len(circuits)
-            for positions, members in groups:
-                group_results = _row_results(
-                    *self._run_group(CircuitBatch(members), shots), shots
-                )
-                for position, result in zip(positions, group_results):
-                    results[position] = result
-        self.meter.record(
-            len(results), sum(r.shots for r in results), purpose
-        )
+            groups = [
+                (positions, CircuitBatch(members))
+                for positions, members in groups
+            ]
+        blocks = []
+        for positions, sweep in groups:
+            expectations, outcomes = self._run_group(sweep, shots)
+            blocks.append((
+                positions,
+                expectations,
+                outcomes,
+                0 if outcomes is None else shots,
+            ))
+        results = assemble_results(n_rows, blocks)
+        self.meter.record(len(results), results.shots, purpose)
         return results
 
     def run_sweep(
@@ -368,39 +477,25 @@ class Backend(abc.ABC):
         """Per-qubit Z expectations for each circuit, stacked.
 
         Returns:
-            Array of shape ``(len(circuits), n_qubits)``.
+            Array of shape ``(len(circuits), n_qubits)`` (see
+            :meth:`RunResults.expectation_matrix`).
 
         Raises:
-            ValueError: ``circuits`` is empty (nothing runs or meters).
+            ValueError: ``circuits`` is empty (nothing runs or meters),
+                or the circuits differ in width.
         """
         if not isinstance(circuits, Sweep):
             circuits = list(circuits)
             if not circuits:
                 raise ValueError("need at least one circuit")
-        results = self.run(circuits, shots=shots, purpose=purpose)
-        return np.stack([r.expectations for r in results])
+        return self.run(
+            circuits, shots=shots, purpose=purpose
+        ).expectation_matrix()
 
     def seed(self, seed: int | None) -> None:
         """Reseed the backend's sampler (for reproducible experiments)."""
         self._rng = np.random.default_rng(seed)
         self._seed = seed
-
-
-def _row_results(
-    expectations: np.ndarray, outcomes: np.ndarray | None, shots: int
-) -> list[ExecutionResult]:
-    """One :class:`ExecutionResult` per row of a sweep's kernel output;
-    counts dicts come from the outcome matrix."""
-    if outcomes is None:
-        return [
-            ExecutionResult(counts={}, expectations=row.copy(), shots=0)
-            for row in expectations
-        ]
-    counts_list = _measurement.outcome_matrix_to_counts(outcomes)
-    return [
-        ExecutionResult(counts=counts, expectations=row.copy(), shots=shots)
-        for counts, row in zip(counts_list, expectations)
-    ]
 
 
 class IdealBackend(Backend):

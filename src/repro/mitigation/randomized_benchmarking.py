@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.sim import gates as _gates
+from repro.sim import measurement as _measurement
 
 #: Generator set whose products cover the single-qubit Clifford group.
 _CLIFFORD_NAMES = ("i", "x", "y", "z", "h", "s", "sdg")
@@ -125,9 +126,12 @@ def run_rb(
         for _ in range(n_sequences):
             result = results[index]
             index += 1
-            if result.counts:
-                total = sum(result.counts.values())
-                values.append(result.counts.get("0", 0) / total)
+            if result.outcomes is not None:
+                # Survival: the observed frequency of outcome 0.
+                frequencies = _measurement.outcome_probabilities(
+                    result.outcomes
+                )
+                values.append(float(frequencies[0]))
             else:
                 # Exact backend: survival from the expectation value.
                 values.append(0.5 * (1.0 + result.expectations[qubit]))

@@ -79,10 +79,8 @@ def calibrate_readout(
     results = backend.run(circuits, shots=shots, purpose="readout-cal")
     marginals = []
     for result in results:
-        if result.counts:
-            probs = _measurement.counts_to_probabilities(
-                result.counts, n_qubits
-            )
+        if result.outcomes is not None:
+            probs = _measurement.outcome_probabilities(result.outcomes)
         else:  # exact backend: ideal readout
             probs = np.zeros(2**n_qubits)
             probs[0] = 1.0

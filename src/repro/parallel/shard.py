@@ -27,6 +27,7 @@ is bit-identical to the single-process batched path by construction.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -147,6 +148,11 @@ class ShardPlanner:
         from repro.sim import compile as _compile
 
         self._plan_cache = _compile.PlanCache(maxsize=256)
+        #: Row cost per sweep template, looked up by identity: a flush
+        #: is planned and timed without re-hashing its signature.
+        self._template_costs: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
 
     def _costing_plan(self, structure):
         """Cached compiled plan of a structure, for costing only."""
@@ -158,12 +164,24 @@ class ShardPlanner:
         )
 
     def row_cost(self, structure) -> float:
-        """Estimated flops of one row of a structure (circuit or sweep)."""
-        return circuit_cost(
+        """Estimated flops of one row of a structure (circuit or sweep).
+
+        A sweep's figure is kept per template, so planning a flush and
+        timing its shards price the structure once.
+        """
+        template = getattr(structure, "template", None)
+        if template is not None:
+            cost = self._template_costs.get(template)
+            if cost is not None:
+                return cost
+        cost = circuit_cost(
             structure,
             density=self.density,
             plan=self._costing_plan(structure),
         )
+        if template is not None:
+            self._template_costs[template] = cost
+        return cost
 
     def n_shards(self, rows) -> int:
         """How many chunks one same-structure group is worth.
@@ -213,21 +231,19 @@ class ShardPlanner:
         n_shards = self.n_shards(rows)
         if n_shards == 0:
             return []
+        # Chunk sizes as np.array_split cuts them: the first ``extra``
+        # chunks hold one row more.
+        size, extra = divmod(len(rows), n_shards)
         shards = []
-        positions = np.arange(len(rows))
-        for worker, chunk in enumerate(
-            np.array_split(positions, n_shards)
-        ):
-            members = chunk.tolist()
+        start = 0
+        for worker in range(n_shards):
+            stop = start + size + (worker < extra)
             shards.append(
                 Shard(
                     worker=worker,
-                    positions=members,
-                    seeds=(
-                        None
-                        if seeds is None
-                        else [seeds[i] for i in members]
-                    ),
+                    positions=list(range(start, stop)),
+                    seeds=None if seeds is None else list(seeds[start:stop]),
                 )
             )
+            start = stop
         return shards

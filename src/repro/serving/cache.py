@@ -12,8 +12,9 @@ angles) is a complete cache key.
 The service only enables this cache when **every** routed backend is
 deterministic; sampled or noisy execution must re-run (each run is a
 fresh random realization — serving a memoized draw would silently
-correlate what callers assume are independent samples).  Hits hand back
-a defensive copy so callers can't poison cached arrays.
+correlate what callers assume are independent samples).  Entries are
+expectation rows; a hit is copied out into the caller's array, so
+callers can't poison cached rows.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.hardware.backend import ExecutionResult
+import numpy as np
 
 
 class ResultCache:
-    """Thread-safe LRU cache of :class:`ExecutionResult` by fingerprint.
+    """Thread-safe LRU cache of expectation rows by fingerprint.
+
+    An exact result is its ``(n_qubits,)`` expectation row: exact
+    execution draws no shots, so there is no outcome row or counts dict
+    to keep.  Lookups and inserts take a whole work item's keys in one
+    locked call.
 
     Args:
         capacity: Maximum entries kept; least-recently-used beyond that
@@ -39,38 +45,48 @@ class ResultCache:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._entries: OrderedDict[str, ExecutionResult] = OrderedDict()
+        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    @staticmethod
-    def _copy(result: ExecutionResult) -> ExecutionResult:
-        return ExecutionResult(
-            counts=dict(result.counts),
-            expectations=result.expectations.copy(),
-            shots=result.shots,
-        )
+    def get_many(self, keys) -> tuple[np.ndarray, np.ndarray | None]:
+        """Look up fingerprints; counts a hit or miss for each.
 
-    def get(self, key: str) -> ExecutionResult | None:
-        """Look up a fingerprint; counts a hit or miss either way."""
+        Returns:
+            ``(hit, rows)`` — a boolean mask over ``keys`` and the hit
+            keys' rows stacked in key order, a ``(hits, n_qubits)``
+            array the caller owns (``None`` when nothing hit).
+        """
+        hit = np.zeros(len(keys), dtype=bool)
+        found = []
+        entries = self._entries
         with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return self._copy(result)
+            for index, key in enumerate(keys):
+                row = entries.get(key)
+                if row is not None:
+                    entries.move_to_end(key)
+                    hit[index] = True
+                    found.append(row)
+            self.hits += len(found)
+            self.misses += len(keys) - len(found)
+        return hit, np.array(found) if found else None
 
-    def put(self, key: str, result: ExecutionResult) -> None:
-        """Insert (or refresh) a fingerprint -> result entry."""
+    def put_many(self, keys, rows) -> None:
+        """Insert (or refresh) ``keys[i] -> rows[i]`` for every key.
+
+        ``rows`` is copied once, so later writes to the caller's array
+        cannot reach the cache.
+        """
+        rows = np.array(rows)
+        entries = self._entries
         with self._lock:
-            self._entries[key] = self._copy(result)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            for key, row in zip(keys, rows):
+                entries[key] = row
+                entries.move_to_end(key)
+            while len(entries) > self.capacity:
+                entries.popitem(last=False)
                 self.evictions += 1
 
     def __len__(self) -> int:

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.circuits.sweep import Sweep
-from repro.hardware.backend import CircuitRunMeter, ExecutionResult
+from repro.hardware.backend import CircuitRunMeter, RunResults
 
 
 class ServiceExecutor:
@@ -63,7 +63,7 @@ class ServiceExecutor:
         circuits: Sequence,
         shots: int = 1024,
         purpose: str = "run",
-    ) -> list[ExecutionResult]:
+    ) -> RunResults:
         """Submit and wait; same contract as :meth:`Backend.run`."""
         job = self._service.submit(
             circuits,
@@ -73,9 +73,7 @@ class ServiceExecutor:
             deadline_s=self.deadline_s,
         )
         results = job.result()
-        self.meter.record(
-            len(results), sum(r.shots for r in results), purpose
-        )
+        self.meter.record(len(results), results.shots, purpose)
         return results
 
     def run_sweep(
@@ -90,17 +88,20 @@ class ServiceExecutor:
         shots: int = 1024,
         purpose: str = "run",
     ) -> np.ndarray:
-        """Per-qubit Z expectations, stacked ``(len(circuits), n_qubits)``.
+        """Per-qubit Z expectations, ``(len(circuits), n_qubits)`` (see
+        :meth:`~repro.hardware.backend.RunResults.expectation_matrix`).
 
         Raises:
-            ValueError: ``circuits`` is empty (nothing is submitted).
+            ValueError: ``circuits`` is empty (nothing is submitted), or
+                the circuits differ in width.
         """
         if not isinstance(circuits, Sweep):
             circuits = list(circuits)
             if not circuits:
                 raise ValueError("need at least one circuit")
-        results = self.run(circuits, shots=shots, purpose=purpose)
-        return np.stack([r.expectations for r in results])
+        return self.run(
+            circuits, shots=shots, purpose=purpose
+        ).expectation_matrix()
 
     def results_deterministic(self) -> bool:
         """Deterministic iff the whole routed pool is."""

@@ -63,6 +63,22 @@ class JobQueue:
             self.max_depth = max(self.max_depth, len(self._heap))
             self._not_empty.notify()
 
+    def _wait(self, timeout: float | None) -> bool:
+        """Under the lock: wait for an item; False on timeout or close."""
+        deadline = None
+        if timeout is not None:
+            deadline = _monotonic() + timeout
+        while not self._heap:
+            if self._closed:
+                return False
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - _monotonic()
+                if remaining <= 0:
+                    return False
+            self._not_empty.wait(remaining)
+        return True
+
     def get(self, timeout: float | None = None):
         """Dequeue the highest-priority item, or ``None`` on timeout.
 
@@ -70,18 +86,8 @@ class JobQueue:
         use that (plus :meth:`closed`) as their shutdown signal.
         """
         with self._not_empty:
-            deadline = None
-            if timeout is not None:
-                deadline = _monotonic() + timeout
-            while not self._heap:
-                if self._closed:
-                    return None
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - _monotonic()
-                    if remaining <= 0:
-                        return None
-                self._not_empty.wait(remaining)
+            if not self._wait(timeout):
+                return None
             _, _, item = heapq.heappop(self._heap)
             self.gets += 1
             if self._heap:
@@ -93,6 +99,20 @@ class JobQueue:
                 # consumer with work still queued.
                 self._not_empty.notify()
             return item
+
+    def get_all(self, timeout: float | None = None) -> list:
+        """Dequeue every queued item, highest priority first.
+
+        Like :meth:`get`, but one wakeup takes the whole backlog; an
+        empty list stands for :meth:`get`'s ``None``.
+        """
+        with self._not_empty:
+            if not self._wait(timeout):
+                return []
+            heap = self._heap
+            items = [heapq.heappop(heap)[2] for _ in range(len(heap))]
+            self.gets += len(items)
+            return items
 
     def close(self) -> None:
         """Refuse new work and wake every blocked consumer."""

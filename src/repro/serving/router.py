@@ -34,7 +34,7 @@ import threading
 import time
 from collections.abc import Sequence
 
-from repro.hardware.backend import Backend, ExecutionResult
+from repro.hardware.backend import Backend, RunResults
 from repro.resilience.breaker import CircuitBreaker
 
 #: Selection policies understood by :class:`Router`.
@@ -131,7 +131,7 @@ class Router:
         shots: int,
         purpose: str,
         validate: bool = True,
-    ) -> tuple[list[ExecutionResult], Backend, dict]:
+    ) -> tuple[RunResults, Backend, dict]:
         """Route one batch to a backend and run it.
 
         ``circuits`` is whatever :meth:`Backend.run` takes — the
@@ -142,11 +142,10 @@ class Router:
         distinct backends execute concurrently.
 
         Returns:
-            ``(results, backend, window)`` — ``window`` is the meter
-            delta this batch alone consumed (via
-            :meth:`~repro.hardware.CircuitRunMeter.diff`), computed
-            under the run lock so concurrent flushes on other backends
-            can't bleed into it.
+            ``(results, backend, window)`` — ``window`` is the usage
+            this batch alone added to the backend's meter, shaped like
+            :meth:`~repro.hardware.CircuitRunMeter.snapshot`: the rows
+            and shots it ran, under its purpose.
         """
         with self._lock:
             index = self._select()
@@ -158,14 +157,12 @@ class Router:
         breaker.on_dispatch()
         try:
             with self._run_locks[index]:
-                before = backend.meter.snapshot()
                 results = backend.run(
                     circuits, shots=shots, purpose=purpose,
                     validate=validate,
                 )
-                window = backend.meter.diff(before)
             breaker.record_success()
-            return results, backend, window
+            return results, backend, _window(results, purpose)
         except Exception as exc:
             breaker.record_failure()
             # Failure context for the scheduler's FlushError: which
@@ -223,3 +220,18 @@ class Router:
             "breaker_trips": sum(b["trips"] for b in breaker_stats),
             "meter_totals": self.meter_totals(),
         }
+
+
+def _window(results: RunResults, purpose: str) -> dict:
+    """The meter usage of one run: its rows and the shots they used.
+
+    Zero entries are left out of the per-purpose breakdowns, as in
+    :meth:`~repro.hardware.CircuitRunMeter.diff`.
+    """
+    n, shots = len(results), results.shots
+    return {
+        "circuits": n,
+        "shots": shots,
+        "by_purpose": {purpose: n} if n else {},
+        "shots_by_purpose": {purpose: shots} if shots else {},
+    }

@@ -25,7 +25,10 @@ Each flush concatenates its items' rows into one
 call with it on one routed backend — one vectorized execution of one
 structure group; shots and purpose are part of the bucket key
 precisely so the whole bucket is a legal single submission (one shot
-setting, one meter tag).  Flushes are
+setting, one meter tag).  The flush's result matrices are then
+handed out by row ranges: each item's rows go into its job's result
+matrices in one assignment, and into the result cache in one call.
+Flushes are
 handed to a small dispatch pool (one worker per backend) so a slow
 backend never stalls coalescing for the others.
 
@@ -74,11 +77,12 @@ class WorkItem:
     Attributes:
         sweep: The admitted :class:`~repro.circuits.sweep.Sweep` of the
             group (its angle matrices are a snapshot taken at submit).
-        rows: Index array of this item's rows in ``sweep``.
+        rows: Index array of this item's rows in ``sweep`` — also their
+            rows in the job's result matrices for the group.
         shots: Requested shots.
         purpose: Usage-meter tag.
         job: The originating :class:`~repro.serving.ServiceJob`.
-        indices: Slots in the job's result list, one per row.
+        group: Which of the job's structure groups ``sweep`` is.
         fingerprints: Cache keys, one per row, pre-computed at submit
             time (``None`` when the cache is disabled).
         release: Called exactly once, with the row count, when the
@@ -91,7 +95,7 @@ class WorkItem:
     shots: int
     purpose: str
     job: object
-    indices: np.ndarray
+    group: int = 0
     fingerprints: list[str] | None = None
     release: object | None = None
 
@@ -106,7 +110,6 @@ class WorkItem:
             dataclasses.replace(
                 self,
                 rows=self.rows[part],
-                indices=self.indices[part],
                 fingerprints=None if keys is None else keys[part],
             )
             for part in (slice(None, k), slice(k, None))
@@ -119,11 +122,26 @@ class WorkItem:
 
 
 def stack_rows(items: list[WorkItem]) -> Sweep:
-    """The rows of same-template items, in item order, as one sweep."""
-    return Sweep(
-        items[0].sweep.template,
-        np.concatenate([item.sweep.literals[item.rows] for item in items]),
-        np.concatenate([item.sweep.params[item.rows] for item in items]),
+    """The rows of same-template items, in item order, as one sweep.
+
+    Carries the admitted angle rows along (admission already resolved
+    and checked them); an item holding all of its sweep's rows adds
+    its matrices as they are, and a lone one flushes its sweep.
+    """
+    first = items[0]
+    whole = [item.size == item.sweep.size for item in items]
+    if len(items) == 1 and whole[0]:
+        return first.sweep
+    return Sweep.admitted(
+        first.sweep.template,
+        *(
+            np.concatenate([
+                getattr(item.sweep, name) if full
+                else getattr(item.sweep, name)[item.rows]
+                for item, full in zip(items, whole)
+            ])
+            for name in ("literals", "params", "angles")
+        ),
     )
 
 
@@ -251,14 +269,15 @@ class CoalescingScheduler:
                 timeout = None
             else:
                 timeout = max(0.0, deadline - time.monotonic())
-            item = self._queue.get(timeout=timeout)
-            if item is None:
-                if self._queue.closed:
-                    self._flush_all("drain")
-                    return
-                self._flush_expired()
-                continue
-            self._add(item)
+            # Every queued item per wakeup: a size flush depends only on
+            # the order items arrive in, so taking them together forms
+            # the flushes taking them one at a time would.
+            items = self._queue.get_all(timeout=timeout)
+            if not items and self._queue.closed:
+                self._flush_all("drain")
+                return
+            for item in items:
+                self._add(item)
             self._flush_expired()
 
     def _add(self, item: WorkItem) -> None:
@@ -362,7 +381,6 @@ class CoalescingScheduler:
         sweep = stack_rows(items)
         shots = items[0].shots
         purpose = items[0].purpose
-        flush_key = (sweep.structure_signature(), shots, purpose)
         attempts = 0
 
         def attempt():
@@ -414,7 +432,7 @@ class CoalescingScheduler:
             failure = FlushError(
                 f"flush failed after {attempts} attempt(s): {exc}",
                 backend=getattr(exc, "backend_name", None),
-                flush_key=flush_key,
+                flush_key=(sweep.structure_signature(), shots, purpose),
                 attempts=attempts,
                 worker=getattr(exc, "slot", None),
             )
@@ -430,15 +448,23 @@ class CoalescingScheduler:
                 "backend": backend.name,
                 "meter": window,
             }
+        expectations, outcomes = results.expectations, results.outcomes
+        used = 0 if outcomes is None else shots
         start = 0
         for item in items:
-            chunk = results[start:start + item.size]
-            start += item.size
+            stop = start + item.size
+            rows = expectations[start:stop]
             if self._cache is not None and item.fingerprints is not None:
-                for key, result in zip(item.fingerprints, chunk):
-                    self._cache.put(key, result)
-            item.job._fulfill(item.indices, chunk)
+                self._cache.put_many(item.fingerprints, rows)
+            item.job._fulfill(
+                item.group,
+                item.rows,
+                rows,
+                None if outcomes is None else outcomes[start:stop],
+                used,
+            )
             item.resolve()
+            start = stop
 
     def stats(self) -> dict:
         """Telemetry snapshot."""

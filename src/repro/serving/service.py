@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.circuits.batch import group_by_structure
 from repro.circuits.sweep import Sweep, SweepTemplate
-from repro.hardware.backend import Backend, ExecutionResult
+from repro.hardware.backend import Backend, RunResults, assemble_results
 from repro.hardware.job import LIFECYCLE, JobError, JobIdAllocator, JobStatus
 from repro.resilience.errors import DeadlineExceeded, JobCancelled
 from repro.resilience.retry import Deadline, RetryPolicy
@@ -101,6 +101,33 @@ def _shard_backends(
     return wrapped, owned
 
 
+class _GroupRows:
+    """One structure group's result matrices inside a job.
+
+    Filled row range by row range as the group's work items (or its
+    cache hits) resolve; ``shots`` records what each row consumed.
+    """
+
+    __slots__ = ("positions", "expectations", "outcomes", "shots")
+
+    def __init__(self, positions, sweep: Sweep):
+        self.positions = positions
+        self.expectations = np.empty((sweep.size, sweep.n_qubits))
+        self.outcomes: np.ndarray | None = None
+        self.shots = np.zeros(sweep.size, dtype=np.int64)
+
+    def write(self, rows, expectations, outcomes, shots: int) -> None:
+        self.expectations[rows] = expectations
+        if outcomes is not None:
+            if self.outcomes is None:
+                self.outcomes = np.zeros(
+                    (len(self.expectations), outcomes.shape[1]),
+                    dtype=outcomes.dtype,
+                )
+            self.outcomes[rows] = outcomes
+        self.shots[rows] = shots
+
+
 class ServiceJob:
     """A client's asynchronous submission; resolves to execution results.
 
@@ -140,9 +167,7 @@ class ServiceJob:
         self.status = JobStatus.CREATED
         self.error: BaseException | None = None
         self.cache_hits = 0
-        self._results: list[ExecutionResult | None] = [None] * len(
-            self.circuits
-        )
+        self._groups: list[_GroupRows] = []
         self._remaining = len(self.circuits)
         self._lock = threading.Lock()
         self._done = threading.Event()
@@ -162,13 +187,23 @@ class ServiceJob:
     def _mark_running(self) -> None:
         self._advance_to(JobStatus.RUNNING)
 
-    def _fulfill(self, indices, results) -> None:
-        """Fill result slots ``indices`` with ``results``, in order."""
+    def _allocate(self, groups) -> None:
+        """Result matrices for admission's ``(positions, sweep)`` groups."""
+        self._groups = [
+            _GroupRows(positions, sweep) for positions, sweep in groups
+        ]
+
+    def _fulfill(
+        self, group: int, rows, expectations, outcomes=None, shots: int = 0
+    ) -> None:
+        """Write result rows ``rows`` of structure group ``group``.
+
+        ``expectations`` (and ``outcomes``, when sampled) hold the rows
+        in order; each lands in the job's matrices in one assignment.
+        """
         with self._lock:
-            for index, result in zip(indices, results):
-                if self._results[index] is None:
-                    self._remaining -= 1
-                self._results[index] = result
+            self._groups[group].write(rows, expectations, outcomes, shots)
+            self._remaining -= len(expectations)
             finished = self._remaining == 0
         if finished:
             self._advance_to(JobStatus.DONE)
@@ -201,8 +236,12 @@ class ServiceJob:
         self._fail(JobCancelled(f"{self.job_id} cancelled by client"))
         return True
 
-    def result(self, timeout: float | None = None) -> list[ExecutionResult]:
+    def result(self, timeout: float | None = None) -> RunResults:
         """Block until finished; one result per submitted circuit.
+
+        The results are row views over the job's result matrices (see
+        :class:`~repro.hardware.backend.RunResults`), in submission
+        order.
 
         Waits no longer than the job's own deadline, when it has one —
         a deadline that expires mid-wait fails the job with
@@ -232,7 +271,13 @@ class ServiceJob:
             raise JobError(
                 f"{self.job_id} failed: {self.error}"
             ) from self.error
-        return list(self._results)
+        return assemble_results(
+            len(self.circuits),
+            [
+                (g.positions, g.expectations, g.outcomes, g.shots)
+                for g in self._groups
+            ],
+        )
 
     def __repr__(self) -> str:
         return (
@@ -483,21 +528,22 @@ class ExecutionService:
             self.submissions += 1
             self.circuits_submitted += len(job.circuits)
 
+        job._allocate(groups)
         pending: list[WorkItem] = []
-        hits: list[int] = []
-        hit_results: list[ExecutionResult] = []
-        for positions, sweep in groups:
-            indices = np.asarray(positions)
+        for group, (_, sweep) in enumerate(groups):
             rows = np.arange(sweep.size)
             keys = None
             if self.cache is not None:
                 keys = sweep.fingerprints()
-                cached = [self.cache.get(key) for key in keys]
-                hit = np.array([result is not None for result in cached])
-                hits.extend(indices[hit])
-                hit_results.extend(r for r in cached if r is not None)
-                rows = np.flatnonzero(~hit)
-                keys = [keys[row] for row in rows]
+                hit, cached = self.cache.get_many(keys)
+                if cached is not None:
+                    hits = len(cached)
+                    job.cache_hits += hits
+                    with self._lock:
+                        self.circuits_from_cache += hits
+                    job._fulfill(group, np.flatnonzero(hit), cached)
+                    rows = np.flatnonzero(~hit)
+                    keys = [keys[row] for row in rows]
             if rows.size:
                 pending.append(
                     WorkItem(
@@ -506,23 +552,18 @@ class ExecutionService:
                         shots=shots,
                         purpose=purpose,
                         job=job,
-                        indices=indices[rows],
+                        group=group,
                         fingerprints=keys,
                         release=self._release,
                     )
                 )
-        if hits:
-            job.cache_hits += len(hits)
-            with self._lock:
-                self.circuits_from_cache += len(hits)
-            job._fulfill(hits, hit_results)
 
         if not job.circuits:
             job._advance_to(JobStatus.DONE)
             job._done.set()
             return job
         if not pending:
-            # Fully served from cache; the _fulfill above completed it.
+            # Fully served from cache; the last _fulfill completed it.
             return job
 
         try:
@@ -619,7 +660,7 @@ class ExecutionService:
         shots: int = 1024,
         purpose: str = "run",
         priority: int = 0,
-    ) -> list[ExecutionResult]:
+    ) -> RunResults:
         """Synchronous convenience: ``submit(...).result()``."""
         return self.submit(
             circuits, shots=shots, purpose=purpose, priority=priority

@@ -147,6 +147,20 @@ def expectation_z_from_outcome_matrix(outcomes: np.ndarray) -> np.ndarray:
     return expectation_z_from_prob_matrix(outcomes / totals[:, None])
 
 
+def outcome_probabilities(outcomes: np.ndarray) -> np.ndarray:
+    """Observed outcome frequencies of one ``(2^n,)`` outcome count row.
+
+    The row divided by its total: bit-identical to
+    :func:`counts_to_probabilities` on the row's counts dict.
+    """
+    outcomes = np.asarray(outcomes)
+    _n_qubits(outcomes.shape[0])
+    total = outcomes.sum()
+    if total == 0:
+        raise ValueError("counts are empty")
+    return outcomes / total
+
+
 def sample_counts_batch(
     probs: np.ndarray, shots: int, rng: np.random.Generator
 ) -> list[dict[str, int]]:

@@ -83,9 +83,9 @@ def measure_hamiltonian(
 
     energy = 0.0
     for basis, rotated, result in zip(bases, measured, results):
-        if result.counts:
-            probabilities = _measurement.counts_to_probabilities(
-                result.counts, circuit.n_qubits
+        if result.outcomes is not None:
+            probabilities = _measurement.outcome_probabilities(
+                result.outcomes
             )
         else:
             # Exact backends return expectations but no counts; fall back

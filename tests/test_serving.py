@@ -9,7 +9,6 @@ import pytest
 
 from repro.circuits import CircuitBatch, QuantumCircuit, circuit_fingerprint
 from repro.hardware import (
-    ExecutionResult,
     IdealBackend,
     JobError,
     JobStatus,
@@ -144,52 +143,48 @@ class TestJobQueue:
         assert stats["gets"] == 1
 
 
-def _result(value: float) -> ExecutionResult:
-    return ExecutionResult(
-        counts={}, expectations=np.array([value]), shots=0
-    )
+def _row(value: float) -> np.ndarray:
+    return np.array([[value]])
 
 
 class TestResultCache:
     def test_hit_and_miss_telemetry(self):
         cache = ResultCache(capacity=4)
-        assert cache.get("a") is None
-        cache.put("a", _result(1.0))
-        hit = cache.get("a")
-        assert hit is not None and hit.expectations[0] == 1.0
+        assert cache.get_many(["a"])[1] is None
+        cache.put_many(["a"], _row(1.0))
+        hit, rows = cache.get_many(["a"])
+        assert hit.tolist() == [True] and rows[0, 0] == 1.0
         assert cache.hits == 1
         assert cache.misses == 1
         assert cache.hit_rate() == 0.5
 
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)
-        cache.put("a", _result(1.0))
-        cache.put("b", _result(2.0))
-        cache.get("a")  # refresh a; b becomes LRU
-        cache.put("c", _result(3.0))
+        cache.put_many(["a"], _row(1.0))
+        cache.put_many(["b"], _row(2.0))
+        cache.get_many(["a"])  # refresh a; b becomes LRU
+        cache.put_many(["c"], _row(3.0))
         assert "b" not in cache
         assert "a" in cache and "c" in cache
         assert cache.evictions == 1
 
     def test_hits_are_defensive_copies(self):
         cache = ResultCache()
-        cache.put("a", _result(1.0))
-        cache.get("a").expectations[0] = 99.0
-        assert cache.get("a").expectations[0] == 1.0
+        cache.put_many(["a"], _row(1.0))
+        cache.get_many(["a"])[1][0, 0] = 99.0
+        assert cache.get_many(["a"])[1][0, 0] == 1.0
 
     def test_stored_entry_detached_from_caller(self):
         cache = ResultCache()
-        result = _result(1.0)
-        cache.put("a", result)
-        result.expectations[0] = 99.0
-        assert cache.get("a").expectations[0] == 1.0
+        rows = _row(1.0)
+        cache.put_many(["a"], rows)
+        rows[0, 0] = 99.0
+        assert cache.get_many(["a"])[1][0, 0] == 1.0
 
     def test_stats_snapshot_is_internally_consistent(self):
         cache = ResultCache(capacity=4)
-        cache.put("a", _result(1.0))
-        cache.get("a")
-        cache.get("b")
-        cache.get("a")
+        cache.put_many(["a"], _row(1.0))
+        cache.get_many(["a", "b", "a"])
         stats = cache.stats()
         assert stats["hits"] == 2 and stats["misses"] == 1
         assert stats["hit_rate"] == stats["hits"] / (
@@ -201,14 +196,14 @@ class TestResultCache:
         # outside the lock, so a reader racing lookups could see a
         # torn ratio (fresh hits over a stale total, hit_rate > 1).
         cache = ResultCache(capacity=8)
-        cache.put("hot", _result(1.0))
+        cache.put_many(["hot"], _row(1.0))
         stop = threading.Event()
         anomalies: list[dict] = []
 
         def hammer():
             while not stop.is_set():
-                cache.get("hot")
-                cache.get("cold")
+                cache.get_many(["hot"])
+                cache.get_many(["cold"])
 
         def watch():
             while not stop.is_set():
@@ -484,7 +479,7 @@ class TestExecutionService:
             def _fail(self, exc):
                 self.failure = exc
 
-            def _fulfill(self, indices, results):
+            def _fulfill(self, group, rows, expectations, *rest):
                 pass
 
         class InterruptRouter:
@@ -503,7 +498,6 @@ class TestExecutionService:
                 shots=16,
                 purpose="run",
                 job=job,
-                indices=np.array([0]),
                 release=released.append,
             )
         ]
@@ -569,7 +563,6 @@ class TestExecutionService:
                 shots=16,
                 purpose="run",
                 job=job,
-                indices=np.array([0]),
             )
         ]
         scheduler._run_batch(items, "size")  # must not raise
