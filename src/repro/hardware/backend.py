@@ -359,6 +359,18 @@ class Backend(abc.ABC):
         """
         return False
 
+    @property
+    def run_slots(self) -> int:
+        """How many :meth:`run` calls may execute at once (derived).
+
+        1 unless a subclass says otherwise: a sampled run draws from
+        the backend's sampler, whose stream must follow run order.  An
+        exact :class:`~repro.parallel.ShardedBackend` runs one call per
+        worker process.  The serving router admits this many flushes
+        per backend at a time.
+        """
+        return 1
+
     def run(
         self,
         circuits: Sequence,

@@ -48,6 +48,8 @@ detection is on by default, with per-shard timeouts derived from the
 
 from __future__ import annotations
 
+import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -98,9 +100,11 @@ class ShardedBackend(Backend):
 
     The pool spawns lazily on first execution and is stopped by
     :meth:`close` (also a context manager, also reaped at garbage
-    collection).  Like the single-process backends, a ShardedBackend
-    is not thread-safe; the serving router already serializes per-
-    backend runs.
+    collection).  With deterministic results, up to :attr:`run_slots`
+    (``workers``) threads may call :meth:`run` at once, and their
+    shards overlap in the pool.  A sampled backend spawns its seed
+    substreams in call order, so its runs stay one at a time
+    (``run_slots`` is 1), as on the single-process backends.
     """
 
     def __init__(
@@ -153,6 +157,10 @@ class ShardedBackend(Backend):
         self._warned_fallback = False
         self._local_replica: Backend | None = None
         self._seed_seq = np.random.SeedSequence(self._seed)
+        #: Scatter counter: rotates which slot a group's first shard
+        #: lands on, so single-shard groups spread over the pool.
+        self._rotation = itertools.count()
+        self._fallback_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -174,6 +182,11 @@ class ShardedBackend(Backend):
 
     def exact_execution(self) -> bool:
         return not self.spec.samples
+
+    @property
+    def run_slots(self) -> int:
+        """``workers`` when results are deterministic, else 1."""
+        return self.workers if self.results_deterministic() else 1
 
     def seed(self, seed: int | None) -> None:
         """Reset the root of the sampling substream tree."""
@@ -205,7 +218,7 @@ class ShardedBackend(Backend):
         return self._degraded
 
     def _timeouts(self, sweep, shards) -> list[float] | None:
-        """Per-shard progress timeouts for the gather loop.
+        """Per-shard progress timeouts for the pool.
 
         The cost model prices one row of the group's structure once;
         each shard's allowance scales with its row count.
@@ -219,9 +232,10 @@ class ShardedBackend(Backend):
 
     def _local_backend(self) -> Backend:
         """The lazily built in-process replica degraded runs execute on."""
-        if self._local_replica is None:
-            self._local_replica = self.spec.build()
-        return self._local_replica
+        with self._fallback_lock:
+            if self._local_replica is None:
+                self._local_replica = self.spec.build()
+            return self._local_replica
 
     def _degrade(self, exc: WorkerCrashError) -> None:
         """Account for one pool give-up; re-raise if fallback is off.
@@ -233,11 +247,12 @@ class ShardedBackend(Backend):
         """
         if not self.fallback_enabled:
             raise exc
-        self.fallbacks += 1
-        if isinstance(exc, RestartBudgetExhausted):
-            self._degraded = True
-        if not self._warned_fallback:
-            self._warned_fallback = True
+        with self._fallback_lock:
+            self.fallbacks += 1
+            if isinstance(exc, RestartBudgetExhausted):
+                self._degraded = True
+            warn, self._warned_fallback = not self._warned_fallback, True
+        if warn:
             warnings.warn(
                 f"{self.name}: worker pool gave up "
                 f"({type(exc).__name__}: {exc}); degrading to "
@@ -251,7 +266,10 @@ class ShardedBackend(Backend):
         """Run each shard's rows as one ``kind`` request; gather.
 
         A request carries the template digest, the shard's rows of the
-        value matrices and ``extra(shard)``.  When the pool gives up,
+        value matrices and ``extra(shard)``.  Shard ``k`` goes to slot
+        ``(k + offset) % workers``, the offset advancing by one per
+        scatter: the planner binds a group's first shard to slot 0, and
+        results never depend on the slot.  When the pool gives up,
         the *same* shards (same seeds, same chunking) re-execute
         in-process through :func:`~repro.parallel.pool.serve_rows`,
         the function workers answer requests with, so degraded output
@@ -267,8 +285,12 @@ class ShardedBackend(Backend):
             for shard in shards
         ]
         if not self._degraded:
+            offset = next(self._rotation)
             requests = [
-                (shard.worker, (kind, (template.digest, *shard_rows)))
+                (
+                    (shard.worker + offset) % self.workers,
+                    (kind, (template.digest, *shard_rows)),
+                )
                 for shard, shard_rows in zip(shards, rows)
             ]
             try:

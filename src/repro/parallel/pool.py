@@ -41,20 +41,22 @@ pipe: the facade's ``Backend.run`` meters the submission once.
 
 Failure handling (the resilience tier)
 --------------------------------------
-Workers **heartbeat**: before executing each request they send an
-``("hb", ...)`` progress message, and the parent's gather loop treats
-any message — heartbeat or answer — as proof of life.  On top of that
-signal the pool detects and survives three distinct failures:
+A worker executes its requests in the order they arrive and answers
+each one, so the parent always knows which request a worker is
+running: the head of that slot's FIFO, started when its predecessor's
+answer went out.  The silence clock for a request therefore starts
+when the previous answer is read, and the pool detects and survives
+three distinct failures:
 
 * **crash** — a worker that dies mid-shard (OOM kill, segfault in a
   native extension, injected ``kill``) is detected by its broken pipe;
-  the pool spawns a fresh worker in the same slot and re-sends the
-  unacknowledged shards.  Because shard seeds are position-keyed, a
-  retried shard reproduces exactly the results the dead worker would
-  have produced.
+  the pool spawns a fresh worker in the same slot and replays the
+  slot's unanswered requests, every caller's, in order.  Because shard
+  seeds are position-keyed, a retried shard reproduces exactly the
+  results the dead worker would have produced.
 * **hang** — a worker that stops making progress (deadlock, runaway
   native call, injected ``hang``) cannot break its own pipe, so the
-  gather loop enforces a per-shard **timeout** (derived from the
+  slot's reader enforces a per-shard **timeout** (derived from the
   :mod:`repro.scaling` cost model by the facade); silence past the
   timeout kills the worker and recovers exactly like a crash, raising
   :class:`WorkerHangError` once the per-shard budget is exhausted.
@@ -72,6 +74,16 @@ re-raise in the parent with the worker traceback attached.  All three
 escalation types subclass :class:`~repro.resilience.TransientError`,
 so upstream retry policies classify them correctly.
 
+Concurrent calls
+----------------
+Several threads may call :meth:`WorkerPool.run_shards` at once, so one
+call's scatter overlaps another's compute.  Each slot keeps a FIFO of
+requests sent but not yet answered; a worker answers in send order, so
+every answer belongs to the FIFO's head, whichever call happens to be
+reading the pipe.  A call that gives up (an escalation) leaves its
+other requests queued, and their answers are consumed in turn rather
+than read by the next call as its own.
+
 Chaos hooks: the worker loop fires the ``worker.shard`` injection site
 before executing each shard, and the parent fires ``pool.pipe`` before
 each pipe send — see :mod:`repro.resilience.faults`.  Spawned workers
@@ -83,10 +95,11 @@ a spawn argument) tagged with their spawn index, so plans can target
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 import traceback
 import weakref
-from time import monotonic as _monotonic
+from collections import deque
 
 import numpy as np
 
@@ -250,16 +263,9 @@ def _worker_main(
             break
         kind, payload = message
         if kind == "template":
-            # Registration only: no heartbeat, no answer.
+            # Registration only: no answer.
             _register(templates, *payload)
             continue
-        try:
-            # Progress signal: the parent's hung-shard detector treats
-            # any message as proof of life, so a worker that *starts*
-            # a long shard is distinguishable from one that is stuck.
-            conn.send(("hb", kind))
-        except (BrokenPipeError, OSError):
-            break
         try:
             if kind in ("sweep", "probs"):
                 if _faults.ACTIVE is not None:
@@ -325,16 +331,51 @@ def _shutdown(processes: list, connections: list) -> None:
 
 
 class _WorkerHandle:
-    """One pool slot: a spawned process plus its parent-side pipe end."""
+    """One pool slot: a spawned process plus its parent-side pipe end.
 
-    __slots__ = ("process", "conn")
+    ``broken`` marks a handle whose pipe failed a send: nothing more
+    may reach that worker, since a later message would overtake the
+    lost one.
+    """
+
+    __slots__ = ("process", "conn", "broken")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
+        self.broken = False
 
     def alive(self) -> bool:
         return self.process.is_alive()
+
+
+class _Request:
+    """One request sent to a slot and not yet answered.
+
+    A slot's worker answers its requests in the order they were sent,
+    so every answer belongs to the head of the slot's FIFO of these.
+    """
+
+    __slots__ = (
+        "slot", "message", "template", "timeout", "attempts", "status",
+        "payload",
+    )
+
+    def __init__(self, slot: int, message: tuple, template, timeout):
+        self.slot = slot
+        self.message = message
+        self.template = template
+        self.timeout = timeout
+        #: Worker deaths while this request was the slot's head.
+        self.attempts = 0
+        #: ``None`` until answered: ``"ok"``, ``"error"`` (a worker-side
+        #: exception) or ``"raise"`` (an escalation class and message).
+        self.status: str | None = None
+        self.payload = None
+
+    def finish(self, status: str, payload) -> None:
+        self.payload = payload
+        self.status = status
 
 
 class WorkerPool:
@@ -360,9 +401,13 @@ class WorkerPool:
     execute — costs nothing.  The pool is a context manager; it also
     registers a finalizer, so abandoned pools are reaped at garbage
     collection and worker processes are daemonic besides (they can
-    never outlive the parent).  Not thread-safe: one scatter/gather at
-    a time, which matches the per-backend run lock the serving router
-    already imposes.
+    never outlive the parent).
+
+    :meth:`run_shards` is safe to call from several threads at once:
+    each slot keeps a FIFO of requests sent but not yet answered, and
+    whichever caller is reading a slot hands each answer to the head of
+    that FIFO, so calls overlap in the workers without ever taking one
+    another's answers.  :meth:`close` must not race a call in flight.
     """
 
     def __init__(
@@ -394,6 +439,15 @@ class WorkerPool:
         self._workers: list[_WorkerHandle | None] = [None] * self.n_workers
         #: Per slot: the template digests its current worker holds.
         self._held: list[dict] = [{} for _ in range(self.n_workers)]
+        #: Per slot: requests sent but not yet answered, in send order.
+        self._pending = [deque() for _ in range(self.n_workers)]
+        #: Per slot: held to send, and to respawn and replay.
+        self._send_locks = [threading.Lock() for _ in range(self.n_workers)]
+        #: Per slot: at most one caller reads its pipe; waiters sleep here.
+        self._turns = [threading.Condition() for _ in range(self.n_workers)]
+        self._reading = [False] * self.n_workers
+        #: Spawn bookkeeping, the restart budget and the counters.
+        self._lock = threading.RLock()
         self._started = False
         self._closed = False
         self.restarts = 0
@@ -406,27 +460,30 @@ class WorkerPool:
     # -- lifecycle -------------------------------------------------------
 
     def _spawn(self, slot: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self.spec,
-                _faults.current_plan(),
-                slot,
-                self._spawn_count,
-            ),
-            name=f"repro-worker-{slot}",
-            daemon=True,
-        )
-        self._spawn_count += 1
-        process.start()
-        child_conn.close()  # the parent keeps only its own end
-        handle = _WorkerHandle(process, parent_conn)
-        self._workers[slot] = handle
-        # A fresh worker holds no templates: requests resend them.
-        self._held[slot] = {}
-        self._refresh_finalizer()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            parent_conn, child_conn = self._context.Pipe(duplex=True)
+            process = self._context.Process(
+                target=_worker_main,
+                args=(
+                    child_conn,
+                    self.spec,
+                    _faults.current_plan(),
+                    slot,
+                    self._spawn_count,
+                ),
+                name=f"repro-worker-{slot}",
+                daemon=True,
+            )
+            self._spawn_count += 1
+            process.start()
+            child_conn.close()  # the parent keeps only its own end
+            handle = _WorkerHandle(process, parent_conn)
+            self._workers[slot] = handle
+            # A fresh worker holds no templates: requests resend them.
+            self._held[slot] = {}
+            self._refresh_finalizer()
         return handle
 
     def _refresh_finalizer(self) -> None:
@@ -447,24 +504,26 @@ class WorkerPool:
 
     def ensure_started(self) -> None:
         """Spawn all workers (idempotent; called on first execution)."""
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        if self._started:
-            return
-        for slot in range(self.n_workers):
-            if self._workers[slot] is None:
-                self._spawn(slot)
-        self._started = True
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if self._started:
+                return
+            for slot in range(self.n_workers):
+                if self._workers[slot] is None:
+                    self._spawn(slot)
+            self._started = True
 
     def close(self) -> None:
         """Stop every worker and join it; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer.detach()
-        live = [w for w in self._workers if w is not None]
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._finalizer.detach()
+            live = [w for w in self._workers if w is not None]
+            self._workers = [None] * self.n_workers
         _shutdown([w.process for w in live], [w.conn for w in live])
-        self._workers = [None] * self.n_workers
 
     @property
     def closed(self) -> bool:
@@ -485,35 +544,46 @@ class WorkerPool:
 
     # -- crash plumbing (also the test hook) -----------------------------
 
-    def _restart(self, slot: int) -> _WorkerHandle:
-        """Replace the worker in ``slot``: reap, back off, respawn.
+    def _retire(self, slot: int) -> None:
+        """Take ``slot``'s worker down for good: close, then reap.
 
         The parent-side pipe end is closed *before* the process is
         reaped (a respawn that leaked fds eventually exhausted the
-        parent's descriptor table under a crash storm), termination
-        escalates SIGTERM → SIGKILL (a hung worker ignores SIGTERM),
-        and the respawn is delayed by the slot's exponential backoff.
-        Every restart draws from the pool-lifetime budget.
+        parent's descriptor table under a crash storm), and nothing is
+        ever read from it again — answers the old worker buffered die
+        with it.  Termination escalates SIGTERM → SIGKILL (a hung
+        worker ignores SIGTERM).  The next request respawns the slot.
+        """
+        handle = self._workers[slot]
+        if handle is None:
+            return
+        self._workers[slot] = None
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+        _stop_process(handle.process)
+
+    def _restart(self, slot: int) -> _WorkerHandle:
+        """Replace the worker in ``slot``: retire, back off, respawn.
+
+        The respawn is delayed by the slot's exponential backoff, and
+        every restart draws from the pool-lifetime budget.
 
         Raises:
             RestartBudgetExhausted: The budget hit zero — the caller
                 (ultimately the facade) should degrade, not loop.
         """
-        if self.restarts >= self.restart_budget:
-            raise RestartBudgetExhausted(
-                f"worker pool spent its restart budget "
-                f"({self.restart_budget}); degrading instead of "
-                f"respawning further",
-                slot=slot,
-            )
-        handle = self._workers[slot]
-        if handle is not None:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            _stop_process(handle.process)
-        self.restarts += 1
+        self._retire(slot)
+        with self._lock:
+            if self.restarts >= self.restart_budget:
+                raise RestartBudgetExhausted(
+                    f"worker pool spent its restart budget "
+                    f"({self.restart_budget}); degrading instead of "
+                    f"respawning further",
+                    slot=slot,
+                )
+            self.restarts += 1
         self._slot_streaks[slot] += 1
         delay = min(
             self.backoff_cap_s,
@@ -544,17 +614,18 @@ class WorkerPool:
         the worker loop: ``("sweep", (digest, literals, params, seeds,
         shots))``, ``("probs", (digest, literals, params))`` or
         ``("ping", None)``.  Requests for one worker execute in the
-        order given; distinct workers execute concurrently.  Returns
-        one response payload per request, aligned with the input order.
+        order given, after any that other calls sent it first; distinct
+        workers execute concurrently.  Returns one response payload per
+        request, aligned with the input order.
 
         Args:
             requests: The scatter plan.
             timeouts: Per-request progress timeouts in seconds — a
                 scalar applies to every request, a list aligns with
                 ``requests``, ``None`` disables hung-shard detection.
-                The clock resets on every message from the worker
-                (heartbeats included), so the timeout bounds *silence*,
-                not total shard runtime.
+                The clock starts when the worker's previous answer is
+                read, so the timeout bounds one request's *silence*,
+                not the wait behind requests queued ahead of it.
             templates: ``{digest: SweepTemplate}`` for the requests'
                 digests; each is sent to a worker only when its slot
                 does not hold it yet.
@@ -576,64 +647,37 @@ class WorkerPool:
                 f"got {len(timeouts)} timeouts for {len(requests)} "
                 f"requests"
             )
-        per_worker: dict[int, list[int]] = {}
-        for index, (slot, _) in enumerate(requests):
-            per_worker.setdefault(slot % self.n_workers, []).append(index)
-
-        # Scatter: every worker gets its whole queue up front, so all
-        # workers compute concurrently while we gather sequentially.
         templates = templates or {}
-        for slot, indices in per_worker.items():
-            self._send_all(
-                slot, [requests[i][1] for i in indices], templates
+        pending = [
+            _Request(
+                slot % self.n_workers,
+                message,
+                templates[message[1][0]]
+                if message[0] in ("sweep", "probs") else None,
+                timeout,
             )
+            for (slot, message), timeout in zip(requests, timeouts)
+        ]
+        per_worker: dict[int, list[_Request]] = {}
+        for request in pending:
+            per_worker.setdefault(request.slot, []).append(request)
 
-        responses: list = [None] * len(requests)
+        # Scatter: every worker gets this call's whole queue up front,
+        # behind whatever other calls already sent it.
+        for slot, batch in per_worker.items():
+            with self._send_locks[slot]:
+                self._pending[slot].extend(batch)
+                for request in batch:
+                    self._deliver(request)
+
         failure: tuple | None = None
-        for slot, indices in per_worker.items():
-            answered = 0
-            attempts = 0
-            while answered < len(indices):
-                handle = self._workers[slot]
-                timeout = timeouts[indices[answered]]
-                try:
-                    status, payload = self._recv(handle, timeout, slot)
-                except (_WorkerGone, _WorkerHung) as why:
-                    hung = isinstance(why, _WorkerHung)
-                    if hung:
-                        self.hangs += 1
-                    attempts += 1
-                    if hung:
-                        # The process is alive but silent; it cannot
-                        # break its own pipe, so reap it explicitly.
-                        self.kill_worker(slot)
-                    if attempts > self.max_retries:
-                        error = (
-                            WorkerHangError if hung else WorkerCrashError
-                        )
-                        verb = "hung" if hung else "killed"
-                        raise error(
-                            f"shard {verb} worker slot {slot} "
-                            f"{attempts} times (request "
-                            f"{indices[answered]}); giving up",
-                            slot=slot,
-                        ) from None
-                    self._restart(slot)
-                    self._send_all(
-                        slot,
-                        [requests[i][1] for i in indices[answered:]],
-                        templates,
-                    )
-                    continue
-                if status == "error" and failure is None:
-                    failure = payload
-                responses[indices[answered]] = (
-                    payload if status == "ok" else None
-                )
-                answered += 1
-                attempts = 0
-                self._slot_streaks[slot] = 0
-                self.shards_executed += 1
+        for request in pending:
+            self._await(request)
+            if request.status == "raise":
+                error, message = request.payload
+                raise error(message, slot=request.slot) from None
+            if request.status == "error" and failure is None:
+                failure = request.payload
         if failure is not None:
             name, message, worker_traceback = failure
             error = WorkerError(
@@ -645,85 +689,158 @@ class WorkerPool:
                 # callers see the same error as in-process execution.
                 raise InvalidCircuitError(message) from error
             raise error
-        return responses
+        return [
+            request.payload if request.status == "ok" else None
+            for request in pending
+        ]
 
-    def _recv(
-        self, handle: _WorkerHandle, timeout: float | None, slot: int
-    ):
-        """One answer from a worker, absorbing heartbeats.
+    def _deliver(self, request: _Request) -> None:
+        """Send one request to its slot's worker (send lock held).
 
-        Blocks until a non-heartbeat message arrives.  With a timeout,
-        every received message — heartbeat included — restarts the
-        silence clock; a gap longer than ``timeout`` raises
+        A request naming a template digest the slot does not hold yet
+        is preceded by that template (see the module docstring), and a
+        retired slot is respawned first.  A failed send leaves the
+        request in the FIFO, marks the handle broken and kills its
+        process: the slot's reader then sees EOF after any answers
+        already buffered, and :meth:`_recover` replays the FIFO on a
+        fresh worker.
+        """
+        slot = request.slot
+        handle = self._workers[slot]
+        if handle is None:
+            # Retired with nothing queued: no caller is reading it.
+            try:
+                handle = self._restart(slot)
+            except RestartBudgetExhausted as exc:
+                self._fail_all(slot, exc)
+                return
+        if handle.broken or request.status is not None:
+            return
+        try:
+            if _faults.ACTIVE is not None:
+                _faults.ACTIVE.fire(_faults.SITE_POOL_PIPE, slot=slot)
+            held = self._held[slot]
+            if request.template is not None:
+                digest = request.message[1][0]
+                if digest not in held:
+                    handle.conn.send(("template", (digest, request.template)))
+                    _register(held, digest, None)
+            handle.conn.send(request.message)
+        except (BrokenPipeError, OSError):
+            handle.broken = True
+            handle.process.kill()
+
+    def _await(self, request: _Request) -> None:
+        """Block until ``request`` is answered.
+
+        At most one caller reads a slot's pipe at a time; it reads one
+        message, hands it to the FIFO's head — its own request or
+        another call's — and wakes the slot's waiters, which check
+        their own requests before one of them reads on.
+        """
+        slot = request.slot
+        turn = self._turns[slot]
+        with turn:
+            while request.status is None:
+                if self._reading[slot]:
+                    turn.wait()
+                    continue
+                self._reading[slot] = True
+                turn.release()
+                try:
+                    self._read_one(slot)
+                finally:
+                    turn.acquire()
+                    self._reading[slot] = False
+                    turn.notify_all()
+
+    def _read_one(self, slot: int) -> None:
+        """Answer the head of ``slot``'s FIFO, or recover the slot."""
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        fifo = self._pending[slot]
+        head = fifo[0]
+        handle = self._workers[slot]
+        try:
+            if handle is None:
+                # A recovery whose respawn raised left the slot empty.
+                raise _WorkerGone()
+            status, payload = self._recv(handle, head.timeout)
+        except (_WorkerGone, _WorkerHung) as why:
+            self._recover(slot, isinstance(why, _WorkerHung))
+            return
+        fifo.popleft()
+        head.finish(status, payload)
+        self._slot_streaks[slot] = 0
+        with self._lock:
+            self.shards_executed += 1
+
+    def _recover(self, slot: int, hung: bool) -> None:
+        """Respawn ``slot``'s worker and replay its whole FIFO.
+
+        The death is charged to the FIFO's head: the worker executes
+        requests in order, so the head is what it was running.  A head
+        charged more than ``max_retries`` times is answered with the
+        escalation instead of replayed.  Every other request of every
+        caller is replayed in order — none of their answers has been
+        read, and any the dead worker buffered died with its pipe — so
+        the FIFO and the fresh worker's answers stay aligned.  An empty
+        FIFO leaves the slot retired until its next request.  When the
+        restart budget runs out, every request in the FIFO is answered
+        with :class:`RestartBudgetExhausted`.
+        """
+        fifo = self._pending[slot]
+        head = fifo[0]
+        head.attempts += 1
+        if hung:
+            with self._lock:
+                self.hangs += 1
+            # The process is alive but silent; it cannot break its own
+            # pipe, so reap it explicitly (this also unblocks a sender
+            # stuck on its full pipe).
+            self.kill_worker(slot)
+        with self._send_locks[slot]:
+            if head.attempts > self.max_retries:
+                fifo.popleft()
+                verb = "hung" if hung else "killed"
+                head.finish("raise", (
+                    WorkerHangError if hung else WorkerCrashError,
+                    f"shard {verb} worker slot {slot} {head.attempts} "
+                    f"times; giving up",
+                ))
+            if not fifo:
+                self._retire(slot)
+                return
+            try:
+                self._restart(slot)
+            except RestartBudgetExhausted as exc:
+                self._fail_all(slot, exc)
+                return
+            for request in fifo:
+                self._deliver(request)
+
+    def _fail_all(self, slot: int, exc: RestartBudgetExhausted) -> None:
+        """Answer every request queued on ``slot`` with ``exc``."""
+        fifo = self._pending[slot]
+        while fifo:
+            fifo.popleft().finish("raise", (type(exc), str(exc)))
+
+    def _recv(self, handle: _WorkerHandle, timeout: float | None):
+        """One answer from a worker.
+
+        With a timeout, silence longer than ``timeout`` raises
         :class:`_WorkerHung`.
 
         Raises:
             _WorkerGone: The pipe broke (worker process died).
-            _WorkerHung: No message within ``timeout`` seconds.
+            _WorkerHung: No answer within ``timeout`` seconds.
         """
-        while True:
-            if timeout is not None:
-                deadline = _monotonic() + timeout
-                try:
-                    ready = handle.conn.poll(timeout)
-                except (EOFError, OSError):
-                    raise _WorkerGone() from None
-                if not ready and _monotonic() >= deadline:
-                    raise _WorkerHung()
-                if not ready:
-                    continue
-            try:
-                message = handle.conn.recv()
-            except (EOFError, OSError):
-                raise _WorkerGone() from None
-            status, payload = message
-            if status == "hb":
-                self._slot_streaks[slot] = 0
-                continue
-            return status, payload
-
-    def _send_all(
-        self, slot: int, messages: list, templates: dict, attempts: int = 0
-    ) -> None:
-        """Deliver a batch of unanswered messages to one worker.
-
-        A request naming a template digest the slot does not hold yet
-        is preceded by that template (see the module docstring).
-
-        Crash recovery must replay the **whole** batch, not the tail:
-        none of this batch's responses have been consumed yet, so work
-        the dead worker received is simply lost — and any responses it
-        buffered die with its pipe when :meth:`_restart` replaces it.
-        Replaying only the unsent suffix would desynchronize the
-        gather loop's response/request alignment (and hang it waiting
-        for replies that can never come).  Replays are bounded by
-        ``max_retries``, so a message that reliably kills workers on
-        delivery escalates instead of respawning forever.
-        """
-        handle = self._workers[slot]
-        if handle is None or not handle.alive():
-            handle = self._restart(slot)
-        held = self._held[slot]
-        for message in messages:
-            kind, payload = message
-            try:
-                if _faults.ACTIVE is not None:
-                    _faults.ACTIVE.fire(_faults.SITE_POOL_PIPE, slot=slot)
-                if kind in ("sweep", "probs") and payload[0] not in held:
-                    digest = payload[0]
-                    handle.conn.send(("template", (digest, templates[digest])))
-                    _register(held, digest, None)
-                handle.conn.send(message)
-            except (BrokenPipeError, OSError):
-                if attempts >= self.max_retries:
-                    raise WorkerCrashError(
-                        f"worker slot {slot} died {attempts + 1} times "
-                        f"during message delivery; giving up",
-                        slot=slot,
-                    ) from None
-                self._restart(slot)
-                self._send_all(slot, messages, templates, attempts + 1)
-                return
+        try:
+            if timeout is not None and not handle.conn.poll(timeout):
+                raise _WorkerHung()
+            return handle.conn.recv()
+        except (EOFError, OSError):
+            raise _WorkerGone() from None
 
     # -- telemetry -------------------------------------------------------
 

@@ -10,17 +10,20 @@ picks which one executes each flushed batch:
   currently in flight; adapts when backends differ in speed or batches
   differ in cost (the classic load-balancer heuristic).
 
-Each backend executes at most one batch at a time (a per-backend lock —
-``Backend.run`` mutates the meter and the sampling RNG, neither of
-which is thread-safe), so ``least_outstanding`` doubles as a
-queue-depth signal.  Per-backend meters stay the source of truth for
-usage; :meth:`Router.stats` rolls them up for service-level reporting.
+Each backend executes at most :attr:`~repro.hardware.Backend.run_slots`
+batches at a time (a per-backend semaphore): one on a single-process
+backend, whose sampled runs must draw from its RNG in flush order, and
+one per worker process on an exact
+:class:`~repro.parallel.ShardedBackend`, whose pool overlaps them.
+``least_outstanding`` doubles as a queue-depth signal.  Per-backend
+meters stay the source of truth for usage; :meth:`Router.stats` rolls
+them up for service-level reporting.
 
 Health-aware routing: every backend sits behind a
 :class:`~repro.resilience.CircuitBreaker`.  A backend that fails
 ``failure_threshold`` consecutive flushes stops receiving traffic
 until its cooldown elapses, then gets a half-open probe (naturally
-serialized by its run lock); selection only considers available
+bounded by its run slots); selection only considers available
 backends, so a dead node degrades the pool's capacity instead of
 poisoning a fixed fraction of flushes.  When *every* breaker is open,
 the router routes to the one closest to probe time rather than
@@ -85,7 +88,9 @@ class Router:
         self._outstanding = [0] * len(backends)
         self._dispatched = [0] * len(backends)
         self._circuits = [0] * len(backends)
-        self._run_locks = [threading.Lock() for _ in backends]
+        self._run_slots = [
+            threading.Semaphore(backend.run_slots) for backend in backends
+        ]
 
     def results_deterministic(self) -> bool:
         """True when every backend in the pool is deterministic."""
@@ -138,8 +143,9 @@ class Router:
         scheduler's flushes hand it one stacked
         :class:`~repro.circuits.sweep.Sweep`.  Selection and in-flight
         accounting happen under the router lock;
-        execution itself holds only the chosen backend's run lock, so
-        distinct backends execute concurrently.
+        execution itself holds one of the chosen backend's run slots,
+        so distinct backends — and the slots of one sharded backend —
+        execute concurrently.
 
         Returns:
             ``(results, backend, window)`` — ``window`` is the usage
@@ -156,7 +162,7 @@ class Router:
         breaker = self.breakers[index]
         breaker.on_dispatch()
         try:
-            with self._run_locks[index]:
+            with self._run_slots[index]:
                 results = backend.run(
                     circuits, shots=shots, purpose=purpose,
                     validate=validate,

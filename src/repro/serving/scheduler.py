@@ -27,10 +27,12 @@ structure group; shots and purpose are part of the bucket key
 precisely so the whole bucket is a legal single submission (one shot
 setting, one meter tag).  The flush's result matrices are then
 handed out by row ranges: each item's rows go into its job's result
-matrices in one assignment, and into the result cache in one call.
-Flushes are
-handed to a small dispatch pool (one worker per backend) so a slow
-backend never stalls coalescing for the others.
+matrices in one assignment, and the whole flush into the result cache
+in one call.  Flushes are handed to a small dispatch pool with one
+thread per backend run slot (:attr:`~repro.hardware.Backend.run_slots`:
+one per backend, or one per worker process of an exact sharded
+backend), so a slow backend never stalls coalescing for the others and
+a sharded backend's workers each have a flush to run.
 
 Failure handling (the resilience tier)
 --------------------------------------
@@ -231,7 +233,7 @@ class CoalescingScheduler:
         if self._thread is not None:
             return
         self._pool = ThreadPoolExecutor(
-            max_workers=len(self._router.backends),
+            max_workers=sum(b.run_slots for b in self._router.backends),
             thread_name_prefix="repro-serving-dispatch",
         )
         self._thread = threading.Thread(
@@ -449,17 +451,21 @@ class CoalescingScheduler:
                 "meter": window,
             }
         expectations, outcomes = results.expectations, results.outcomes
+        if self._cache is not None and items[0].fingerprints is not None:
+            # The flush's rows are its items' rows in order: one call
+            # caches them all.
+            self._cache.put_many(
+                [key for item in items for key in item.fingerprints],
+                expectations,
+            )
         used = 0 if outcomes is None else shots
         start = 0
         for item in items:
             stop = start + item.size
-            rows = expectations[start:stop]
-            if self._cache is not None and item.fingerprints is not None:
-                self._cache.put_many(item.fingerprints, rows)
             item.job._fulfill(
                 item.group,
                 item.rows,
-                rows,
+                expectations[start:stop],
                 None if outcomes is None else outcomes[start:stop],
                 used,
             )
