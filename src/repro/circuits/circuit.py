@@ -235,8 +235,9 @@ class QuantumCircuit:
         The complement of :meth:`structure_signature`: a stable hex
         digest over the resolved operation sequence (names, wires, and
         numeric angles), so equal fingerprints mean a deterministic
-        backend would produce bit-identical exact results.  Keys the
-        serving layer's result cache.  Not cached on the instance —
+        backend would produce bit-identical exact results.  Stable
+        across processes, so safe to persist; keys ``NoisyBackend``'s
+        transpile cache.  Not cached on the instance —
         ``bind`` mutates angles in place, so the digest is recomputed
         per call (see :func:`repro.circuits.fingerprint.
         circuit_fingerprint`).

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from itertools import compress
+from operator import is_not
 
 import numpy as np
 
-from repro.circuits.fingerprint import FingerprintLayout
 from repro.resilience.errors import InvalidCircuitError
 
 
@@ -110,9 +111,6 @@ class SweepTemplate:
         self.n_columns = self.literals.size
         self.trainable_columns = np.array(trainable_columns, dtype=np.intp)
         self.trainable_params = np.array(trainable_params, dtype=np.intp)
-        self._valued = [
-            pos for pos, selector in enumerate(columns) if selector is not None
-        ]
         self._validated = False
 
     # -- structure (the circuit-side query surface plans and engines use)
@@ -142,56 +140,61 @@ class SweepTemplate:
             identity.encode("utf-8"), digest_size=16
         ).hexdigest()
 
-    @functools.cached_property
-    def _fingerprints(self) -> tuple[FingerprintLayout, np.ndarray]:
-        """The byte layout plus the value column of each angle hole."""
-        layout = FingerprintLayout(self.n_qubits, self.templates)
-        columns = [
-            column
-            for pos in range(len(self.templates))
-            for column in self.column_list(pos)
-        ]
-        return layout, np.array(columns, dtype=np.intp)
-
     def stack(self, circuits) -> tuple[np.ndarray, np.ndarray]:
         """The ``(literals, params)`` rows of circuits of this structure.
 
-        Circuits share template objects with the reference wherever
-        their values agree — parameter-shift clones differ in one
-        position, :meth:`~repro.circuits.QnnArchitecture.full_circuit`
-        rows in the encoder's — so only non-identical templates are
-        read.  The caller guarantees every circuit has this structure
-        and parameter count.
+        Each row is read as a diff of the row before it (the first row
+        as a diff of the reference).  Circuits share template objects
+        wherever their values agree — parameter-shift clones of one base
+        differ from each other in one or two positions,
+        :meth:`~repro.circuits.QnnArchitecture.full_circuit` rows in the
+        encoder's — so one identity scan per row finds the few templates
+        to read, and a vectorized forward fill copies every other value
+        down from the row that last wrote it.  A one-row group is
+        written directly.  The caller guarantees every circuit has this
+        structure and parameter count.
         """
-        literals = np.tile(self.literals, (len(circuits), 1))
-        reference = self.reference._templates
-        n_columns = self.n_columns
-        # Flat indices into ``literals`` and their values, written with
-        # one assignment once every row is read.
+        n_rows, n_columns = len(circuits), self.n_columns
+        previous = self.reference._templates
+        positions = range(len(previous))
+        # Flat indices into the ``(n_rows, n_columns)`` matrix of every
+        # value read, in row order.
         flat: list[int] = []
         values: list[float] = []
-        for index, circuit in enumerate(circuits):
+        offset = 0
+        for circuit in circuits:
             row = circuit._templates
-            offset = index * n_columns
-            for pos in self._valued:
+            for pos in compress(positions, map(is_not, row, previous)):
                 t = row[pos]
-                if t is reference[pos]:
-                    continue
                 if t.param_index is not None:
                     flat.append(offset + pos)
                     values.append(t.offset)
                 elif len(t.params) == 1:
                     flat.append(offset + pos)
                     values.append(t.params[0])
-                else:
+                elif t.params:
                     flat.extend(
                         offset + column for column in self.column_list(pos)
                     )
                     values.extend(t.params)
-        if values:
-            literals.flat[flat] = values
+            previous = row
+            offset += n_columns
+        if n_rows == 1:
+            literals = self.literals.copy()
+            literals[flat] = values
+        else:
+            # Entry ``(row, column)`` takes the last value read for the
+            # column at or above ``row``, else the reference's: the
+            # running maximum of indices into ``reference + values``.
+            source = np.zeros(n_rows * n_columns, dtype=np.intp)
+            source[:n_columns] = np.arange(n_columns)
+            source[flat] = np.arange(n_columns, n_columns + len(flat))
+            source = np.maximum.accumulate(
+                source.reshape(n_rows, n_columns), axis=0
+            )
+            literals = np.concatenate((self.literals, values))[source]
         params = np.array([circuit._parameters for circuit in circuits])
-        return literals, params
+        return literals.reshape(n_rows, n_columns), params
 
     def column_list(self, position: int) -> list[int]:
         """The value columns of op ``position`` as a list."""
@@ -343,11 +346,33 @@ class Sweep:
             return None
         return self.angles[:, selector]
 
-    def fingerprints(self) -> list[str]:
-        """Every row's :func:`~repro.circuits.circuit_fingerprint`, from
-        one vectorized fill of the template's byte layout."""
-        layout, columns = self.template._fingerprints
-        return layout.digests(self.angles[:, columns])
+    def row_keys(self) -> list[bytes]:
+        """One exact-result cache key per row, in row order.
+
+        A 16-byte BLAKE2b digest of the row's resolved :attr:`angles`
+        bits, salted with the template's :attr:`SweepTemplate.digest`
+        (structure and parameter count): rows of one structure whose
+        angles agree bit for bit share a key, however they were
+        submitted, so a deterministic backend gives them identical
+        results.  ``0.0`` and ``-0.0`` key apart.  The keys live only
+        in memory; :func:`~repro.circuits.circuit_fingerprint` is the
+        stable, persistable identity.
+        """
+        angles = np.ascontiguousarray(self.angles)
+        width = angles.itemsize * angles.shape[1]
+        rows = (
+            angles.view(np.dtype((np.void, width))).ravel().tolist()
+            if width else [b""] * self.size
+        )
+        salted = hashlib.blake2b(
+            digest_size=16, salt=bytes.fromhex(self.template.digest)
+        )
+        keys = []
+        for row in rows:
+            hasher = salted.copy()
+            hasher.update(row)
+            keys.append(hasher.digest())
+        return keys
 
     def circuits(self) -> list:
         """The ``QuantumCircuit`` of every row, in row order."""

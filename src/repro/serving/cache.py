@@ -1,13 +1,16 @@
-"""Exact-result LRU cache keyed by canonical circuit fingerprints.
+"""Exact-result LRU cache keyed by salted angle-bit digests.
 
 Serving identical circuits twice is common at scale — validation sweeps
 re-run the same encoder circuits, clients retry, hyper-parameter scans
 share forward passes.  When execution is *deterministic* (exact
 expectations, no shot sampling, no noise realization —
 ``Backend.results_deterministic()``), re-executing a circuit is pure
-waste: the result is a function of the circuit alone, so the
-:func:`~repro.circuits.circuit_fingerprint` digest (structure + resolved
-angles) is a complete cache key.
+waste: the result is a function of its structure and resolved angles
+alone, so :meth:`~repro.circuits.sweep.Sweep.row_keys` — a 16-byte
+BLAKE2b digest of a row's angle bits, salted with its template's
+structure digest — is a complete cache key.  The keys are never
+persisted; :func:`~repro.circuits.circuit_fingerprint` is the stable
+identity for that.
 
 The service only enables this cache when **every** routed backend is
 deterministic; sampled or noisy execution must re-run (each run is a
@@ -26,7 +29,7 @@ import numpy as np
 
 
 class ResultCache:
-    """Thread-safe LRU cache of expectation rows by fingerprint.
+    """Thread-safe LRU cache of expectation rows by row key.
 
     An exact result is its ``(n_qubits,)`` expectation row: exact
     execution draws no shots, so there is no outcome row or counts dict
@@ -45,14 +48,14 @@ class ResultCache:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[bytes, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get_many(self, keys) -> tuple[np.ndarray, np.ndarray | None]:
-        """Look up fingerprints; counts a hit or miss for each.
+        """Look up row keys; counts a hit or miss for each.
 
         Returns:
             ``(hit, rows)`` — a boolean mask over ``keys`` and the hit
@@ -93,7 +96,7 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: bytes) -> bool:
         with self._lock:
             return key in self._entries
 

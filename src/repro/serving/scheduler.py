@@ -85,7 +85,7 @@ class WorkItem:
         purpose: Usage-meter tag.
         job: The originating :class:`~repro.serving.ServiceJob`.
         group: Which of the job's structure groups ``sweep`` is.
-        fingerprints: Cache keys, one per row, pre-computed at submit
+        keys: Result-cache keys, one per row, pre-computed at submit
             time (``None`` when the cache is disabled).
         release: Called exactly once, with the row count, when the
             item resolves (results or failure); the service's
@@ -98,7 +98,7 @@ class WorkItem:
     purpose: str
     job: object
     group: int = 0
-    fingerprints: list[str] | None = None
+    keys: list[bytes] | None = None
     release: object | None = None
 
     @property
@@ -107,12 +107,12 @@ class WorkItem:
 
     def split(self, k: int) -> tuple["WorkItem", "WorkItem"]:
         """The first ``k`` rows and the rest, as two items of the job."""
-        keys = self.fingerprints
+        keys = self.keys
         return tuple(
             dataclasses.replace(
                 self,
                 rows=self.rows[part],
-                fingerprints=None if keys is None else keys[part],
+                keys=None if keys is None else keys[part],
             )
             for part in (slice(None, k), slice(k, None))
         )
@@ -451,11 +451,11 @@ class CoalescingScheduler:
                 "meter": window,
             }
         expectations, outcomes = results.expectations, results.outcomes
-        if self._cache is not None and items[0].fingerprints is not None:
+        if self._cache is not None and items[0].keys is not None:
             # The flush's rows are its items' rows in order: one call
             # caches them all.
             self._cache.put_many(
-                [key for item in items for key in item.fingerprints],
+                [key for item in items for key in item.keys],
                 expectations,
             )
         used = 0 if outcomes is None else shots

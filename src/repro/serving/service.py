@@ -36,13 +36,13 @@ unbounded: ``queue_capacity``, counted in rows, is the only bound.
 
 Caching: when *every* routed backend reports
 ``results_deterministic()`` (exact expectations, no sampling, no
-noise), results are memoized by canonical circuit fingerprint and
+noise), results are memoized by structure and resolved angles, and
 repeat submissions are served from the cache without touching a
-backend.  Admission computes every row's key from the sweep's angle
-matrix in one pass (:meth:`~repro.circuits.sweep.Sweep.
-fingerprints`), hex-identical to
-:func:`~repro.circuits.circuit_fingerprint`, and looks each one up, so
-a partly cached sweep queues only its missing rows.  Stochastic backends
+backend.  Admission keys every row of a group at once
+(:meth:`~repro.circuits.sweep.Sweep.row_keys`: the row's angle bits
+hashed with a salt naming the template's structure), so a circuit and
+the equal sweep row share a key.  It looks each key up, so a partly
+cached sweep queues only its missing rows.  Stochastic backends
 never cache — each run must be a fresh random realization.
 """
 
@@ -534,7 +534,7 @@ class ExecutionService:
             rows = np.arange(sweep.size)
             keys = None
             if self.cache is not None:
-                keys = sweep.fingerprints()
+                keys = sweep.row_keys()
                 hit, cached = self.cache.get_many(keys)
                 if cached is not None:
                     hits = len(cached)
@@ -553,7 +553,7 @@ class ExecutionService:
                         purpose=purpose,
                         job=job,
                         group=group,
-                        fingerprints=keys,
+                        keys=keys,
                         release=self._release,
                     )
                 )

@@ -855,14 +855,49 @@ class TestSweepAdmission:
                 assert got.counts == want.counts == {}
                 assert got.shots == want.shots == 0
 
-    def test_cache_keys_are_circuit_fingerprints(self):
+    def test_cache_keys_are_row_keys(self):
+        """Every served circuit is cached under its salted angle-bit
+        key, the one a per-circuit oracle computes — not under its
+        persisted hex fingerprint."""
+        import admission_reference as ref
+
         jobs = self.mixed_jobs()
         with ExecutionService(IdealBackend(exact=True), workers=0) as service:
             for job in jobs:
                 service.run(job, shots=0)
             for job in jobs:
                 for circuit in job:
-                    assert circuit_fingerprint(circuit) in service.cache
+                    batch = CircuitBatch([circuit])
+                    (key,) = ref.row_keys(batch.template, [circuit])
+                    assert batch.row_keys() == [key]
+                    assert key in service.cache
+                    assert circuit_fingerprint(circuit) not in service.cache
+
+    def test_circuit_list_and_sweep_hit_each_others_entries(self):
+        from repro.circuits import get_architecture
+
+        arch = get_architecture("mnist4")
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(-1, 1, arch.num_parameters)
+        features = rng.uniform(0, np.pi, (6, arch.n_features))
+        with ExecutionService(IdealBackend(exact=True), workers=0) as service:
+            # Rows 0-2 go in as a sweep first, rows 3-5 as circuits.
+            first = service.submit(arch.sweep(features[:3], theta), shots=0)
+            second = service.submit(
+                [arch.full_circuit(x, theta) for x in features[3:]], shots=0
+            )
+            first.result(timeout=30)
+            second.result(timeout=30)
+            assert first.cache_hits == second.cache_hits == 0
+            # Then each half in the other form: every row is a hit.
+            circuits = service.submit(
+                [arch.full_circuit(x, theta) for x in features[:3]], shots=0
+            )
+            sweep = service.submit(arch.sweep(features[3:], theta), shots=0)
+            circuits.result(timeout=30)
+            sweep.result(timeout=30)
+            assert circuits.cache_hits == sweep.cache_hits == 3
+            assert service.cache.stats()["size"] == 6
 
     def test_structure_validates_once_not_per_circuit(self, monkeypatch):
         calls = []

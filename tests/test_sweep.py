@@ -21,6 +21,7 @@ from repro.circuits import (
     QuantumCircuit,
     get_architecture,
 )
+from repro.circuits.sweep import SweepTemplate
 from repro.gradients.parameter_shift import (
     build_shifted_circuits,
     parameter_shift_jacobian_batch,
@@ -39,6 +40,7 @@ from repro.serving import ExecutionService
 from repro.training import TrainingConfig, TrainingEngine
 from repro.pruning import PruningHyperparams
 
+import admission_reference as admission
 import dense_reference as ref
 
 ANGLES = st.floats(
@@ -192,6 +194,82 @@ class TestSweepBuilders:
 # -- run_sweep against expectations(circuits) -------------------------------
 
 
+#: Few distinct values, so rows often agree in value, and both zeros.
+VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.25, np.pi])
+
+
+def assert_stacks_like_oracle(template, circuits):
+    literals, params = template.stack(circuits)
+    want_literals, want_params = admission.stack(template, circuits)
+    assert np.array_equal(
+        admission.bits(literals), admission.bits(want_literals)
+    )
+    assert np.array_equal(admission.bits(params), admission.bits(want_params))
+
+
+class TestStackOracle:
+    """``SweepTemplate.stack`` diffs each row against the one before it
+    and forward-fills; it must equal reading every op of every circuit,
+    bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_circuit_read(self, data):
+        values = st.lists(VALUES, min_size=6, max_size=6)
+        bases = [
+            shared_parameter_circuit(data.draw(values))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        pool = []
+        for base in bases:
+            pool.append(base)
+            pool.extend(build_shifted_circuits(base, [0, 1])[0])
+            # Equal in value, distinct template objects.
+            pool.append(base.shifted(2, 0.0))
+        # The template's reference is one of the rows, so rows can
+        # return to its template objects; or a separately built twin.
+        twin = shared_parameter_circuit(data.draw(values))
+        reference = data.draw(st.sampled_from([*pool, twin]))
+        template = SweepTemplate(reference)
+        rows = data.draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=16)
+        )
+        assert_stacks_like_oracle(template, rows)
+
+    @pytest.mark.parametrize("task", ["mnist4", "vowel4"])
+    def test_clone_blocks_and_interleaved_clones(self, task):
+        arch = get_architecture(task)
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-1, 1, arch.num_parameters)
+        blocks = [
+            build_shifted_circuits(
+                arch.full_circuit(
+                    rng.uniform(0, np.pi, arch.n_features), theta
+                ),
+                range(arch.num_parameters),
+            )[0]
+            for _ in range(3)
+        ]
+        template = SweepTemplate(
+            arch.full_circuit(rng.uniform(0, np.pi, arch.n_features), theta)
+        )
+        in_blocks = [clone for block in blocks for clone in block]
+        interleaved = [clone for row in zip(*blocks) for clone in row]
+        for circuits in (
+            in_blocks, interleaved, in_blocks[:1], [template.reference]
+        ):
+            assert_stacks_like_oracle(template, circuits)
+
+    def test_one_row_groups(self):
+        for angles in (
+            [0.0] * 6, [-0.0] * 6, [0.5, -0.0, 1.0, 0.0, -0.0, 2.0]
+        ):
+            circuit = shared_parameter_circuit(angles)
+            template = SweepTemplate(shared_parameter_circuit([0.0] * 6))
+            assert_stacks_like_oracle(template, [circuit])
+            assert_stacks_like_oracle(SweepTemplate(circuit), [circuit])
+
+
 class CircuitPath:
     """Runs every sweep as the circuits it stands for, through
     ``Backend.run`` — the circuit-API twin of ``run_sweep``."""
@@ -299,8 +377,9 @@ class TestRunSweep:
         with ExecutionService(IdealBackend(exact=True), workers=0) as svc:
             executor = svc.executor()
             got = executor.run_sweep(sweep, shots=0, purpose="forward")
-            # The rows' cache keys are the fingerprints of the circuits
-            # the circuit API builds: submitting those is a cache hit.
+            # The rows' cache keys come from their angle bits, which the
+            # circuits the circuit API builds share: submitting those is
+            # a cache hit.
             job = svc.submit(
                 [arch.full_circuit(x, theta) for x in features], shots=0
             )
@@ -399,7 +478,9 @@ class TestInvalidCircuit:
                     [nan_circuit(angle)], shots=0
                 )
                 assert np.array_equal(result.expectations, want.expectations)
-            assert nan_circuit().fingerprint() not in service.cache
+            for angle in (0.1, 0.2, 0.3):
+                (key,) = CircuitBatch([nan_circuit(angle)]).row_keys()
+                assert key in service.cache
             assert len(service.cache) == 3
             assert service.pending_circuits == 0
 
