@@ -104,17 +104,23 @@ class QuantumCircuit:
         out = QuantumCircuit(
             self.n_qubits, self.num_parameters + other.num_parameters
         )
-        out._templates = list(self._templates)
         base = self.num_parameters
-        for template in other._templates:
-            if template.param_index is not None:
-                template = OpTemplate(
+        # Templates are frozen and re-basing by 0 changes nothing, so
+        # other's are reused as they are when self has no parameters.
+        rebased = other._templates
+        if base:
+            rebased = [
+                template
+                if template.param_index is None
+                else OpTemplate(
                     name=template.name,
                     wires=template.wires,
                     param_index=template.param_index + base,
                     offset=template.offset,
                 )
-            out._templates.append(template)
+                for template in rebased
+            ]
+        out._templates = self._templates + rebased
         out._parameters = np.concatenate(
             [self._parameters, other._parameters]
         )

@@ -59,6 +59,15 @@ tensor, instead of one GEMM per gate:
   whose rows are distinct at the first parameterized step, whose work
   is below :data:`TRIE_MIN_WORK`, or whose rows do not start equal
   skip construction and run the same loop one tensor row per row.
+* **Buffers** — a replay (forward or adjoint) whose largest array is
+  128 KiB to 32 MiB (glibc's default and largest dynamic mmap
+  thresholds) takes every state-sized array — fork copies, transposed
+  operands, step outputs, the leaves scatter it returns — from a
+  per-thread pool of recycled buffers instead of fresh, page-faulting
+  memory; other runs allocate as numpy does.  A buffer is reused only
+  once nothing but the pool references it, so a result stays the
+  caller's until dropped; a request leaves at most two free buffers
+  in its thread's pool.  Only where values are stored changes.
 
 Plans depend only on the circuit's :meth:`~repro.circuits.
 QuantumCircuit.structure_signature` (plus the backend's noise model and
@@ -81,6 +90,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
@@ -343,36 +354,150 @@ class _Layout:
         return tuple(int(i) for i in np.argsort(self.perm))
 
 
-def _spent(tensor: np.ndarray, operand: np.ndarray) -> np.ndarray | None:
-    """A replay intermediate's buffer, dead once copied into ``operand``,
-    as its matmul's output: one fresh state-sized array per step, not
-    two, keeps wide replays out of allocator page-fault churn.  ``None``
-    when ``operand`` is a view of ``tensor`` (the overlap forces a copy).
+# ---------------------------------------------------------------------------
+# Replay buffers
+# ---------------------------------------------------------------------------
+#
+# A replay's state-sized arrays change size as trie nodes multiply, so
+# fresh ones keep crossing glibc's dynamic mmap threshold: mapped,
+# trimmed and faulted back in, page by page, every step.  Runs whose
+# largest array falls in the band below take them from a per-thread
+# pool of recycled buffers instead.
+
+#: Pooled runs' largest array, in bytes: glibc's default and largest
+#: dynamic mmap thresholds.  Below, malloc's bins are fault-free
+#: already; above, the compute dwarfs the faults.
+_POOL_MIN = 1 << 17
+_POOL_MAX = 1 << 25
+
+#: Free buffers a thread's pool keeps between requests.
+_POOL_FREE = 2
+
+
+def _unheld() -> int:
+    """What ``sys.getrefcount`` reads, in a loop over a list, for an
+    element nothing else holds (the pool's scans use the same loop)."""
+    for base in [np.empty(0)]:
+        return sys.getrefcount(base)
+
+
+_UNHELD = _unheld()
+
+
+class _Buffers(threading.local):
+    """One thread's recycled buffers.
+
+    Arrays handed out are views of a flat complex buffer the pool
+    holds, and any live view (a caller's result included) pins it, so a
+    buffer is reused only once nothing else references it.  A new
+    buffer holds at least the current run's largest array, so a warm
+    buffer serves every request of the run.
     """
-    if np.may_share_memory(operand, tensor):
+
+    def __init__(self):
+        self.bases: list[np.ndarray] = []
+        #: Elements of the current run's largest array.
+        self.reserve = 0
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        """An uninitialized complex array on a recycled buffer."""
+        size = math.prod(shape)
+        chosen = None
+        free = 0
+        for base in self.bases:
+            if sys.getrefcount(base) == _UNHELD:
+                free += 1
+                if chosen is None and base.size >= size:
+                    chosen = base
+        base = None  # the scan's reference would read as a holder
+        if chosen is None or free > _POOL_FREE + 1:
+            chosen = self._refill(size, chosen)
+        return chosen[:size].reshape(shape)
+
+    def _refill(self, size: int, chosen) -> np.ndarray:
+        """Keep the held buffers and at most ``_POOL_FREE`` free ones
+        big enough for ``size`` besides ``chosen`` (a new buffer on a
+        miss); smaller free buffers are dropped."""
+        held, free = [], []
+        for base in self.bases:
+            if base is chosen:
+                continue
+            if sys.getrefcount(base) != _UNHELD:
+                held.append(base)
+            elif base.size >= size and len(free) < _POOL_FREE:
+                free.append(base)
+        if chosen is None:
+            chosen = np.empty(max(size, self.reserve), dtype=np.complex128)
+        self.bases = held + free + [chosen]
+        return chosen
+
+
+_BUFFERS = _Buffers()
+
+
+def _pool_for(nbytes: int) -> _Buffers | None:
+    """This thread's pool for a run whose largest array is ``nbytes``
+    (``None`` outside the band: the run allocates as numpy does)."""
+    if not _POOL_MIN <= nbytes <= _POOL_MAX:
         return None
-    return tensor.reshape(operand.shape)
+    _BUFFERS.reserve = nbytes // 16
+    return _BUFFERS
+
+
+def _out(shape: tuple, pool: _Buffers | None) -> np.ndarray | None:
+    """An output array for ``shape``; ``None`` lets numpy allocate."""
+    return None if pool is None else pool.empty(shape)
+
+
+def _take_rows(tensor, rows, pool) -> np.ndarray:
+    """``tensor[rows]`` (``mode="raise"`` would buffer its output)."""
+    out = _out((len(rows),) + tensor.shape[1:], pool)
+    return np.take(tensor, rows, axis=0, mode="clip", out=out)
 
 
 class _MatmulLayout:
-    """Per-step transpose/reshape recipe under deferred layout."""
+    """Per-step transpose/reshape recipe under deferred layout.
 
-    __slots__ = ("fwd", "dim")
+    ``viewable`` records, once per layout, whether the transposed
+    operand of a contiguous intermediate is a view (the batch axis
+    stays first, so the batch size cannot change the answer).  A
+    viewable step writes a fresh output; otherwise the operand is
+    copied out and the step writes back into the intermediate's own
+    buffer (when the replay owns it; the caller's input is never
+    written).
+    """
+
+    __slots__ = ("fwd", "dim", "viewable")
 
     def __init__(self, axes: list[int], layout: _Layout):
         self.fwd = layout.to_front(axes)
         self.dim = 2 ** len(axes)
+        probe = np.empty((2,) * layout.rank, dtype=np.int8)
+        flat = probe.transpose(self.fwd).reshape(2, self.dim, -1)
+        self.viewable = np.shares_memory(flat, probe)
 
-    def apply(self, tensor, mats, owned: bool) -> np.ndarray:
+    def _operand(self, tensor, moved, owned, pool):
+        """``(flat operand, output)`` of one step over ``tensor``."""
+        shape = (tensor.shape[0], self.dim, -1)
+        if self.viewable or pool is None:
+            flat = moved.reshape(shape)
+        else:
+            flat = pool.empty(moved.shape)
+            np.copyto(flat, moved)
+            flat = flat.reshape(shape)
+        if owned and not self.viewable:
+            return flat, tensor.reshape(flat.shape)
+        return flat, _out(flat.shape, pool)
+
+    def apply(self, tensor, mats, owned: bool, pool) -> np.ndarray:
         moved = tensor.transpose(self.fwd)
-        flat = moved.reshape(tensor.shape[0], self.dim, -1)
-        out = _spent(tensor, flat) if owned else None
+        flat, out = self._operand(tensor, moved, owned, pool)
         return np.matmul(mats, flat, out=out).reshape(moved.shape)
 
-    def take(self, tensor: np.ndarray, source: np.ndarray) -> np.ndarray:
+    def take(self, tensor, source, owned: bool, pool) -> np.ndarray:
         moved = tensor.transpose(self.fwd)
-        flat = moved.reshape(tensor.shape[0], self.dim, -1)
-        out = flat[:, source, :]
+        flat, out = self._operand(tensor, moved, owned, pool)
+        out = np.take(flat, source, axis=1, mode="clip", out=out)
         return out.reshape(moved.shape)
 
 
@@ -450,11 +575,11 @@ class ConstantStep:
     def operand(self, matrices):
         return None
 
-    def apply(self, tensor, operand, owned):
-        out = self._ket.apply(tensor, self.matrix, owned)
+    def apply(self, tensor, operand, owned, pool):
+        out = self._ket.apply(tensor, self.matrix, owned, pool)
         if self._bra is None:
             return out
-        return self._bra.apply(out, self._conj, True)
+        return self._bra.apply(out, self._conj, True, pool)
 
 
 @dataclasses.dataclass
@@ -543,11 +668,11 @@ class FusedStep:
     def operand(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def apply(self, tensor, block, owned):
-        out = self._ket.apply(tensor, block, owned)
+    def apply(self, tensor, block, owned, pool):
+        out = self._ket.apply(tensor, block, owned, pool)
         if self._bra is None:
             return out
-        return self._bra.apply(out, block.conj(), True)
+        return self._bra.apply(out, block.conj(), True, pool)
 
 
 @dataclasses.dataclass
@@ -598,9 +723,10 @@ class DiagStep:
             total = d if total is None else total * d
         return total
 
-    def apply(self, tensor, diags, owned):
+    def apply(self, tensor, diags, owned, pool):
         factor = self._ket.factor(diags)
-        out = np.multiply(tensor, factor, out=tensor if owned else None)
+        out = tensor if owned else _out(tensor.shape, pool)
+        out = np.multiply(tensor, factor, out=out)
         if self._bra is not None:
             out *= self._bra.factor(diags.conj())
         return out
@@ -633,11 +759,11 @@ class PermutationStep:
     def operand(self, matrices):
         return None
 
-    def apply(self, tensor, operand, owned):
-        out = self._ket.take(tensor, self.source)
+    def apply(self, tensor, operand, owned, pool):
+        out = self._ket.take(tensor, self.source, owned, pool)
         if self._bra is None:
             return out
-        return self._bra.take(out, self.source)
+        return self._bra.take(out, self.source, True, pool)
 
 
 def _require_density(mode: str) -> None:
@@ -677,8 +803,8 @@ class WireChainStep:
     def operand(self, matrices: list) -> np.ndarray:
         return _compose_factors(self.factors, matrices)
 
-    def apply(self, tensor, superops, owned):
-        return self._layout.apply(tensor, superops, owned)
+    def apply(self, tensor, superops, owned, pool):
+        return self._layout.apply(tensor, superops, owned, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +1026,7 @@ class ExecutionPlan:
         matrices = _prepare_matrices(
             self._param_groups, self.n_source_ops, params, schedule.rows
         )
+        pool = _pool_for(tensor.nbytes)
         if schedule.leaves is not None:
             tensor = tensor[:1]
         owned = False
@@ -907,15 +1034,15 @@ class ExecutionPlan:
             self.steps, schedule.splits, schedule.gathers
         ):
             if split is not None:
-                tensor = tensor[split]
+                tensor = _take_rows(tensor, split, pool)
                 owned = True
             operand = step.operand(matrices)
             if gather is not None:
                 operand = operand[gather]
-            tensor = step.apply(tensor, operand, owned)
+            tensor = step.apply(tensor, operand, owned, pool)
             owned = True
         if schedule.leaves is not None:
-            tensor = tensor[schedule.leaves]
+            tensor = _take_rows(tensor, schedule.leaves, pool)
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return tensor
@@ -1112,11 +1239,10 @@ class _AdjointMatmul:
         self._layout = _MatmulLayout(_state_axes(wires), layout)
         self._items = items
 
-    def run(self, tensor, batch, matrices, jacobian):
+    def run(self, tensor, batch, matrices, jacobian, pool):
         moved = tensor.transpose(self._layout.fwd)
-        stack = moved.reshape(
-            (batch, tensor.shape[0] // batch, self._layout.dim, -1)
-        )
+        flat, out = self._layout._operand(tensor, moved, True, pool)
+        stack = flat.reshape((batch, -1) + flat.shape[1:])
         pending = None
         generators, columns = [], []
         for item in self._items:
@@ -1144,7 +1270,8 @@ class _AdjointMatmul:
             _contract(stack, g_kets, jacobian, columns)
         if pending.ndim == 3:
             pending = pending[:, None]
-        out = _spent(tensor, stack)
+        if out is not None:
+            out = out.reshape(stack.shape)
         return np.matmul(pending, stack, out=out).reshape(moved.shape)
 
 
@@ -1157,8 +1284,8 @@ class _AdjointPermutation:
         self._layout = _MatmulLayout(_state_axes(wires), layout)
         self._inverse = np.argsort(source)
 
-    def run(self, tensor, batch, matrices, jacobian):
-        return self._layout.take(tensor, self._inverse)
+    def run(self, tensor, batch, matrices, jacobian, pool):
+        return self._layout.take(tensor, self._inverse, True, pool)
 
 
 class _AdjointDiag:
@@ -1181,7 +1308,7 @@ class _AdjointDiag:
                 np.stack([signs for _, signs in contractions])
             )
 
-    def run(self, tensor, batch, matrices, jacobian):
+    def run(self, tensor, batch, matrices, jacobian, pool):
         stack = tensor.reshape((batch, -1) + tensor.shape[1:])
         if self._columns:
             _contract(
@@ -1318,9 +1445,10 @@ class AdjointPlan:
             self.plan._param_groups, self.plan.n_source_ops, params
         )
         batch = combined.shape[0]
+        pool = _pool_for(combined.nbytes)
         tensor = combined.reshape((-1,) + combined.shape[2:])
         for step in self._steps:
-            tensor = step.run(tensor, batch, matrices, jacobian)
+            tensor = step.run(tensor, batch, matrices, jacobian, pool)
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return tensor.reshape(combined.shape)

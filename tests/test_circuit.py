@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
+from repro.circuits.operation import OpTemplate
 from repro.sim import Statevector
 
 
@@ -97,6 +98,57 @@ class TestCompose:
         assert combined.num_parameters == 2
         assert np.allclose(combined.parameters, [0.1, 0.2])
         assert combined.templates[1].param_index == 1
+
+    @staticmethod
+    def rebuilt(first, second):
+        """``first.compose(second)`` with every trainable template of
+        ``second`` rebuilt, re-based by ``first``'s parameter count."""
+        base = first.num_parameters
+        out = QuantumCircuit(first.n_qubits, base + second.num_parameters)
+        out._templates = list(first.templates) + [
+            t if t.param_index is None else OpTemplate(
+                name=t.name, wires=t.wires,
+                param_index=t.param_index + base, offset=t.offset,
+            )
+            for t in second.templates
+        ]
+        out._parameters = np.concatenate(
+            [first.parameters, second.parameters]
+        )
+        return out
+
+    @staticmethod
+    def ansatz():
+        second = QuantumCircuit(3)
+        second.add_trainable("ry", 0, 0)
+        second.add("cz", (0, 2))
+        second.append_template(
+            OpTemplate(name="rzz", wires=(1, 2), param_index=1, offset=0.3)
+        )
+        second.add_trainable("rx", 2, 0)
+        return second.bind([0.4, -1.1])
+
+    @pytest.mark.parametrize("first_params", [0, 2])
+    def test_compose_matches_rebuilt_templates(self, first_params):
+        first = QuantumCircuit(3, first_params)
+        for wire in range(3):
+            first.add("ry", wire, 0.25 * (wire + 1))
+        if first_params:
+            first.add_trainable("rz", 1, 1)
+            first.bind([0.7, -0.2])
+        second = self.ansatz()
+        combined = first.compose(second)
+        expected = self.rebuilt(first, second)
+        assert combined.structure_signature() == (
+            expected.structure_signature()
+        )
+        assert combined.fingerprint() == expected.fingerprint()
+        assert combined.templates == expected.templates
+        assert np.array_equal(combined.parameters, expected.parameters)
+        # With nothing to re-base by, second's templates are reused.
+        tail = combined.templates[len(first):]
+        reused = [a is b for a, b in zip(tail, second.templates)]
+        assert all(reused) == (first_params == 0)
 
     def test_compose_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
