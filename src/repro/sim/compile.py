@@ -59,15 +59,16 @@ tensor, instead of one GEMM per gate:
   whose rows are distinct at the first parameterized step, whose work
   is below :data:`TRIE_MIN_WORK`, or whose rows do not start equal
   skip construction and run the same loop one tensor row per row.
-* **Buffers** — a replay (forward or adjoint) whose largest array is
-  128 KiB to 32 MiB (glibc's default and largest dynamic mmap
-  thresholds) takes every state-sized array — fork copies, transposed
-  operands, step outputs, the leaves scatter it returns — from a
-  per-thread pool of recycled buffers instead of fresh, page-faulting
-  memory; other runs allocate as numpy does.  A buffer is reused only
-  once nothing but the pool references it, so a result stays the
-  caller's until dropped; a request leaves at most two free buffers
-  in its thread's pool.  Only where values are stored changes.
+* **Buffers** — a replay (forward or adjoint) takes every state-sized
+  array — fork copies, transposed operands, step outputs, the leaves
+  scatter it returns — from a per-thread pool of recycled buffers
+  instead of fresh memory that glibc maps, trims and faults back in.
+  A buffer is reused only once nothing but the pool references it, so
+  a result stays the caller's until dropped.  Between runs a thread
+  keeps at most two free buffers, each at most 32 MiB (glibc's largest
+  dynamic mmap threshold) and at most twice its largest recent run; a
+  larger run recycles within itself only.  Only where values are
+  stored changes.
 
 Plans depend only on the circuit's :meth:`~repro.circuits.
 QuantumCircuit.structure_signature` (plus the backend's noise model and
@@ -90,10 +91,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Callable
 
 import numpy as np
@@ -360,18 +362,23 @@ class _Layout:
 #
 # A replay's state-sized arrays change size as trie nodes multiply, so
 # fresh ones keep crossing glibc's dynamic mmap threshold: mapped,
-# trimmed and faulted back in, page by page, every step.  Runs whose
-# largest array falls in the band below take them from a per-thread
-# pool of recycled buffers instead.
+# trimmed and faulted back in, page by page, every step.  Every run
+# takes them from a pool of recycled buffers instead.
 
-#: Pooled runs' largest array, in bytes: glibc's default and largest
-#: dynamic mmap thresholds.  Below, malloc's bins are fault-free
-#: already; above, the compute dwarfs the faults.
-_POOL_MIN = 1 << 17
+#: Largest run, in bytes, whose buffers its thread keeps for later
+#: runs (glibc's largest dynamic mmap threshold).  It bounds what a
+#: thread keeps between runs to ``_POOL_FREE`` buffers of at most this
+#: size; a larger run recycles within itself only.
 _POOL_MAX = 1 << 25
 
-#: Free buffers a thread's pool keeps between requests.
+#: Free buffers a thread's pool keeps between runs.
 _POOL_FREE = 2
+
+#: Runs a thread's largest recent run is remembered for: free buffers
+#: more than twice its size are set loose.  A training step alternates
+#: a few runs of different sizes, so a limit of twice the current run
+#: alone would drop the largest run's buffers every step.
+_POOL_RUNS = 16
 
 
 def _unheld() -> int:
@@ -384,74 +391,81 @@ def _unheld() -> int:
 _UNHELD = _unheld()
 
 
-class _Buffers(threading.local):
-    """One thread's recycled buffers.
+class _Buffers:
+    """Recycled buffers for one thread's runs.
 
     Arrays handed out are views of a flat complex buffer the pool
     holds, and any live view (a caller's result included) pins it, so a
-    buffer is reused only once nothing else references it.  A new
-    buffer holds at least the current run's largest array, so a warm
-    buffer serves every request of the run.
+    buffer is reused only once nothing else references it.  A request
+    takes the smallest free buffer that fits; a new buffer holds at
+    least the run's largest array, so it serves the rest of the run.
     """
 
     def __init__(self):
+        #: Buffers the current run may reuse or has handed out.
         self.bases: list[np.ndarray] = []
+        #: Buffers still referenced when the current run began (results
+        #: a caller holds); re-checked only when the next run begins.
+        self.held: list[np.ndarray] = []
         #: Elements of the current run's largest array.
         self.reserve = 0
+        #: ``reserve`` of the thread's last ``_POOL_RUNS`` runs.
+        self.recent: deque[int] = deque(maxlen=_POOL_RUNS)
+
+    def begin(self, nbytes: int) -> _Buffers:
+        """Start a run whose largest array is ``nbytes``: keep the
+        ``_POOL_FREE`` largest free buffers at most twice the largest
+        recent run, and set the other free ones loose."""
+        self.reserve = nbytes // 16
+        self.recent.append(self.reserve)
+        limit = 2 * max(self.recent)
+        free, held = [], []
+        for base in itertools.chain(self.bases, self.held):
+            if sys.getrefcount(base) != _UNHELD:
+                held.append(base)
+            elif base.size <= limit:
+                free.append(base)
+        base = None  # the scan's reference would read as a holder
+        free.sort(key=len, reverse=True)
+        self.bases, self.held = free[:_POOL_FREE], held
+        return self
 
     def empty(self, shape: tuple) -> np.ndarray:
         """An uninitialized complex array on a recycled buffer."""
         size = math.prod(shape)
         chosen = None
-        free = 0
         for base in self.bases:
-            if sys.getrefcount(base) == _UNHELD:
-                free += 1
-                if chosen is None and base.size >= size:
-                    chosen = base
-        base = None  # the scan's reference would read as a holder
-        if chosen is None or free > _POOL_FREE + 1:
-            chosen = self._refill(size, chosen)
-        return chosen[:size].reshape(shape)
-
-    def _refill(self, size: int, chosen) -> np.ndarray:
-        """Keep the held buffers and at most ``_POOL_FREE`` free ones
-        big enough for ``size`` besides ``chosen`` (a new buffer on a
-        miss); smaller free buffers are dropped."""
-        held, free = [], []
-        for base in self.bases:
-            if base is chosen:
-                continue
-            if sys.getrefcount(base) != _UNHELD:
-                held.append(base)
-            elif base.size >= size and len(free) < _POOL_FREE:
-                free.append(base)
+            if (
+                base.size >= size
+                and sys.getrefcount(base) == _UNHELD
+                and (chosen is None or base.size < chosen.size)
+            ):
+                chosen = base
+        base = None
         if chosen is None:
             chosen = np.empty(max(size, self.reserve), dtype=np.complex128)
-        self.bases = held + free + [chosen]
-        return chosen
+            self.bases.append(chosen)
+        return chosen[:size].reshape(shape)
 
 
-_BUFFERS = _Buffers()
+_LOCAL = threading.local()
 
 
-def _pool_for(nbytes: int) -> _Buffers | None:
-    """This thread's pool for a run whose largest array is ``nbytes``
-    (``None`` outside the band: the run allocates as numpy does)."""
-    if not _POOL_MIN <= nbytes <= _POOL_MAX:
-        return None
-    _BUFFERS.reserve = nbytes // 16
-    return _BUFFERS
+def _pool_for(nbytes: int) -> _Buffers:
+    """The pool a run whose largest array is ``nbytes`` draws from:
+    its thread's, or above ``_POOL_MAX`` one of its own, dropped with
+    the run."""
+    if nbytes > _POOL_MAX:
+        return _Buffers().begin(nbytes)
+    pool = getattr(_LOCAL, "pool", None)
+    if pool is None:
+        pool = _LOCAL.pool = _Buffers()
+    return pool.begin(nbytes)
 
 
-def _out(shape: tuple, pool: _Buffers | None) -> np.ndarray | None:
-    """An output array for ``shape``; ``None`` lets numpy allocate."""
-    return None if pool is None else pool.empty(shape)
-
-
-def _take_rows(tensor, rows, pool) -> np.ndarray:
+def _take_rows(tensor, rows, pool: _Buffers) -> np.ndarray:
     """``tensor[rows]`` (``mode="raise"`` would buffer its output)."""
-    out = _out((len(rows),) + tensor.shape[1:], pool)
+    out = pool.empty((len(rows),) + tensor.shape[1:])
     return np.take(tensor, rows, axis=0, mode="clip", out=out)
 
 
@@ -479,15 +493,15 @@ class _MatmulLayout:
     def _operand(self, tensor, moved, owned, pool):
         """``(flat operand, output)`` of one step over ``tensor``."""
         shape = (tensor.shape[0], self.dim, -1)
-        if self.viewable or pool is None:
+        if self.viewable:
             flat = moved.reshape(shape)
-        else:
-            flat = pool.empty(moved.shape)
-            np.copyto(flat, moved)
-            flat = flat.reshape(shape)
-        if owned and not self.viewable:
+            return flat, pool.empty(flat.shape)
+        flat = pool.empty(moved.shape)
+        np.copyto(flat, moved)
+        flat = flat.reshape(shape)
+        if owned:
             return flat, tensor.reshape(flat.shape)
-        return flat, _out(flat.shape, pool)
+        return flat, pool.empty(flat.shape)
 
     def apply(self, tensor, mats, owned: bool, pool) -> np.ndarray:
         moved = tensor.transpose(self.fwd)
@@ -725,7 +739,7 @@ class DiagStep:
 
     def apply(self, tensor, diags, owned, pool):
         factor = self._ket.factor(diags)
-        out = tensor if owned else _out(tensor.shape, pool)
+        out = tensor if owned else pool.empty(tensor.shape)
         out = np.multiply(tensor, factor, out=out)
         if self._bra is not None:
             out *= self._bra.factor(diags.conj())
@@ -1270,8 +1284,7 @@ class _AdjointMatmul:
             _contract(stack, g_kets, jacobian, columns)
         if pending.ndim == 3:
             pending = pending[:, None]
-        if out is not None:
-            out = out.reshape(stack.shape)
+        out = out.reshape(stack.shape)
         return np.matmul(pending, stack, out=out).reshape(moved.shape)
 
 

@@ -1,4 +1,4 @@
-"""Replays whose state-sized arrays fall in the recycling pool's band.
+"""Replays that take their state-sized arrays from the recycling pool.
 
 Shared by ``tests/test_replay_buffers.py`` and
 ``benchmarks/test_replay_faults.py``.  Each case is a fresh-stack

@@ -1,17 +1,18 @@
 """Plan replays recycle their state-sized buffers.
 
-``repro.sim.compile`` takes every state-sized array of a replay whose
-largest array falls in the band ``[_POOL_MIN, _POOL_MAX]`` from a
-per-thread pool of recycled buffers.  The contract pinned here:
+``repro.sim.compile`` takes every state-sized array of a replay from a
+pool of recycled buffers: its thread's, or for a run whose largest
+array is over ``_POOL_MAX`` one of the run's own.  The contract pinned
+here:
 
 * a warm replay makes (almost) no minor page faults;
 * a result the caller holds is never handed out again, and a later
-  replay leaves it unchanged;
+  replay leaves it unchanged; held results are not scanned per step;
 * threads replaying at once never share a buffer: results equal the
   sequential ones bit for bit;
-* a request leaves at most ``_POOL_FREE`` free buffers in its thread's
-  pool, each in the band, and a run below the band leaves the pool
-  alone.
+* between runs a thread keeps at most ``_POOL_FREE`` free buffers, none
+  over ``_POOL_MAX`` and none over twice its largest recent run; a run
+  over ``_POOL_MAX`` leaves the thread's pool alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 import replay_cases
+from repro.sim import BatchedStatevector
 from repro.sim import compile as sim_compile
 
 CASES = replay_cases.cases()
@@ -35,23 +37,25 @@ IDS = [case.name for case in CASES]
 MAX_FAULTS = 16
 
 
-def free_buffers(pool) -> list[np.ndarray]:
-    """The pool's buffers nothing but the pool holds (same scan)."""
-    free = []
-    for base in pool.bases:
-        if sys.getrefcount(base) == sim_compile._UNHELD:
-            free.append(base)
-    return free
+def thread_pool() -> sim_compile._Buffers:
+    return sim_compile._LOCAL.pool
 
 
 def check_pool(pool) -> None:
-    """A request leaves at most ``_POOL_FREE`` free buffers besides the
-    one it takes, and every buffer is in the band."""
-    taken = pool.empty((pool.reserve,))
-    assert len(free_buffers(pool)) <= sim_compile._POOL_FREE
+    """Between runs the pool keeps at most ``_POOL_FREE`` free buffers,
+    none over the cap or twice its largest recent run."""
+    pool.begin(16 * pool.reserve)
+    assert len(pool.bases) <= sim_compile._POOL_FREE
     for base in pool.bases:
-        assert sim_compile._POOL_MIN <= base.nbytes <= sim_compile._POOL_MAX
-    del taken
+        assert base.nbytes <= sim_compile._POOL_MAX
+        assert base.size <= 2 * max(pool.recent)
+
+
+def forward_state() -> np.ndarray:
+    """The 4-row 10-qubit forward replay (64 KiB), as a caller holds it."""
+    case = CASES[2]
+    state = BatchedStatevector(case.sweep.n_qubits, case.sweep.size)
+    return state.evolve(case.sweep, plan=case.plan).tensor
 
 
 @pytest.mark.skipif(
@@ -72,7 +76,7 @@ def test_held_result_is_never_reused(case):
         assert not np.shares_memory(mine, theirs)
         assert np.array_equal(mine, copy)
         assert np.array_equal(theirs, copy)
-    check_pool(sim_compile._BUFFERS)
+    check_pool(thread_pool())
 
 
 def test_threads_never_share_a_buffer():
@@ -87,8 +91,9 @@ def test_threads_never_share_a_buffer():
         try:
             start.wait()
             threaded[index] = [jobs[index].run() for _ in range(3)]
-            check_pool(sim_compile._BUFFERS)
-            pools[index] = list(sim_compile._BUFFERS.bases)
+            pool = thread_pool()
+            check_pool(pool)
+            pools[index] = pool.bases + pool.held
         except BaseException as exc:  # re-raised in the main thread
             errors.append(exc)
 
@@ -116,15 +121,43 @@ def test_threads_never_share_a_buffer():
     assert len(set(owned)) == len(owned)
 
 
-def test_runs_below_the_band_leave_the_pool_alone():
-    forward = CASES[2].sweep
-    tensor = np.zeros((forward.size,) + (2,) * forward.n_qubits, complex)
-    assert tensor.nbytes < sim_compile._POOL_MIN
-    pool = sim_compile._BUFFERS
-    before = list(pool.bases)
-    out = CASES[2].plan.run(tensor, forward)
-    assert not any(np.shares_memory(out, base) for base in before)
-    assert [id(base) for base in pool.bases] == [id(b) for b in before]
+def test_runs_over_the_cap_leave_the_thread_pool_alone(monkeypatch):
+    forward_state()
+    pool = thread_pool()
+    before = [id(base) for base in pool.bases + pool.held]
+    monkeypatch.setattr(sim_compile, "_POOL_MAX", (1 << 16) - 1)
+    out = forward_state()
+    assert out.nbytes > sim_compile._POOL_MAX
+    assert [id(base) for base in pool.bases + pool.held] == before
+    assert not any(
+        np.shares_memory(out, base) for base in pool.bases + pool.held
+    )
+
+
+def test_small_runs_set_a_large_runs_buffers_loose():
+    (large,) = CASES[1].run()
+    limit = 2 * forward_state().size
+    del large
+    pool = thread_pool()
+    # One smaller run, as within a training step, keeps them warm ...
+    assert any(base.size > limit for base in pool.bases)
+    for _ in range(sim_compile._POOL_RUNS):
+        forward_state()
+    check_pool(pool)
+    # ... a run of smaller ones gives them back.
+    assert all(base.size <= limit for base in pool.bases + pool.held)
+
+
+def test_held_results_are_not_scanned_per_step():
+    held = [forward_state() for _ in range(40)]
+    pool = thread_pool()
+    assert len(pool.held) >= 39
+    assert len(pool.bases) <= sim_compile._POOL_FREE + 3
+    for result in held:
+        assert np.array_equal(result, held[0])
+    del held, result
+    check_pool(pool)
+    assert not pool.held
 
 
 def test_trie_rows_match_batch_of_one():
@@ -134,14 +167,17 @@ def test_trie_rows_match_batch_of_one():
             assert np.array_equal(tensor[index], case.row(index))
 
 
-def test_pool_keeps_two_free_buffers_and_drops_small_ones():
-    pool = sim_compile._Buffers()
-    pool.reserve = 1 << 14
-    held = [pool.empty((1 << 14,)) for _ in range(4)]
-    assert len(pool.bases) == 4
+def test_pool_keeps_two_free_buffers_and_takes_the_smallest_fit():
+    pool = sim_compile._Buffers().begin(16 << 14)
+    held = [pool.empty((1 << 14,)) for _ in range(3)]
+    held.append(pool.empty((1 << 15,)))
+    assert [base.size for base in pool.bases] == [1 << 14] * 3 + [1 << 15]
     del held
-    kept = pool.empty((2, 1 << 13))
-    assert len(free_buffers(pool)) == sim_compile._POOL_FREE
-    big = pool.empty((1 << 15,))
-    assert [base.size for base in pool.bases] == [1 << 14, 1 << 15]
-    assert kept.base is pool.bases[0] and big.base is pool.bases[1]
+    pool.begin(16 << 14)
+    assert [base.size for base in pool.bases] == [1 << 15, 1 << 14]
+    small = pool.empty((2, 1 << 12))
+    assert small.base is pool.bases[1]
+    large = pool.empty((1 << 14,))
+    assert large.base is pool.bases[0]
+    fresh = pool.empty((1 << 14,))
+    assert fresh.base is pool.bases[2] and len(pool.bases) == 3
