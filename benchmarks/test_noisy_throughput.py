@@ -9,6 +9,13 @@ density-matrix plan replay; the baseline submits the same clones
 circuit by circuit, each a batch of one through the same cached plan.
 Target: >= 3x, with per-row observed distributions and sampled
 gradients identical to the circuit-by-circuit baseline.
+
+A report-only case prints the warm time per call of the benchmark's
+mnist4 shift sweeps on ``ibmq_jakarta`` (8 examples, 18 and 36
+shifted parameters: 288 and 576 rows), tagged by ``shift_sweep`` and
+so contracted against the plan's Heisenberg-picture suffix, against
+the same rows untagged (the general replay).  Rows must agree within
+1e-12; there is no wall-clock gate.
 """
 
 from __future__ import annotations
@@ -19,9 +26,12 @@ import numpy as np
 
 import dense_reference as ref
 from harness import CircuitByCircuit, format_table, smoke_scaled
-from repro.circuits import QuantumCircuit
+from repro.circuits import QuantumCircuit, Sweep, get_architecture
 from repro.circuits.layers import build_layered_ansatz
-from repro.gradients.parameter_shift import parameter_shift_jacobian_batch
+from repro.gradients.parameter_shift import (
+    parameter_shift_jacobian_batch,
+    shift_sweep,
+)
 from repro.hardware import NoisyBackend
 
 N_QUBITS = 4
@@ -31,6 +41,8 @@ DEVICE = "ibmq_lima"
 SHOTS = 1024
 ROUNDS = smoke_scaled(3, 1)
 TARGET_SPEEDUP = 3.0
+#: Warm calls per path in the report-only suffix case.
+SUFFIX_CALLS = smoke_scaled(30, 5)
 
 
 def build_sweep_circuits() -> list[QuantumCircuit]:
@@ -120,3 +132,44 @@ def test_noisy_batched_distributions_match_sequential():
     )
     for a, b in zip(jac_seq, jac_bat):
         assert np.array_equal(a, b)
+
+
+def test_suffix_contraction_report():
+    """Report-only: warm ms per call of tagged and untagged mnist4
+    shift sweeps; rows agree within 1e-12."""
+    arch = get_architecture("mnist4")
+    rng = np.random.default_rng(5)
+    base = arch.sweep(
+        rng.uniform(0, np.pi, (8, arch.n_features)),
+        arch.init_parameters(rng),
+    )
+    backend = NoisyBackend.from_device_name("ibmq_jakarta", seed=0)
+    rows = []
+    for n_selected in (18, 36):
+        subset = sorted(rng.choice(36, n_selected, replace=False).tolist())
+        tagged, _ = shift_sweep(base, subset)
+        plain = Sweep(tagged.template, tagged.literals, tagged.params)
+        got = backend.observed_probabilities_batch(tagged)
+        want = backend.observed_probabilities_batch(plain)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        times: dict[str, list[float]] = {"tagged": [], "untagged": []}
+        for _ in range(SUFFIX_CALLS):
+            for name, sweep in (("tagged", tagged), ("untagged", plain)):
+                start = time.perf_counter()
+                backend.observed_probabilities_batch(sweep)
+                times[name].append(1e3 * (time.perf_counter() - start))
+        tagged_ms, plain_ms = (
+            float(np.median(times[name])) for name in ("tagged", "untagged")
+        )
+        rows.append(
+            [tagged.size, tagged_ms, plain_ms, plain_ms / tagged_ms]
+        )
+    print()
+    print(format_table(
+        ["rows", "tagged_ms", "untagged_ms", "ratio"],
+        rows,
+        title=(
+            "mnist4 shift sweeps on ibmq_jakarta: Heisenberg-picture "
+            "suffix (tagged) against the general replay, warm medians"
+        ),
+    ))

@@ -35,6 +35,7 @@ import functools
 import hashlib
 from itertools import compress
 from operator import is_not
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,6 +247,20 @@ class SweepTemplate:
         )
 
 
+class Shifts(NamedTuple):
+    """Where the rows of a parameter-shift sweep come from.
+
+    Attributes:
+        base: The unshifted sweep.
+        rows: ``(R,)`` base row of each shifted row.
+        positions: ``(R,)`` op position whose angle each row shifts.
+    """
+
+    base: "Sweep"
+    rows: np.ndarray
+    positions: np.ndarray
+
+
 class Sweep:
     """``B`` rows of values over one :class:`SweepTemplate`.
 
@@ -261,6 +276,11 @@ class Sweep:
     Attributes:
         angles: Resolved ``(B, n_columns)`` angles — what the plans
             execute (via :meth:`op_params`).
+        shifts: ``None``, or on a sweep built by :func:`~repro.
+            gradients.parameter_shift.shift_sweep` (and nowhere else)
+            its :class:`Shifts`.  Noisy backends read it to contract
+            rows against a shared suffix; every other consumer ignores
+            it, and sweeps rebuilt from a sweep's rows drop it.
     """
 
     def __init__(self, template: SweepTemplate, literals, params):
@@ -304,6 +324,7 @@ class Sweep:
         self.n_qubits = template.n_qubits
         self.templates = template.templates
         self.angles = angles
+        self.shifts = None
 
     @classmethod
     def admitted(

@@ -25,7 +25,13 @@ times and writes the ``± pi/2`` offsets into the shifted occurrence
 columns — the rows :func:`build_shifted_circuits` would build, in its
 order, executing bit-identically.  The whole sweep goes to the backend
 in one ``run_sweep`` call, which on the simulator backends evolves it
-as one stacked tensor.
+as one stacked tensor.  :func:`shift_sweep` also tags the sweep with
+each row's base row and shifted position (``Sweep.shifts``, a
+:class:`~repro.circuits.sweep.Shifts`): an untranspiled
+:class:`~repro.hardware.NoisyBackend` contracts the rows against the
+plan's Heisenberg-picture suffix instead of replaying it per row.
+Every other consumer ignores the tag, and sweeps rebuilt from a
+sweep's rows (serving admission, shards) drop it.
 
 ``backend`` may equally be a :class:`~repro.serving.ServiceExecutor`:
 the sweep is then submitted as it is to the shared
@@ -41,7 +47,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.circuits.batch import CircuitBatch, group_by_structure
-from repro.circuits.sweep import Sweep
+from repro.circuits.sweep import Shifts, Sweep
 from repro.sim import gates as _gates
 
 #: The two-term shift for generators with eigenvalues +/-1 (Eq. 2).
@@ -116,17 +122,23 @@ def shift_sweep(
     literals = np.repeat(sweep.literals, repeats, axis=0)
     params = np.repeat(sweep.params, repeats, axis=0)
     # A trainable op's offset lives in the column of its own position.
-    columns = np.tile(
-        np.array([position for _, position in index_map], dtype=np.intp),
-        sweep.size,
+    occurrences = np.array(
+        [position for _, position in index_map], dtype=np.intp
     )
+    columns = np.tile(occurrences, sweep.size)
     plus = (
         np.arange(sweep.size)[:, None] * repeats
         + 2 * np.arange(len(index_map))
     ).ravel()
     literals[plus, columns] += shift
     literals[plus + 1, columns] -= shift
-    return Sweep(template, literals, params), index_map
+    shifted = Sweep(template, literals, params)
+    shifted.shifts = Shifts(
+        sweep,
+        np.arange(sweep.size).repeat(repeats),
+        np.tile(occurrences.repeat(2), sweep.size),
+    )
+    return shifted, index_map
 
 
 def parameter_shift_jacobian(

@@ -37,6 +37,16 @@ counts consume the seeded RNG stream row by row in group order (the
 contract :func:`~repro.sim.measurement.sample_outcome_matrix`
 documents).  In transpiled mode, circuits are additionally grouped by
 their *post-transpile* structure and layout before stacking.
+
+A parameter-shift sweep (one :func:`~repro.gradients.parameter_shift.
+shift_sweep` tags with ``Sweep.shifts``) skips the per-row replay in
+untranspiled mode: the plan's :class:`~repro.sim.compile.SuffixPlan`
+carries the outcome projectors backwards through the shared noisy
+suffix once and contracts each shifted row against them right after
+its shifted step, so a row costs its own step, not the rest of the
+circuit.  Its distributions equal the replay's to roundoff and are
+bit-identical whatever batch a row rides in; readout confusion and
+the seeded multinomial draw consume them in the same row order.
 """
 
 from __future__ import annotations
@@ -210,13 +220,19 @@ class NoisyBackend(Backend):
 
         One batched density evolution, readout confusion applied
         batch-wide, then the layout traced down to the logical qubits.
+        A shift sweep (``sweep.shifts``) contracts its rows against the
+        plan's Heisenberg-picture suffix instead of replaying it.
         """
-        rho = BatchedDensityMatrix(sweep.n_qubits, sweep.size)
-        rho.evolve(sweep, plan=self._plan_for(sweep))
+        plan = self._plan_for(sweep)
+        if sweep.shifts is None:
+            rho = BatchedDensityMatrix(sweep.n_qubits, sweep.size)
+            probs = rho.evolve(sweep, plan=plan).probabilities()
+        else:
+            probs = _measurement.normalized_probabilities(
+                plan.suffix().diagonals(sweep)
+            )
         confusions = self.noise_model.readout_confusions(sweep.n_qubits)
-        probs = _measurement.apply_readout_error_batch(
-            rho.probabilities(), confusions
-        )
+        probs = _measurement.apply_readout_error_batch(probs, confusions)
         marginal = _layout_to_marginalize(
             sweep.n_qubits, layout, logical_qubits
         )

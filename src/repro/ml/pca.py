@@ -66,10 +66,6 @@ class PCA:
         projected = (data - self.mean_) @ self.components_.T
         return projected[0] if single else projected
 
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        """Fit on ``data`` and return its projection."""
-        return self.fit(data).transform(data)
-
     def inverse_transform(self, projected: np.ndarray) -> np.ndarray:
         """Map projections back to the original feature space."""
         self._require_fit()

@@ -36,11 +36,6 @@ class Scheduler(abc.ABC):
         self._step = min(self._step + 1, self.total_steps)
         return lr
 
-    @property
-    def current_step(self) -> int:
-        """Steps taken so far (clamped at total_steps)."""
-        return self._step
-
 
 class CosineScheduler(Scheduler):
     """Cosine annealing from ``lr_max`` down to ``lr_min``.

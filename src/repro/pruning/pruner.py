@@ -112,10 +112,6 @@ class GradientPruner:
         """Number of completed select/observe cycles."""
         return self._step
 
-    def current_phase(self) -> Phase:
-        """Phase the *next* select() call will be in."""
-        return self._schedule.phase_at(self._step)
-
     def distribution(self) -> np.ndarray:
         """The sampling distribution the next pruning step would use."""
         return self._accumulator.distribution()

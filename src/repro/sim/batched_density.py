@@ -145,14 +145,9 @@ class BatchedDensityMatrix:
         """Per-state diagonal of rho: ``(B, 2^n)`` basis probabilities."""
         dim = 2**self.n_qubits
         flat = self._tensor.reshape(self.batch_size, dim, dim)
-        probs = np.real(
-            np.diagonal(flat, axis1=1, axis2=2)
-        ).copy()
-        probs[probs < 0] = 0.0  # numerical floor
-        totals = probs.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0):
-            raise ValueError("density matrix has vanished trace")
-        return probs / totals
+        return _measurement.normalized_probabilities(
+            np.real(np.diagonal(flat, axis1=1, axis2=2)).copy()
+        )
 
     def expectation_z(self) -> np.ndarray:
         """Exact per-qubit ``<Z>`` for every state, ``(B, n)``."""

@@ -59,6 +59,15 @@ tensor, instead of one GEMM per gate:
   whose rows are distinct at the first parameterized step, whose work
   is below :data:`TRIE_MIN_WORK`, or whose rows do not start equal
   skip construction and run the same loop one tensor row per row.
+* **Heisenberg suffixes** (density shift sweeps) — a row's outcome
+  probabilities are ``Tr(P_x S(rho_s)) = Tr(S^dagger(P_x) rho_s)``,
+  with ``S`` the noisy steps after the row's shifted gate.  One
+  backward pass carries the ``2^n`` projectors through the adjoint
+  steps (:class:`SuffixPlan`) and keeps ``S^dagger(P_x)`` at each
+  boundary, so a shifted row costs its own step on its base row's
+  state plus one contraction, not a replay of the whole suffix.
+  Rows shifted at or before the last step reading a non-trainable
+  angle (the encoder) replay their prefix as a trie up to that step.
 * **Buffers** — a replay (forward or adjoint) takes every state-sized
   array — fork copies, transposed operands, step outputs, the leaves
   scatter it returns — from a per-thread pool of recycled buffers
@@ -159,7 +168,8 @@ def _embed(tag, mats: np.ndarray) -> np.ndarray:
         return mats
     index, mask = _gather_map(axes, k)
     lead = mats.shape[:-2]
-    out = mats.reshape(lead + (-1,))[..., index]
+    out = mats.reshape(lead + (mats.shape[-2] * mats.shape[-1],))
+    out = out[..., index]
     if len(axes) < k:
         out *= mask
     return out.reshape(lead + (2**k, 2**k))
@@ -843,6 +853,9 @@ TRIE_MIN_WORK = 2**18
 #: Largest mixed-radix key a step's combined column ranks may reach.
 _KEY_LIMIT = 2**62
 
+#: The row selection of a step whose matrices a replay never reads.
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
 
 @dataclasses.dataclass
 class _Schedule:
@@ -1006,6 +1019,7 @@ class ExecutionPlan:
         self.n_source_ops = n_source_ops
         self.param_indices = param_indices
         self._adjoint = None
+        self._suffix = None
         self._param_groups = _build_param_groups(steps)
         #: Per step, the source positions whose angles it consumes.
         self._step_positions = [
@@ -1013,8 +1027,11 @@ class ExecutionPlan:
         ]
         self._plain = _Schedule([None] * len(steps), [None] * len(steps))
         layout = _Layout((2 * n_qubits if mode == "density" else n_qubits) + 1)
+        #: The tensor's axis order after each step (see _Layout).
+        self._perms = []
         for step in steps:
             step.finalize(n_qubits, mode, layout)
+            self._perms.append(layout.perm)
         #: Final transpose returning the tensor to canonical axis order
         #: (steps defer it — see _Layout).
         self._restore = layout.restore()
@@ -1036,16 +1053,37 @@ class ExecutionPlan:
         Returns:
             The evolved ``(B, ...)`` tensor, one row per input row.
         """
-        schedule = self._schedule(params, fresh)
+        pool = _pool_for(tensor.nbytes)
+        tensor = self._replay(tensor, params, fresh, len(self.steps), pool)
+        if self._restore is not None:
+            tensor = tensor.transpose(self._restore)
+        return tensor
+
+    def _replay(
+        self,
+        tensor,
+        params,
+        fresh: bool,
+        stop: int,
+        pool,
+        min_work: int | None = None,
+    ):
+        """Steps ``[0, stop)`` over every row, left in the layout after
+        step ``stop - 1``.  A fresh ``tensor`` may be a single row."""
+        schedule = self._schedule(params, fresh, stop, min_work)
         matrices = _prepare_matrices(
             self._param_groups, self.n_source_ops, params, schedule.rows
         )
-        pool = _pool_for(tensor.nbytes)
+        owned = False
         if schedule.leaves is not None:
             tensor = tensor[:1]
-        owned = False
+        elif tensor.shape[0] < params.size:
+            tensor = _take_rows(
+                tensor, np.zeros(params.size, dtype=np.intp), pool
+            )
+            owned = True
         for step, split, gather in zip(
-            self.steps, schedule.splits, schedule.gathers
+            self.steps[:stop], schedule.splits, schedule.gathers
         ):
             if split is not None:
                 tensor = _take_rows(tensor, split, pool)
@@ -1057,26 +1095,33 @@ class ExecutionPlan:
             owned = True
         if schedule.leaves is not None:
             tensor = _take_rows(tensor, schedule.leaves, pool)
-        if self._restore is not None:
-            tensor = tensor.transpose(self._restore)
         return tensor
 
-    def _schedule(self, params, fresh: bool) -> _Schedule:
-        """The prefix trie of a fresh sweep, or the plain replay.
+    def _schedule(
+        self,
+        params,
+        fresh: bool,
+        stop: int | None = None,
+        min_work: int | None = None,
+    ) -> _Schedule:
+        """The prefix trie of a fresh sweep over steps ``[0, stop)``
+        (every step by default), or the plain replay.
 
         The trie is skipped on what the input shows: rows that do not
         start equal, a source without an angle matrix, work below
-        :data:`TRIE_MIN_WORK`, or rows already distinct at the first
-        parameterized step (see :func:`_prefix_trie`).
+        ``min_work`` (:data:`TRIE_MIN_WORK` by default), or rows
+        already distinct at the first parameterized step (see
+        :func:`_prefix_trie`).
         """
         angles = getattr(params, "angles", None)
         if not fresh or angles is None or angles.shape[0] < 2:
             return self._plain
+        stop = len(self.steps) if stop is None else stop
         elements = 2 ** (
             self.n_qubits * (2 if self.mode == "density" else 1)
         )
-        work = angles.shape[0] * len(self.steps) * elements
-        if work < TRIE_MIN_WORK:
+        work = angles.shape[0] * stop * elements
+        if work < (TRIE_MIN_WORK if min_work is None else min_work):
             return self._plain
         template = params.template
         step_columns = [
@@ -1086,10 +1131,14 @@ class ExecutionPlan:
             )
             if positions
             else None
-            for positions in self._step_positions
+            for positions in self._step_positions[:stop]
         ]
         trie = _prefix_trie(angles.view(np.int64), step_columns)
-        return self._plain if trie is None else trie
+        if trie is None:
+            return self._plain
+        # Steps past ``stop`` prepare nothing.
+        trie.rows += [_NO_ROWS] * (len(self.steps) - stop)
+        return trie
 
     def adjoint(self) -> "AdjointPlan":
         """The plan's backward (reverse-replay) lowering, built lazily.
@@ -1102,16 +1151,19 @@ class ExecutionPlan:
             self._adjoint = AdjointPlan(self)
         return self._adjoint
 
+    def suffix(self) -> "SuffixPlan":
+        """The plan's Heisenberg-picture suffix lowering, built lazily
+        and cached on the plan like :meth:`adjoint`."""
+        if self._suffix is None:
+            self._suffix = SuffixPlan(self)
+        return self._suffix
+
     def step_counts(self) -> dict[str, int]:
         """Histogram of step kinds (``matmul`` / ``diag`` / ...)."""
         counts: dict[str, int] = {}
         for step in self.steps:
             counts[step.kind] = counts.get(step.kind, 0) + 1
         return counts
-
-    def gemm_count(self) -> int:
-        """Number of matmul-kernel steps (the fused-plan GEMMs)."""
-        return sum(1 for step in self.steps if step.kind == "matmul")
 
     def cost_ops(self) -> float:
         """Estimated flops to execute the plan once per circuit.
@@ -1465,6 +1517,275 @@ class AdjointPlan:
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return tensor.reshape(combined.shape)
+
+
+# ---------------------------------------------------------------------------
+# Heisenberg-picture suffixes
+# ---------------------------------------------------------------------------
+#
+# A shift-sweep row differs from its base row in one op, and the noisy
+# steps after that op are the same for every row of a base.  Under the
+# Hilbert-Schmidt inner product <A, B> = sum(conj(A) * B) over the
+# density tensor, a row's outcome probabilities are
+# p(x) = Re <P_x, S(rho_s)> = Re <S^dagger(P_x), rho_s>: the projectors,
+# carried backwards through the adjoint steps once, meet each row just
+# after its shifted step.  Each forward step kind has an adjoint twin of
+# its own kind: a superoperator or block matrix applies its conjugate
+# transpose (for a unitary block, U^dagger on the ket axes and U^T on the
+# bra axes), a diagonal its conjugate factor, a permutation the inverse
+# gather.
+
+def _dagger(matrices: np.ndarray) -> np.ndarray:
+    return matrices.conj().swapaxes(-1, -2)
+
+
+def _adjoint_twin(step, n_qubits: int, layout: _Layout):
+    """A step's Hilbert-Schmidt adjoint, finalized under ``layout``,
+    and the map from the forward step's operand to the twin's."""
+    if isinstance(step, ConstantStep):
+        twin = ConstantStep(step.wires, step.matrix.conj().T)
+        adjoint = None
+    elif isinstance(step, PermutationStep):
+        twin = PermutationStep(step.wires, np.argsort(step.source))
+        adjoint = None
+    elif isinstance(step, DiagStep):
+        twin, adjoint = dataclasses.replace(step), np.conj
+    else:  # FusedStep, WireChainStep
+        twin, adjoint = dataclasses.replace(step), _dagger
+    twin.finalize(n_qubits, "density", layout)
+    return twin, adjoint
+
+
+def _overlaps(tensor, operators: list[dict], groups, index: int):
+    """``Re <O_x, rho>`` of every row against its group's operators kept
+    at boundary ``index``: ``(R, 2^n)``.
+
+    One ``(2^n, 2*4^n) @ (2*4^n, 1)`` real product per row (the float64
+    view of a complex inner product's real part), so a row's bits never
+    depend on how many rows share the call.
+    """
+    flat = tensor.reshape(tensor.shape[0], -1).view(np.float64)[:, :, None]
+    if len(operators) == 1:
+        return np.matmul(operators[0][index], flat)[:, :, 0]
+    out = np.empty((tensor.shape[0], operators[0][index].shape[0]))
+    for group, kept in enumerate(operators):
+        members = groups == group
+        out[members] = np.matmul(kept[index], flat[members])[:, :, 0]
+    return out
+
+
+def _rows_of(*parts):
+    """The ``(sweep, rows)`` parts' rows, concatenated, as one sweep of
+    their shared template."""
+    from repro.circuits.sweep import Sweep
+
+    return Sweep.admitted(
+        parts[0][0].template,
+        *(
+            np.concatenate(
+                [getattr(sweep, name)[rows] for sweep, rows in parts]
+            )
+            for name in ("literals", "params", "angles")
+        ),
+    )
+
+
+class SuffixPlan:
+    """Shift sweeps on a density :class:`ExecutionPlan` at per-example cost.
+
+    Built once per plan (see :meth:`ExecutionPlan.suffix`).  The
+    *boundary* is the last step that reads a non-trainable angle (the
+    encoder); every later step reads trainable angles only, which a
+    sweep's base rows normally share.  Lowering records one adjoint
+    twin per step after the boundary, last step first, under a layout
+    of its own, and the transpose taking the backward stack to the
+    forward layout at every boundary a row can meet it: the boundary
+    itself and each later parameterized step.
+
+    :meth:`diagonals` then splits a tagged shift sweep by each row's
+    shifted step alone: a row shifted at or before the boundary replays
+    its prefix (one trie with its base rows) through the boundary and
+    meets the operators kept there; a row shifted after it forks off
+    its base row's state just before its step, applies that step with
+    its own angles, and meets the operators kept right after it.  So a
+    row's bits depend only on its base row and shifted position, never
+    on the rest of the batch.
+    """
+
+    def __init__(self, plan: ExecutionPlan):
+        if plan.mode != "density":
+            raise ValueError(
+                "suffix contraction requires a density plan, got "
+                f"{plan.mode!r}"
+            )
+        if plan.param_indices is None:
+            raise ValueError(
+                "plan was compiled without parameter-index metadata"
+            )
+        self.plan = plan
+        n = plan.n_qubits
+        indices = plan.param_indices
+        #: Step consuming each source position (-1: none).
+        self._step_of = np.full(plan.n_source_ops, -1, dtype=np.intp)
+        for index, positions in enumerate(plan._step_positions):
+            self._step_of[positions] = index
+        self.boundary = max(
+            (
+                index
+                for index, positions in enumerate(plan._step_positions)
+                if any(indices[p] is None for p in positions)
+            ),
+            default=-1,
+        )
+        #: Source positions whose angles the steps after the boundary read.
+        self._suffix_positions = [
+            p
+            for positions in plan._step_positions[self.boundary + 1:]
+            for p in positions
+        ]
+        # The backward stack is one tensor whose last axis is the
+        # operator index, a spectator every step leaves in place: each
+        # twin is one matmul or multiply, however many operators.
+        layout = _Layout(2 * n + 2)
+        self._twins = []
+        for index in range(len(plan.steps) - 1, self.boundary, -1):
+            keep = None
+            if plan._step_positions[index]:
+                keep = self._to_forward(layout, index)
+            twin, adjoint = _adjoint_twin(plan.steps[index], n, layout)
+            self._twins.append((index, twin, adjoint, keep))
+        self._keep_boundary = (
+            self._to_forward(layout, self.boundary)
+            if self.boundary >= 0
+            else None
+        )
+        dim = 2**n
+        projectors = np.zeros((dim * dim, dim), dtype=np.complex128)
+        projectors[np.arange(dim) * (dim + 1), np.arange(dim)] = 1.0
+        projectors.flags.writeable = False
+        self._projectors = projectors.reshape((1,) + (2,) * (2 * n) + (dim,))
+        self._fresh = projectors[:, 0].reshape((1,) + (2,) * (2 * n))
+
+    def _to_forward(self, layout: _Layout, index: int) -> tuple[int, ...]:
+        """Transpose taking the backward stack, in ``layout``, to the
+        operator axis first, then the forward layout after step
+        ``index`` (the singleton batch axis between them)."""
+        inverse = np.argsort(layout.perm)
+        order = (2 * self.plan.n_qubits + 1, 0) + self.plan._perms[index][1:]
+        return tuple(int(inverse[axis]) for axis in order)
+
+    def _operators(self, matrices, pool) -> dict[int, np.ndarray]:
+        """``S^dagger(P_x)`` at every kept boundary, from batch-1
+        ``matrices``, each as the ``(2^n, 2*4^n)`` float64 view of the
+        forward layout there."""
+        dim = self._projectors.shape[-1]
+
+        def kept(tensor, keep):
+            flat = np.ascontiguousarray(tensor.transpose(keep))
+            return flat.reshape(dim, -1).view(np.float64)
+
+        operators = {}
+        tensor, owned = self._projectors, False
+        for index, twin, adjoint, keep in self._twins:
+            if keep is not None:
+                operators[index] = kept(tensor, keep)
+            operand = self.plan.steps[index].operand(matrices)
+            if adjoint is not None:
+                operand = adjoint(operand)
+            tensor = twin.apply(tensor, operand, owned, pool)
+            owned = True
+        if self._keep_boundary is not None:
+            operators[self.boundary] = kept(tensor, self._keep_boundary)
+        return operators
+
+    def diagonals(self, sweep) -> np.ndarray:
+        """The real diagonal of every row's final density matrix, ``(R,
+        2^n)``, for a sweep tagged by :func:`~repro.gradients.
+        parameter_shift.shift_sweep` (``sweep.shifts``); equal to the
+        forward replay's to roundoff."""
+        base, rows, positions = sweep.shifts
+        plan, boundary = self.plan, self.boundary
+        prepare = functools.partial(
+            _prepare_matrices, plan._param_groups, plan.n_source_ops
+        )
+        steps_of = self._step_of[positions]
+        late = np.flatnonzero(steps_of > boundary)
+        early = np.flatnonzero(steps_of <= boundary)
+        n_base = base.size if late.size else 0
+        late_counts = np.bincount(steps_of[late], minlength=1)
+        pool = _pool_for(
+            max(n_base + early.size, late_counts.max())
+            * self._fresh.nbytes
+        )
+
+        # One set of operators per distinct value of the suffix angles,
+        # each prepared from one base row alone, at batch 1.
+        template = base.template
+        columns = [
+            c for p in self._suffix_positions for c in template.column_list(p)
+        ]
+        bits = base.angles[:, columns].view(np.int64)
+        if (bits == bits[:1]).all():
+            groups = np.zeros(base.size, dtype=np.intp)
+            representatives = [0]
+        else:
+            _, representatives, groups = np.unique(
+                bits, axis=0, return_index=True, return_inverse=True
+            )
+            groups = groups.reshape(-1)
+        prepared = [
+            prepare(base, [np.array([r])] * len(plan.steps))
+            for r in representatives
+        ]
+        operators = [self._operators(m, pool) for m in prepared]
+        row_groups = groups[rows]
+
+        out = np.empty((sweep.size, self._projectors.shape[-1]))
+        if n_base + early.size:
+            prefix = _rows_of((base, np.arange(n_base)), (sweep, early))
+            # Its rows share their base rows' prefixes by construction:
+            # always a trie.
+            state = plan._replay(
+                self._fresh, prefix, True, boundary + 1, pool, min_work=0
+            )
+            if early.size:
+                out[early] = _overlaps(
+                    state[n_base:], operators, row_groups[early], boundary
+                )
+            state = state[:n_base]
+        if not late.size:
+            return out
+        # Fork each late row off its base row just before its step.  With
+        # one group, the base rows share every operand after the boundary.
+        base_matrices = prepared[0] if len(prepared) == 1 else prepare(base)
+        order = late[np.argsort(steps_of[late], kind="stable")]
+        starts = np.concatenate(([0], np.cumsum(late_counts)))
+        selections = [
+            np.arange(starts[index], starts[index + 1])
+            if index < late_counts.size
+            else _NO_ROWS
+            for index in range(len(plan.steps))
+        ]
+        fork_matrices = prepare(_rows_of((sweep, order)), selections)
+        last = late_counts.size - 1
+        owned = False  # no step may have run since the fresh row
+        for index in range(boundary + 1, last + 1):
+            step = plan.steps[index]
+            if late_counts[index]:
+                members = order[selections[index]]
+                forked = _take_rows(state, rows[members], pool)
+                forked = step.apply(
+                    forked, step.operand(fork_matrices), True, pool
+                )
+                out[members] = _overlaps(
+                    forked, operators, row_groups[members], index
+                )
+            if index < last:
+                state = step.apply(
+                    state, step.operand(base_matrices), owned, pool
+                )
+                owned = True
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,19 @@ import numpy as np
 from repro.sim.apply import matmul_on_axes
 
 
+def normalized_probabilities(diagonals: np.ndarray) -> np.ndarray:
+    """Born probabilities from ``(B, 2^n)`` real density diagonals.
+
+    Negative roundoff is floored at 0 (in place) and each row divided
+    by its sum, as its own row alone would be.
+    """
+    diagonals[diagonals < 0] = 0.0
+    totals = diagonals.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("density matrix has vanished trace")
+    return diagonals / totals
+
+
 def counts_to_probabilities(
     counts: Mapping[str, int], n_qubits: int
 ) -> np.ndarray:

@@ -161,7 +161,6 @@ class TestCompilerLowering:
         circuit = sweep_circuit()
         plan = compile_circuit(circuit)
         counts = plan.step_counts()
-        assert plan.gemm_count() == counts.get("matmul", 0)
         assert len(plan.steps) < circuit.num_operations()
         assert plan.cost_ops() > 0
 

@@ -1,0 +1,282 @@
+"""Noisy shift sweeps contracted against a Heisenberg-picture suffix.
+
+:func:`~repro.gradients.parameter_shift.shift_sweep` tags the sweep it
+returns with each row's base row and shifted position
+(``Sweep.shifts``); an untranspiled :class:`NoisyBackend` then runs it
+through the plan's :class:`~repro.sim.compile.SuffixPlan` instead of
+replaying every row's whole noisy suffix.  The contract pinned here:
+
+* tagged rows agree with the same rows untagged (the forward replay)
+  and with the dense reference within 1e-12;
+* a row is ``np.array_equal`` whether it runs alone (one base row, one
+  parameter) or inside a full, reordered or duplicated batch;
+* the meter still counts every shifted row under ``"gradient"``, and
+  the execute-batch fault site fires once per call;
+* every other consumer — transpiled execution, ``IdealBackend``,
+  ``ShardedBackend`` — returns exactly what it returns untagged.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.circuits import QuantumCircuit
+from repro.circuits.batch import CircuitBatch
+from repro.circuits.layers import LAYER_BUILDERS, build_layered_ansatz
+from repro.circuits.sweep import Sweep
+from repro.gradients.parameter_shift import (
+    SHIFT,
+    parameter_shift_jacobian_batch,
+    shift_sweep,
+)
+from repro.hardware import IdealBackend, NoisyBackend
+from repro.parallel import ShardedBackend
+from repro.resilience import faults
+from repro.training import TrainingConfig, TrainingEngine
+
+import dense_reference as ref
+
+_DEVICES = ["ibmq_santiago", "ibmq_lima", "ibmq_jakarta"]
+_LAYERS = sorted(LAYER_BUILDERS)
+_TRAINABLE_LAYERS = [name for name in _LAYERS if name != "cz"]
+
+
+def untagged(sweep: Sweep) -> Sweep:
+    """The same rows without the shift tag: the general replay."""
+    return Sweep(sweep.template, sweep.literals, sweep.params)
+
+
+def rows_of(sweep: Sweep, rows) -> Sweep:
+    return Sweep(sweep.template, sweep.literals[rows], sweep.params[rows])
+
+
+def base_circuits(rng, n_qubits, layers, n_rows, encode, shared_theta):
+    """An encoder (fixed angles, ``h``, ``cx``) and layered ansatz, one
+    circuit per row; an extra ``ry`` reuses parameter 0, so it has two
+    occurrences."""
+    ansatz = build_layered_ansatz(n_qubits, layers)
+    ansatz.add_trainable("ry", n_qubits - 1, 0)
+    n_params = ansatz.num_parameters
+    theta = rng.uniform(-np.pi, np.pi, n_params)
+    circuits = []
+    for _ in range(n_rows):
+        circuit = QuantumCircuit(n_qubits)
+        if encode:
+            for wire in range(n_qubits):
+                circuit.add("ry", wire, float(rng.uniform(0, np.pi)))
+                circuit.add("rz", wire, float(rng.uniform(-np.pi, np.pi)))
+            circuit.add("h", 0).add("cx", (0, 1))
+        if not shared_theta:
+            theta = rng.uniform(-np.pi, np.pi, n_params)
+        circuits.append(circuit.compose(ansatz).bind(theta))
+    return circuits
+
+
+@st.composite
+def cases(draw):
+    n_qubits = draw(st.integers(2, 3))
+    layers = [draw(st.sampled_from(_TRAINABLE_LAYERS))] + draw(
+        st.lists(st.sampled_from(_LAYERS), max_size=2)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    encode = draw(st.booleans())
+    circuits = base_circuits(
+        rng,
+        n_qubits,
+        layers,
+        draw(st.integers(1, 3)),
+        encode,
+        # Without an encoder the rows differ only in theta.
+        shared_theta=encode and draw(st.booleans()),
+    )
+    n_params = circuits[0].num_parameters
+    subset = sorted(
+        rng.choice(n_params, draw(st.integers(1, n_params)), replace=False)
+    )
+    return {
+        "circuits": circuits,
+        "subset": [int(i) for i in subset],
+        "device": draw(st.sampled_from(_DEVICES)),
+        "scale": draw(st.sampled_from([0.0, 0.4, 1.0])),
+        "shift": draw(st.sampled_from([SHIFT, 1e-3])),
+    }
+
+
+class TestSuffixRows:
+    @settings(max_examples=30, deadline=None)
+    @given(case=cases())
+    def test_rows_match_replay_dense_and_stand_alone(self, case):
+        backend = NoisyBackend.from_device_name(
+            case["device"], noise_scale=case["scale"]
+        )
+        base = CircuitBatch(case["circuits"])
+        subset, shift = case["subset"], case["shift"]
+        tagged, index_map = shift_sweep(base, subset, shift)
+        assert tagged.shifts is not None
+        got = backend.observed_probabilities_batch(tagged)
+        want = backend.observed_probabilities_batch(untagged(tagged))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        repeats = 2 * len(index_map)
+        for row in (0, 1, repeats - 1):
+            circuit = tagged.circuits()[row]
+            np.testing.assert_allclose(
+                got[row],
+                ref.observed_probabilities(circuit, backend.noise_model),
+                rtol=0,
+                atol=1e-12,
+            )
+
+        # Alone: one base row, one parameter (all its occurrences).
+        for b in range(base.size):
+            for index in subset:
+                alone, _ = shift_sweep(rows_of(base, [b]), [index], shift)
+                pairs = [k for k, (i, _) in enumerate(index_map) if i == index]
+                full = [b * repeats + 2 * k + s for k in pairs for s in (0, 1)]
+                assert np.array_equal(
+                    backend.observed_probabilities_batch(alone), got[full]
+                )
+
+        # Reordered and duplicated base rows, parameters reversed.
+        order = list(range(base.size))[::-1] + [0]
+        shuffled, shuffled_map = shift_sweep(
+            rows_of(base, order), subset[::-1], shift
+        )
+        again = backend.observed_probabilities_batch(shuffled)
+        position_of = {
+            position: k for k, (_, position) in enumerate(index_map)
+        }
+        for row in range(shuffled.size):
+            b, rest = divmod(row, repeats)
+            k = position_of[shuffled_map[rest // 2][1]]
+            assert np.array_equal(
+                again[row], got[order[b] * repeats + 2 * k + rest % 2]
+            )
+
+    @pytest.mark.parametrize("n_selected", [18, 36])
+    def test_mnist4_on_jakarta(self, n_selected):
+        """The benchmark's sweeps: 8 examples, pruned and full."""
+        backend = NoisyBackend.from_device_name("ibmq_jakarta", seed=0)
+        engine = TrainingEngine(
+            TrainingConfig(task="mnist4", steps=1, batch_size=8), backend
+        )
+        features = engine.train_data.features[:8]
+        base = engine.architecture.sweep(features, engine.theta)
+        rng = np.random.default_rng(n_selected)
+        subset = sorted(rng.choice(36, n_selected, replace=False).tolist())
+        tagged, _ = shift_sweep(base, subset)
+        assert tagged.size == 2 * n_selected * 8
+        # The encoder shares its wire chains with ansatz layer 1.
+        assert backend._plan_for(base).suffix().boundary == 7
+        got = backend.observed_probabilities_batch(tagged)
+        want = backend.observed_probabilities_batch(untagged(tagged))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        circuits = tagged.circuits()
+        for row in (0, tagged.size // 2 + 1, tagged.size - 1):
+            np.testing.assert_allclose(
+                got[row],
+                ref.observed_probabilities(circuits[row], backend.noise_model),
+                rtol=0,
+                atol=1e-12,
+            )
+
+
+def small_gradient_case():
+    rng = np.random.default_rng(7)
+    circuits = base_circuits(
+        rng, 3, ["ry", "rzz"], 2, encode=True, shared_theta=True
+    )
+    return CircuitBatch(circuits), [0, 2, 4]
+
+
+class TestSuffixAccounting:
+    def test_meter_counts_every_shifted_row(self):
+        base, subset = small_gradient_case()
+        backend = NoisyBackend.from_device_name("ibmq_lima", seed=3)
+        _, index_map = shift_sweep(base, subset)
+        parameter_shift_jacobian_batch(
+            base, backend, shots=128, param_indices=subset
+        )
+        rows = 2 * len(index_map) * base.size
+        # Parameter 0 occurs twice, the others once.
+        assert rows == 2 * (len(subset) + 1) * base.size
+        assert backend.meter.by_purpose == {"gradient": rows}
+        assert backend.meter.shots == 128 * rows
+
+    def test_fault_site_fires_once_per_call(self):
+        base, subset = small_gradient_case()
+        tagged, _ = shift_sweep(base, subset)
+        backend = NoisyBackend.from_device_name("ibmq_lima", seed=3)
+        never = faults.FaultPlan(
+            specs=(
+                faults.FaultSpec(
+                    site=faults.SITE_EXECUTE_BATCH, mode="delay", delay_s=0
+                ),
+            )
+        )
+        with faults.installed(never):
+            backend.run_sweep(tagged, shots=64, purpose="gradient")
+            backend.run_sweep(tagged, shots=64, purpose="gradient")
+            hits = faults.ACTIVE.stats()["hits"]
+        assert hits == {faults.SITE_EXECUTE_BATCH: 2}
+
+    def test_sampled_results_follow_the_seed(self):
+        base, subset = small_gradient_case()
+        tagged, _ = shift_sweep(base, subset)
+        runs = [
+            NoisyBackend.from_device_name("ibmq_lima", seed=11).run_sweep(
+                tagged, shots=512
+            )
+            for _ in range(2)
+        ]
+        assert np.array_equal(runs[0], runs[1])
+
+
+class TestOtherConsumersIgnoreTheTag:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NoisyBackend.from_device_name(
+                "ibmq_lima", seed=5, transpile=True
+            ),
+            lambda: IdealBackend(exact=True),
+            lambda: IdealBackend(exact=False, seed=5),
+        ],
+        ids=["transpiled", "ideal-exact", "ideal-sampled"],
+    )
+    def test_run_sweep_equals_untagged(self, make):
+        base, subset = small_gradient_case()
+        tagged, _ = shift_sweep(base, subset)
+        got = make().run_sweep(tagged, shots=256)
+        want = make().run_sweep(untagged(tagged), shots=256)
+        assert np.array_equal(got, want)
+
+    def test_transpiled_probabilities_equal_untagged(self):
+        base, subset = small_gradient_case()
+        tagged, _ = shift_sweep(base, subset)
+        backend = NoisyBackend.from_device_name("ibmq_lima", transpile=True)
+        assert np.array_equal(
+            backend.observed_probabilities_batch(tagged),
+            backend.observed_probabilities_batch(untagged(tagged)),
+        )
+
+    def test_sharded_equals_untagged(self):
+        base, subset = small_gradient_case()
+        tagged, _ = shift_sweep(base, subset)
+        results = []
+        for sweep in (tagged, untagged(tagged)):
+            with ShardedBackend(
+                NoisyBackend.from_device_name("ibmq_lima", seed=9),
+                workers=2,
+                min_shard_cost=0,
+            ) as sharded:
+                results.append(
+                    (
+                        sharded.observed_probabilities_batch(sweep),
+                        sharded.run_sweep(sweep, shots=256),
+                    )
+                )
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
