@@ -53,6 +53,10 @@ class OpTemplate:
                 f"gate {self.name!r} needs {spec.num_wires} wires, got "
                 f"{self.wires}"
             )
+        if len(set(self.wires)) != len(self.wires):
+            raise ValueError(
+                f"gate {self.name!r} repeats a wire in {self.wires}"
+            )
         if self.param_index is not None:
             if spec.num_params != 1:
                 raise ValueError(

@@ -63,52 +63,24 @@ class JobQueue:
             self.max_depth = max(self.max_depth, len(self._heap))
             self._not_empty.notify()
 
-    def _wait(self, timeout: float | None) -> bool:
-        """Under the lock: wait for an item; False on timeout or close."""
-        deadline = None
-        if timeout is not None:
-            deadline = _monotonic() + timeout
-        while not self._heap:
-            if self._closed:
-                return False
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - _monotonic()
-                if remaining <= 0:
-                    return False
-            self._not_empty.wait(remaining)
-        return True
-
-    def get(self, timeout: float | None = None):
-        """Dequeue the highest-priority item, or ``None`` on timeout.
-
-        Returns ``None`` when the queue closes while empty — consumers
-        use that (plus :meth:`closed`) as their shutdown signal.
-        """
-        with self._not_empty:
-            if not self._wait(timeout):
-                return None
-            _, _, item = heapq.heappop(self._heap)
-            self.gets += 1
-            if self._heap:
-                # Chain the wakeup: ``put`` notifies exactly one
-                # consumer, so when several are blocked and items
-                # outnumber wakeups (a burst, or leftovers at close),
-                # each consumer that takes an item passes the signal
-                # on.  Without this, shutdown could strand a blocked
-                # consumer with work still queued.
-                self._not_empty.notify()
-            return item
-
     def get_all(self, timeout: float | None = None) -> list:
         """Dequeue every queued item, highest priority first.
 
-        Like :meth:`get`, but one wakeup takes the whole backlog; an
-        empty list stands for :meth:`get`'s ``None``.
+        One wakeup takes the whole backlog.  Returns ``[]`` on timeout,
+        or when the queue closes while empty — consumers use that (plus
+        :meth:`closed`) as their shutdown signal.
         """
+        deadline = None if timeout is None else _monotonic() + timeout
         with self._not_empty:
-            if not self._wait(timeout):
-                return []
+            while not self._heap:
+                if self._closed:
+                    return []
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - _monotonic()
+                    if remaining <= 0:
+                        return []
+                self._not_empty.wait(remaining)
             heap = self._heap
             items = [heapq.heappop(heap)[2] for _ in range(len(heap))]
             self.gets += len(items)

@@ -19,12 +19,7 @@ from repro.sim.adjoint import (
     adjoint_expectation_and_jacobian_batch,
     adjoint_jacobian,
 )
-from repro.sim.apply import (
-    apply_kraus_to_density_batched,
-    apply_matrix_batched,
-    apply_matrix_to_density_batched,
-    kraus_to_superop,
-)
+from repro.sim.apply import kraus_to_superop
 from repro.sim.batched import BatchedStatevector, run_circuit_batch
 from repro.sim.batched_density import BatchedDensityMatrix, run_density_batch
 from repro.sim.compile import (
@@ -74,9 +69,6 @@ __all__ = [
     "adjoint_expectation_and_jacobian",
     "adjoint_expectation_and_jacobian_batch",
     "adjoint_jacobian",
-    "apply_kraus_to_density_batched",
-    "apply_matrix_batched",
-    "apply_matrix_to_density_batched",
     "apply_readout_error",
     "apply_readout_error_batch",
     "compile_circuit",

@@ -147,18 +147,27 @@ class BatchedStatevector:
 
 
 class BatchOfOne:
-    """Row-0 readout shared by the single-state views.
+    """Row-0 readout and one-gate evolution shared by the single-state views.
 
     Mixed in ahead of a batched engine built with ``batch_size=1``
     (:class:`~repro.sim.statevector.Statevector`,
-    :class:`~repro.sim.density.DensityMatrix`): every method returns
-    row 0 of the engine's own result, so a view and its batched twin
-    cannot disagree.
+    :class:`~repro.sim.density.DensityMatrix`): every readout returns
+    row 0 of the engine's own result, and every evolution is the
+    engine's plan replay, so a view and its batched twin cannot
+    disagree.
     """
 
     def copy(self):
         """Deep copy of the state."""
         return copy.deepcopy(self)
+
+    def apply_gate(self, name: str, wires, *params: float):
+        """Apply a named gate in place; returns self (for chaining).
+
+        The gate runs as a validated one-op circuit through the view's
+        ``evolve``: plan replay, like every other evolution.
+        """
+        return self.evolve(one_op_circuit(self.n_qubits, name, wires, params))
 
     def probabilities(self) -> np.ndarray:
         """Exact basis-state probabilities, flat array of length 2^n."""
@@ -183,6 +192,15 @@ class BatchOfOne:
     ) -> dict[str, int]:
         """Sampled computational-basis counts (bitstrings qubit 0 first)."""
         return super().sample_counts(shots, rng)[0]
+
+
+def one_op_circuit(n_qubits: int, name: str, wires, params=()):
+    """A validated :class:`~repro.circuits.QuantumCircuit` of one gate."""
+    from repro.circuits import QuantumCircuit
+
+    circuit = QuantumCircuit(n_qubits).add(name, wires, *params)
+    circuit.validate()
+    return circuit
 
 
 def run_circuit_batch(batch) -> BatchedStatevector:

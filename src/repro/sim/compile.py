@@ -20,8 +20,8 @@ tensor, instead of one GEMM per gate:
   elementwise multiply; 0/1 permutation blocks (X/CNOT/SWAP runs)
   become an index take.  Plan steps run these with their axis recipes
   precomputed at plan-finalize time (see ``_Layout``), and the
-  equivalence tests pin single-step plans against the generic matmul
-  kernel :func:`~repro.sim.apply.apply_matrix_batched`.  Registry tags
+  equivalence tests pin single-step plans against the independent
+  dense reference in ``tests/dense_reference.py``.  Registry tags
   (:attr:`repro.sim.gates.GateSpec.diagonal` / ``permutation``) mark
   the gates; constant blocks are additionally classified from their
   folded matrix, so e.g. ``cx; cx`` cancels to nothing.
@@ -305,12 +305,11 @@ def _prepare_matrices(
 # Precomputed application layouts
 # ---------------------------------------------------------------------------
 #
-# The generic kernels in repro.sim.apply normalize axes and validate
-# shapes on every call; a plan applies the same step to the same layout
-# thousands of times, so the transpose permutations and reshape targets
-# are resolved once at plan-finalize time.  The array operations
-# themselves (transpose order, reshape, matmul / gather / multiply) are
-# exactly the generic kernels' — results stay bit-identical to them.
+# A plan applies the same step to the same layout thousands of times,
+# so the transpose permutations and reshape targets are resolved once
+# at plan-finalize time instead of per call.  Only the recipes are
+# cached; the array operations each step runs (transpose, reshape,
+# matmul / gather / multiply) are the same on every call.
 
 class _Layout:
     """The symbolic axis order of the evolving tensor.
@@ -324,7 +323,7 @@ class _Layout:
     layout, which keeps reshapes to one copy per matmul step and lets
     diagonal factors broadcast against aligned, contiguous data.
     Element values are untouched — only their placement moves — so
-    results stay bit-identical to the eager-restore kernels.  The
+    deferring the restore changes no result.  The
     adjoint sweep walks the steps backwards under a layout of its own
     (see :class:`AdjointPlan`).
     """

@@ -18,10 +18,18 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.sim import apply as _apply
-from repro.sim import gates as _gates
-from repro.sim.batched import BatchOfOne
+from repro.sim.batched import BatchOfOne, one_op_circuit
 from repro.sim.batched_density import BatchedDensityMatrix
+
+
+class _Channel:
+    """Noise-model hook that follows every op with one Kraus channel."""
+
+    def __init__(self, kraus_ops: Sequence[np.ndarray], wires: tuple):
+        self._channels = ((kraus_ops, wires),)
+
+    def channels_for(self, op):
+        return self._channels
 
 
 class DensityMatrix(BatchOfOne, BatchedDensityMatrix):
@@ -61,26 +69,19 @@ class DensityMatrix(BatchOfOne, BatchedDensityMatrix):
 
     # -- evolution ------------------------------------------------------
 
-    def apply_gate(
-        self, name: str, wires: Sequence[int], *params: float
-    ) -> "DensityMatrix":
-        """Apply a named unitary gate in place; returns self."""
-        matrix = _gates.get_gate(name).matrix(*params)
-        self._tensor = _apply.apply_matrix_to_density_batched(
-            self._tensor, matrix, wires
-        )
-        self._fresh = False
-        return self
-
     def apply_channel(
         self, kraus_ops: Sequence[np.ndarray], wires: Sequence[int]
     ) -> "DensityMatrix":
-        """Apply a Kraus channel in place; returns self."""
-        self._tensor = _apply.apply_kraus_to_density_batched(
-            self._tensor, kraus_ops, wires
-        )
-        self._fresh = False
-        return self
+        """Apply a Kraus channel in place; returns self.
+
+        The channel follows an identity gate on its wire as that op's
+        noise, so it lowers to the same :class:`~repro.sim.compile.
+        WireChainStep` as any noise model's channels.  Plans lower
+        single-wire channels only; a wider one raises ``ValueError``.
+        """
+        wires = tuple(wires)
+        circuit = one_op_circuit(self.n_qubits, "i", wires[:1])
+        return self.evolve(circuit, noise_model=_Channel(kraus_ops, wires))
 
     def evolve(self, circuit, noise_model=None, plan=None) -> "DensityMatrix":
         """Run a circuit, optionally interleaving a noise model.

@@ -9,8 +9,6 @@ tensor, so a single state is bit-identical to its row of any batch.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.sim import apply as _apply
@@ -62,15 +60,6 @@ class Statevector(BatchOfOne, BatchedStatevector):
 
     # -- evolution ------------------------------------------------------
 
-    def apply_gate(
-        self, name: str, wires: Sequence[int], *params: float
-    ) -> "Statevector":
-        """Apply a named gate in place and return self (for chaining)."""
-        matrix = _gates.get_gate(name).matrix(*params)
-        self._tensor = _apply.apply_matrix_batched(self._tensor, matrix, wires)
-        self._fresh = False
-        return self
-
     def evolve(self, circuit, plan=None) -> "Statevector":
         """Run a :class:`repro.circuits.QuantumCircuit` on this state.
 
@@ -105,8 +94,8 @@ class Statevector(BatchOfOne, BatchedStatevector):
                     f"unknown Pauli letter {char!r} in word {word!r}"
                 )
             if char != "I":
-                ket = _apply.apply_matrix_batched(
-                    ket, _gates.PAULIS[char], [wire]
+                ket = _apply.matmul_on_axes(
+                    ket, _gates.PAULIS[char], [wire + 1]
                 )
         return float(np.real(np.vdot(self._tensor, ket)))
 

@@ -3,10 +3,10 @@
 Builds every operator as a full matrix from Kronecker products — a
 ``2^n x 2^n`` unitary per gate, a ``4^n x 4^n`` superoperator per gate
 and per noise channel — straight from the gate registry's matrices and a
-noise model's Kraus operators.  It shares no code with the kernels under
-test (``repro.sim.apply``, ``repro.sim.compile``, the batched engines),
-so agreement with it is evidence the compiled plans are right, not just
-self-consistent.  Practical up to about 8 qubits for statevectors and 5
+noise model's Kraus operators.  It shares no code with the simulator
+under test (``repro.sim.compile``'s plans, the batched engines and their
+single-state views), so agreement with it is evidence the compiled
+plans are right, not just self-consistent.  Practical up to about 8 qubits for statevectors and 5
 for density matrices; :func:`statevector_by_gates` applies the same
 matrix elements without building them, for wider statevectors.
 

@@ -38,9 +38,6 @@ from repro.sim import (
     BatchedStatevector,
     DensityMatrix,
     Statevector,
-    apply_kraus_to_density_batched,
-    apply_matrix_batched,
-    apply_matrix_to_density_batched,
     gates,
     run_circuit_batch,
     run_density_batch,
@@ -53,6 +50,16 @@ class KrausOnly:
 
     def __init__(self, model):
         self.channels_for = model.channels_for
+
+
+class ChannelAfterIdentity:
+    """Noise model that follows each identity gate with one channel."""
+
+    def __init__(self, kraus_ops, wires):
+        self.channel = (kraus_ops, wires)
+
+    def channels_for(self, op):
+        return [self.channel] if op.name == "i" else []
 
 
 #: Gate vocabulary for random structure generation.
@@ -493,9 +500,13 @@ class TestBatchOfOneViews:
             "rzx", [2, 0], 0.7
         )
         twin = BatchedStatevector(3, 1)
-        tensor = apply_matrix_batched(twin.tensor, gates.H, [0])
-        tensor = apply_matrix_batched(tensor, gates.rzx(0.7), [2, 0])
-        assert np.array_equal(view.tensor, tensor[0])
+        for op in (("h", [0]), ("rzx", [2, 0], 0.7)):
+            twin.evolve(CircuitBatch([QuantumCircuit(3).add(*op)]))
+        assert np.array_equal(view.tensor, twin.tensor[0])
+        circuit = QuantumCircuit(3).add("h", [0]).add("rzx", [2, 0], 0.7)
+        assert np.allclose(
+            view.vector, ref.statevector(circuit), rtol=0, atol=1e-12
+        )
 
     @pytest.mark.parametrize("noise", [None, "superop", "kraus"])
     def test_density_view(self, noise):
@@ -538,11 +549,24 @@ class TestBatchOfOneViews:
             .apply_channel(kraus, [0])
             .apply_gate("cx", [0, 1])
         )
+        # The channel as noise after an identity gate: the same one-op
+        # circuits on the batched engine, and the dense oracle.
+        noise = ChannelAfterIdentity(kraus, (0,))
         twin = BatchedDensityMatrix(2, 1)
-        tensor = apply_matrix_to_density_batched(twin.tensor, gates.H, [0])
-        tensor = apply_kraus_to_density_batched(tensor, kraus, [0])
-        tensor = apply_matrix_to_density_batched(tensor, gates.CX, [0, 1])
-        assert np.array_equal(view.matrix, tensor.reshape(4, 4))
+        twin.evolve(CircuitBatch([QuantumCircuit(2).add("h", [0])]))
+        twin.evolve(
+            CircuitBatch([QuantumCircuit(2).add("i", [0])]), noise_model=noise
+        )
+        twin.evolve(CircuitBatch([QuantumCircuit(2).add("cx", [0, 1])]))
+        assert np.array_equal(view.matrix, twin.matrices[0])
+        circuit = QuantumCircuit(2).add("h", [0]).add("i", [0])
+        circuit.add("cx", [0, 1])
+        assert np.allclose(
+            view.matrix,
+            ref.density_matrix(circuit, noise),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestNoisyBatchedEquivalence:

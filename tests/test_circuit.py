@@ -196,6 +196,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="never used"):
             circuit.validate()
 
+    def test_repeated_wire_rejected_by_add(self):
+        circuit = QuantumCircuit(2)
+        with pytest.raises(ValueError, match="repeats a wire"):
+            circuit.add("cx", [1, 1])
+        assert len(circuit) == 0
+
+    def test_repeated_wire_rejected_by_add_trainable(self):
+        circuit = QuantumCircuit(2)
+        with pytest.raises(ValueError, match="repeats a wire"):
+            circuit.add_trainable("crz", [0, 0], 0)
+        assert len(circuit) == 0 and circuit.num_parameters == 0
+
     def test_copy_preserves_everything(self):
         circuit = simple_circuit().bind([0.4, 0.5])
         clone = circuit.copy()

@@ -449,7 +449,7 @@ class TestJobQueueShutdown:
         queue = JobQueue()
         got = []
         threads = [
-            threading.Thread(target=lambda: got.append(queue.get()))
+            threading.Thread(target=lambda: got.append(queue.get_all()))
             for _ in range(4)
         ]
         for thread in threads:
@@ -459,33 +459,17 @@ class TestJobQueueShutdown:
         for thread in threads:
             thread.join(timeout=5.0)
             assert not thread.is_alive(), "consumer stranded at shutdown"
-        assert got == [None] * 4
+        assert got == [[]] * 4
 
-    def test_chained_wakeups_drain_leftover_items(self):
-        # Several consumers, more items than put()-wakeups can cover
-        # once close() has been called: every item must still come out.
+    def test_leftover_items_drain_after_close(self):
+        # Work queued before close() still comes out, in one call, and
+        # the closed signal follows.
         queue = JobQueue()
         for i in range(8):
-            queue.put(i)
-        consumed = []
-        lock = threading.Lock()
-
-        def consumer():
-            while True:
-                item = queue.get()
-                if item is None:
-                    return
-                with lock:
-                    consumed.append(item)
-
-        threads = [threading.Thread(target=consumer) for _ in range(4)]
+            queue.put(i, priority=i % 2)
         queue.close()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
-        assert sorted(consumed) == list(range(8))
+        assert queue.get_all() == [0, 2, 4, 6, 1, 3, 5, 7]
+        assert queue.get_all() == []
 
 
 # -- serving-tier resilience -------------------------------------------------

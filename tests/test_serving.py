@@ -109,18 +109,16 @@ class TestJobQueue:
         queue.put("bulk", priority=5)
         queue.put("interactive", priority=0)
         queue.put("batch", priority=2)
-        assert queue.get() == "interactive"
-        assert queue.get() == "batch"
-        assert queue.get() == "bulk"
+        assert queue.get_all() == ["interactive", "batch", "bulk"]
 
     def test_fifo_within_priority(self):
         queue = JobQueue()
         for label in "abc":
             queue.put(label, priority=1)
-        assert [queue.get() for _ in range(3)] == ["a", "b", "c"]
+        assert queue.get_all() == ["a", "b", "c"]
 
-    def test_get_timeout_returns_none(self):
-        assert JobQueue().get(timeout=0.01) is None
+    def test_get_all_timeout_returns_empty(self):
+        assert JobQueue().get_all(timeout=0.01) == []
 
     def test_close_rejects_new_work_and_wakes_consumers(self):
         queue = JobQueue()
@@ -128,19 +126,20 @@ class TestJobQueue:
         queue.close()
         with pytest.raises(QueueClosed):
             queue.put("rejected")
-        assert queue.get() == "last"  # already-queued work still drains
-        assert queue.get() is None  # then the closed signal
+        assert queue.get_all() == ["last"]  # already-queued work drains
+        assert queue.get_all() == []  # then the closed signal
 
     def test_depth_telemetry(self):
         queue = JobQueue()
         for i in range(4):
             queue.put(i)
-        queue.get()
+        queue.get_all()
+        queue.put(4)
         stats = queue.stats()
         assert stats["max_depth"] == 4
-        assert stats["depth"] == 3
-        assert stats["puts"] == 4
-        assert stats["gets"] == 1
+        assert stats["depth"] == 1
+        assert stats["puts"] == 5
+        assert stats["gets"] == 4
 
 
 def _row(value: float) -> np.ndarray:
