@@ -152,6 +152,10 @@ def test_suffix_contraction_report():
         got = backend.observed_probabilities_batch(tagged)
         want = backend.observed_probabilities_batch(plain)
         assert np.max(np.abs(got - want)) <= 1e-12
+        suffix = backend._plan_for(tagged).suffix()
+        early = int(
+            (suffix._step_of[tagged.shifts[2]] <= suffix.boundary).sum()
+        )
         times: dict[str, list[float]] = {"tagged": [], "untagged": []}
         for _ in range(SUFFIX_CALLS):
             for name, sweep in (("tagged", tagged), ("untagged", plain)):
@@ -161,12 +165,21 @@ def test_suffix_contraction_report():
         tagged_ms, plain_ms = (
             float(np.median(times[name])) for name in ("tagged", "untagged")
         )
-        rows.append(
-            [tagged.size, tagged_ms, plain_ms, plain_ms / tagged_ms]
-        )
+        rows.append([
+            tagged.size,
+            f"{suffix.boundary}/{len(suffix.plan.steps)}",
+            early,
+            tagged.size - early,
+            tagged_ms,
+            plain_ms,
+            plain_ms / tagged_ms,
+        ])
     print()
     print(format_table(
-        ["rows", "tagged_ms", "untagged_ms", "ratio"],
+        [
+            "rows", "boundary", "early", "late",
+            "tagged_ms", "untagged_ms", "ratio",
+        ],
         rows,
         title=(
             "mnist4 shift sweeps on ibmq_jakarta: Heisenberg-picture "

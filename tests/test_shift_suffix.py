@@ -10,6 +10,12 @@ replaying every row's whole noisy suffix.  The contract pinned here:
   and with the dense reference within 1e-12;
 * a row is ``np.array_equal`` whether it runs alone (one base row, one
   parameter) or inside a full, reordered or duplicated batch;
+* on noisy plans only a trainable gate ahead of the encoder (data
+  re-uploading) makes early rows, which replay their prefix, and they
+  keep both contracts above;
+* the suffix's data-first copy of the plan consumes every source
+  position once, keeps each wire's order and replays like the forward
+  plan;
 * the meter still counts every shifted row under ``"gradient"``, and
   the execute-batch fault site fires once per call;
 * every other consumer — transpiled execution, ``IdealBackend``,
@@ -17,6 +23,8 @@ replaying every row's whole noisy suffix.  The contract pinned here:
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -35,6 +43,7 @@ from repro.gradients.parameter_shift import (
 from repro.hardware import IdealBackend, NoisyBackend
 from repro.parallel import ShardedBackend
 from repro.resilience import faults
+from repro.sim.compile import WireChainStep
 from repro.training import TrainingConfig, TrainingEngine
 
 import dense_reference as ref
@@ -53,13 +62,17 @@ def rows_of(sweep: Sweep, rows) -> Sweep:
     return Sweep(sweep.template, sweep.literals[rows], sweep.params[rows])
 
 
-def base_circuits(rng, n_qubits, layers, n_rows, encode, shared_theta):
+def base_circuits(
+    rng, n_qubits, layers, n_rows, encode, shared_theta, first=()
+):
     """An encoder (fixed angles, ``h``, ``cx``) and layered ansatz, one
-    circuit per row; an extra ``ry`` reuses parameter 0, so it has two
-    occurrences."""
+    circuit per row; an extra ``ry`` reuses the ansatz's first
+    parameter, so it has two occurrences.  Trainable ``first`` layers
+    run before the encoder (data re-uploading)."""
     ansatz = build_layered_ansatz(n_qubits, layers)
     ansatz.add_trainable("ry", n_qubits - 1, 0)
-    n_params = ansatz.num_parameters
+    before = build_layered_ansatz(n_qubits, list(first))
+    n_params = before.num_parameters + ansatz.num_parameters
     theta = rng.uniform(-np.pi, np.pi, n_params)
     circuits = []
     for _ in range(n_rows):
@@ -71,18 +84,22 @@ def base_circuits(rng, n_qubits, layers, n_rows, encode, shared_theta):
             circuit.add("h", 0).add("cx", (0, 1))
         if not shared_theta:
             theta = rng.uniform(-np.pi, np.pi, n_params)
-        circuits.append(circuit.compose(ansatz).bind(theta))
+        circuits.append(before.compose(circuit).compose(ansatz).bind(theta))
     return circuits
 
 
 @st.composite
-def cases(draw):
+def cases(draw, reupload=False):
+    """Circuits, a parameter subset and a device.  ``reupload`` puts a
+    trainable layer before the encoder, shifts one of its parameters
+    and draws a noisy device (``noise_scale`` > 0)."""
     n_qubits = draw(st.integers(2, 3))
     layers = [draw(st.sampled_from(_TRAINABLE_LAYERS))] + draw(
         st.lists(st.sampled_from(_LAYERS), max_size=2)
     )
+    first = [draw(st.sampled_from(_TRAINABLE_LAYERS))] if reupload else []
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    encode = draw(st.booleans())
+    encode = reupload or draw(st.booleans())
     circuits = base_circuits(
         rng,
         n_qubits,
@@ -91,69 +108,101 @@ def cases(draw):
         encode,
         # Without an encoder the rows differ only in theta.
         shared_theta=encode and draw(st.booleans()),
+        first=first,
     )
     n_params = circuits[0].num_parameters
-    subset = sorted(
+    subset = set(
         rng.choice(n_params, draw(st.integers(1, n_params)), replace=False)
     )
+    if reupload:
+        subset.add(0)  # a parameter of the layer before the encoder
     return {
         "circuits": circuits,
-        "subset": [int(i) for i in subset],
+        "subset": sorted(int(i) for i in subset),
+        "encode": encode,
         "device": draw(st.sampled_from(_DEVICES)),
-        "scale": draw(st.sampled_from([0.0, 0.4, 1.0])),
+        "scale": draw(
+            st.sampled_from([0.4, 1.0] if reupload else [0.0, 0.4, 1.0])
+        ),
         "shift": draw(st.sampled_from([SHIFT, 1e-3])),
     }
+
+
+def early_rows(backend, tagged: Sweep) -> np.ndarray:
+    """Which rows are shifted at or before the suffix boundary: they
+    replay their prefix instead of forking at their own step."""
+    suffix = backend._plan_for(tagged).suffix()
+    return suffix._step_of[tagged.shifts[2]] <= suffix.boundary
+
+
+def check_rows(case):
+    """A case's tagged rows against the replay and the dense reference,
+    alone and in a reordered, duplicated batch; returns the backend and
+    the tagged sweep."""
+    backend = NoisyBackend.from_device_name(
+        case["device"], noise_scale=case["scale"]
+    )
+    base = CircuitBatch(case["circuits"])
+    subset, shift = case["subset"], case["shift"]
+    tagged, index_map = shift_sweep(base, subset, shift)
+    assert tagged.shifts is not None
+    got = backend.observed_probabilities_batch(tagged)
+    want = backend.observed_probabilities_batch(untagged(tagged))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    repeats = 2 * len(index_map)
+    early = np.flatnonzero(early_rows(backend, tagged))
+    for row in {0, 1, repeats - 1, *early[:2]}:
+        circuit = tagged.circuits()[row]
+        np.testing.assert_allclose(
+            got[row],
+            ref.observed_probabilities(circuit, backend.noise_model),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    # Alone: one base row, one parameter (all its occurrences).
+    for b in range(base.size):
+        for index in subset:
+            alone, _ = shift_sweep(rows_of(base, [b]), [index], shift)
+            pairs = [k for k, (i, _) in enumerate(index_map) if i == index]
+            full = [b * repeats + 2 * k + s for k in pairs for s in (0, 1)]
+            assert np.array_equal(
+                backend.observed_probabilities_batch(alone), got[full]
+            )
+
+    # Reordered and duplicated base rows, parameters reversed.
+    order = list(range(base.size))[::-1] + [0]
+    shuffled, shuffled_map = shift_sweep(
+        rows_of(base, order), subset[::-1], shift
+    )
+    again = backend.observed_probabilities_batch(shuffled)
+    position_of = {position: k for k, (_, position) in enumerate(index_map)}
+    for row in range(shuffled.size):
+        b, rest = divmod(row, repeats)
+        k = position_of[shuffled_map[rest // 2][1]]
+        assert np.array_equal(
+            again[row], got[order[b] * repeats + 2 * k + rest % 2]
+        )
+    return backend, tagged
 
 
 class TestSuffixRows:
     @settings(max_examples=30, deadline=None)
     @given(case=cases())
     def test_rows_match_replay_dense_and_stand_alone(self, case):
-        backend = NoisyBackend.from_device_name(
-            case["device"], noise_scale=case["scale"]
-        )
-        base = CircuitBatch(case["circuits"])
-        subset, shift = case["subset"], case["shift"]
-        tagged, index_map = shift_sweep(base, subset, shift)
-        assert tagged.shifts is not None
-        got = backend.observed_probabilities_batch(tagged)
-        want = backend.observed_probabilities_batch(untagged(tagged))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        repeats = 2 * len(index_map)
-        for row in (0, 1, repeats - 1):
-            circuit = tagged.circuits()[row]
-            np.testing.assert_allclose(
-                got[row],
-                ref.observed_probabilities(circuit, backend.noise_model),
-                rtol=0,
-                atol=1e-12,
-            )
+        backend, tagged = check_rows(case)
+        if case["encode"] and case["scale"] > 0:
+            # Encoder first: its wire chains split off the ansatz's and
+            # run first, so every row forks at its own step.
+            assert not early_rows(backend, tagged).any()
 
-        # Alone: one base row, one parameter (all its occurrences).
-        for b in range(base.size):
-            for index in subset:
-                alone, _ = shift_sweep(rows_of(base, [b]), [index], shift)
-                pairs = [k for k, (i, _) in enumerate(index_map) if i == index]
-                full = [b * repeats + 2 * k + s for k in pairs for s in (0, 1)]
-                assert np.array_equal(
-                    backend.observed_probabilities_batch(alone), got[full]
-                )
-
-        # Reordered and duplicated base rows, parameters reversed.
-        order = list(range(base.size))[::-1] + [0]
-        shuffled, shuffled_map = shift_sweep(
-            rows_of(base, order), subset[::-1], shift
-        )
-        again = backend.observed_probabilities_batch(shuffled)
-        position_of = {
-            position: k for k, (_, position) in enumerate(index_map)
-        }
-        for row in range(shuffled.size):
-            b, rest = divmod(row, repeats)
-            k = position_of[shuffled_map[rest // 2][1]]
-            assert np.array_equal(
-                again[row], got[order[b] * repeats + 2 * k + rest % 2]
-            )
+    @settings(max_examples=20, deadline=None)
+    @given(case=cases(reupload=True))
+    def test_reuploading_rows_replay_their_prefix(self, case):
+        """A trainable layer before the encoder keeps the early-row
+        path: those rows replay their prefix through the boundary."""
+        backend, tagged = check_rows(case)
+        assert early_rows(backend, tagged).any()
 
     @pytest.mark.parametrize("n_selected", [18, 36])
     def test_mnist4_on_jakarta(self, n_selected):
@@ -168,8 +217,10 @@ class TestSuffixRows:
         subset = sorted(rng.choice(36, n_selected, replace=False).tolist())
         tagged, _ = shift_sweep(base, subset)
         assert tagged.size == 2 * n_selected * 8
-        # The encoder shares its wire chains with ansatz layer 1.
-        assert backend._plan_for(base).suffix().boundary == 7
+        # The encoder's 4 wire chains split off ansatz layer 1's and run
+        # first, so every shifted row forks after the boundary.
+        suffix = backend._plan_for(base).suffix()
+        assert (suffix.boundary, len(suffix.plan.steps)) == (3, 35)
         got = backend.observed_probabilities_batch(tagged)
         want = backend.observed_probabilities_batch(untagged(tagged))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -178,6 +229,73 @@ class TestSuffixRows:
             np.testing.assert_allclose(
                 got[row],
                 ref.observed_probabilities(circuits[row], backend.noise_model),
+                rtol=0,
+                atol=1e-12,
+            )
+
+
+def fresh_evolve(plan, sweep: Sweep) -> np.ndarray:
+    """Every row's ``(2^n, 2^n)`` density matrix after ``plan``."""
+    dim = 2**sweep.n_qubits
+    tensor = np.zeros((sweep.size, dim * dim), dtype=np.complex128)
+    tensor[:, 0] = 1.0
+    tensor = tensor.reshape((sweep.size,) + (2,) * (2 * sweep.n_qubits))
+    return plan.run(tensor, sweep, fresh=True).reshape(-1, dim, dim)
+
+
+def wire_tokens(plan) -> dict[int, list]:
+    """Per wire, what acts on it in plan order: a wire chain's factors,
+    or another step by the identity of its field values (which the
+    suffix plan's copies share with the forward plan's steps)."""
+    tokens: dict[int, list] = {w: [] for w in range(plan.n_qubits)}
+    for step in plan.steps:
+        if isinstance(step, WireChainStep):
+            tokens[step.wire] += [id(f) for f in step.factors]
+            continue
+        token = tuple(
+            id(getattr(step, f.name)) for f in dataclasses.fields(step)
+        )
+        for wire in step.wires:
+            tokens[wire].append(token)
+    return tokens
+
+
+class TestDataFirstLowering:
+    """The suffix plan's own data-first copy of the forward plan."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.one_of(cases(), cases(reupload=True)))
+    def test_copy_replays_the_forward_plan(self, case):
+        backend = NoisyBackend.from_device_name(
+            case["device"], noise_scale=case["scale"]
+        )
+        tagged, _ = shift_sweep(
+            CircuitBatch(case["circuits"]), case["subset"], case["shift"]
+        )
+        sweep = untagged(tagged)
+        plan = backend._plan_for(sweep)
+        copy = plan.suffix().plan
+        assert copy is not plan
+        assert not set(map(id, copy.steps)) & set(map(id, plan.steps))
+
+        # Each source position consumed exactly once, by both plans.
+        consumed = [p for ps in copy._step_positions for p in ps]
+        assert len(consumed) == len(set(consumed))
+        assert sorted(consumed) == sorted(
+            p for ps in plan._step_positions for p in ps
+        )
+        # Each wire's factors and steps keep their order.
+        assert wire_tokens(copy) == wire_tokens(plan)
+
+        got = fresh_evolve(copy, sweep)
+        np.testing.assert_allclose(
+            got, fresh_evolve(plan, sweep), rtol=0, atol=1e-12
+        )
+        circuits = sweep.circuits()
+        for row in (0, sweep.size - 1):
+            np.testing.assert_allclose(
+                got[row],
+                ref.density_matrix(circuits[row], backend.noise_model),
                 rtol=0,
                 atol=1e-12,
             )
