@@ -221,15 +221,17 @@ class NoisyBackend(Backend):
         One batched density evolution, readout confusion applied
         batch-wide, then the layout traced down to the logical qubits.
         A shift sweep (``sweep.shifts``) contracts its rows against the
-        plan's Heisenberg-picture suffix instead of replaying it.
+        plan's Heisenberg-picture suffix instead of replaying it, up to
+        :data:`~repro.sim.compile.SUFFIX_MAX_QUBITS` qubits.
         """
         plan = self._plan_for(sweep)
-        if sweep.shifts is None:
+        suffix = None if sweep.shifts is None else plan.suffix()
+        if suffix is None:
             rho = BatchedDensityMatrix(sweep.n_qubits, sweep.size)
             probs = rho.evolve(sweep, plan=plan).probabilities()
         else:
             probs = _measurement.normalized_probabilities(
-                plan.suffix().diagonals(sweep)
+                suffix.diagonals(sweep)
             )
         confusions = self.noise_model.readout_confusions(sweep.n_qubits)
         probs = _measurement.apply_readout_error_batch(probs, confusions)

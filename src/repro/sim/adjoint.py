@@ -141,7 +141,11 @@ def adjoint_expectation_and_jacobian_batch(
     # for the forward pass — unsupported trainable gates fail up front.
     adjoint = plan.adjoint()
     size = batch.size
-    state = BatchedStatevector(n_qubits, size).evolve(batch, plan=plan)
+    # One preparation serves the forward replay and the backward pass.
+    matrices = plan.prepare(batch)
+    state = BatchedStatevector(n_qubits, size).evolve(
+        batch, plan=plan, matrices=matrices
+    )
     signs = _observable_signs(n_qubits, obs)
     if observables is None:
         expectations = state.expectation_z()
@@ -162,7 +166,7 @@ def adjoint_expectation_and_jacobian_batch(
         )
         combined[:, 0] = state.tensor
         np.multiply(state.tensor[:, None], signs, out=combined[:, 1:])
-        adjoint.run(combined, batch, jacobian)
+        adjoint.run(combined, batch, jacobian, matrices)
     return expectations, jacobian
 
 

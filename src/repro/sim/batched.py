@@ -79,7 +79,7 @@ class BatchedStatevector:
 
     # -- evolution ------------------------------------------------------
 
-    def evolve(self, batch, plan=None) -> "BatchedStatevector":
+    def evolve(self, batch, plan=None, matrices=None) -> "BatchedStatevector":
         """Run a :class:`~repro.circuits.batch.CircuitBatch` on the stack.
 
         Replays the batch structure's compiled :class:`~repro.sim.
@@ -93,6 +93,9 @@ class BatchedStatevector:
             batch: The stacked circuits to run.
             plan: Compiled statevector plan for the batch's structure;
                 ``None`` compiles one for this call.
+            matrices: ``plan.prepare(batch)``, for a caller that hands
+                the same prepared stacks on (the adjoint sweep's
+                backward pass); ``None`` prepares them in the replay.
         """
         if batch.n_qubits != self.n_qubits:
             raise ValueError(
@@ -109,7 +112,9 @@ class BatchedStatevector:
         _compile.check_plan(
             plan, "statevector", self.n_qubits, len(batch.templates)
         )
-        self._tensor = plan.run(self._tensor, batch, fresh=self._fresh)
+        self._tensor = plan.run(
+            self._tensor, batch, fresh=self._fresh, matrices=matrices
+        )
         self._fresh = False
         return self
 

@@ -73,7 +73,12 @@ tensor, instead of one GEMM per gate:
   Only rows shifted at or before its last step (a trainable gate
   ahead of the encoder, as in data re-uploading, or fused into one
   step with an encoder gate) replay their prefix as a trie up to
-  that step.
+  that step.  Matrices are prepared once for the base rows (shared
+  by the operators, the prefix and the base advance) and once for one
+  forked row per distinct value of each step's own angles, whose
+  operand is gathered to the step's rows like a trie node's.
+  Registers wider than :data:`SUFFIX_MAX_QUBITS` replay instead: the
+  kept operators grow as ``8^n``.
 * **Buffers** — a replay (forward or adjoint) takes every state-sized
   array — fork copies, transposed operands, step outputs, the leaves
   scatter it returns — from a per-thread pool of recycled buffers
@@ -905,6 +910,26 @@ def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return ranks, [o[f] for o, f in zip(order, first)]
 
 
+def _dedupe(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``(N, C)`` int64 ``keys``, from one lexsort.
+
+    Returns each distinct row's first occurrence, in lexicographic order
+    (column 0 most significant), and every row's index into them: what
+    ``np.unique(keys, axis=0, return_index=True, return_inverse=True)``
+    returns, without its structured-dtype sort.  Columns equal in every
+    row order nothing, so the sort skips them.
+    """
+    n_rows = keys.shape[0]
+    keys = keys[:, (keys != keys[:1]).any(axis=0)]
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n_rows)
+    ordered = keys[order]
+    new = np.ones(n_rows, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(n_rows, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _prefix_trie(
     bits: np.ndarray, step_columns: list
 ) -> _Schedule | None:
@@ -1041,8 +1066,18 @@ class ExecutionPlan:
         #: (steps defer it — see _Layout).
         self._restore = layout.restore()
 
+    def prepare(self, params) -> list:
+        """Every row's prepared stacks for ``params``, per source
+        position, for a caller that hands one preparation to
+        :meth:`run` and :meth:`AdjointPlan.run`."""
+        return _prepare_matrices(self._param_groups, self.n_source_ops, params)
+
     def run(
-        self, tensor: np.ndarray, params, fresh: bool = False
+        self,
+        tensor: np.ndarray,
+        params,
+        fresh: bool = False,
+        matrices: list | None = None,
     ) -> np.ndarray:
         """Evolve a stacked ``(B,) + (2,)*n`` (or ``*2n``) tensor.
 
@@ -1054,12 +1089,17 @@ class ExecutionPlan:
             fresh: The caller's promise that every row of ``tensor`` is
                 the same freshly prepared state.  Only then may a sweep
                 replay as a prefix trie from a single starting row.
+            matrices: ``prepare(params)``, if the caller already holds
+                it (every row's stacks, so the plain replay runs);
+                ``None`` prepares here.
 
         Returns:
             The evolved ``(B, ...)`` tensor, one row per input row.
         """
         pool = _pool_for(tensor.nbytes)
-        tensor = self._replay(tensor, params, fresh, len(self.steps), pool)
+        tensor = self._replay(
+            tensor, params, fresh, len(self.steps), pool, matrices=matrices
+        )
         if self._restore is not None:
             tensor = tensor.transpose(self._restore)
         return tensor
@@ -1072,13 +1112,19 @@ class ExecutionPlan:
         stop: int,
         pool,
         min_work: int | None = None,
+        matrices: list | None = None,
     ):
         """Steps ``[0, stop)`` over every row, left in the layout after
-        step ``stop - 1``.  A fresh ``tensor`` may be a single row."""
-        schedule = self._schedule(params, fresh, stop, min_work)
-        matrices = _prepare_matrices(
-            self._param_groups, self.n_source_ops, params, schedule.rows
-        )
+        step ``stop - 1``.  A fresh ``tensor`` may be a single row.
+        Given ``matrices`` (``prepare(params)``), the plain replay runs
+        on them."""
+        if matrices is not None:
+            schedule = self._plain
+        else:
+            schedule = self._schedule(params, fresh, stop, min_work)
+            matrices = _prepare_matrices(
+                self._param_groups, self.n_source_ops, params, schedule.rows
+            )
         owned = False
         if schedule.leaves is not None:
             tensor = tensor[:1]
@@ -1156,10 +1202,12 @@ class ExecutionPlan:
             self._adjoint = AdjointPlan(self)
         return self._adjoint
 
-    def suffix(self) -> "SuffixPlan":
+    def suffix(self) -> "SuffixPlan | None":
         """The plan's Heisenberg-picture suffix lowering, built lazily
-        and cached on the plan like :meth:`adjoint`."""
-        if self._suffix is None:
+        and cached on the plan like :meth:`adjoint`; ``None`` for a
+        register wider than :data:`SUFFIX_MAX_QUBITS`, whose shift
+        sweeps replay."""
+        if self._suffix is None and self.n_qubits <= SUFFIX_MAX_QUBITS:
             self._suffix = SuffixPlan(self)
         return self._suffix
 
@@ -1492,7 +1540,11 @@ class AdjointPlan:
         self._restore = layout.restore()
 
     def run(
-        self, combined: np.ndarray, params, jacobian: np.ndarray
+        self,
+        combined: np.ndarray,
+        params,
+        jacobian: np.ndarray,
+        matrices: list | None = None,
     ) -> np.ndarray:
         """Reverse-replay the plan over a circuit-major ket/bra stack.
 
@@ -1506,14 +1558,15 @@ class AdjointPlan:
             jacobian: ``(B, T, n_params)`` float64 accumulator; entry
                 ``(b, t, i)`` receives ``d<O_t>/d theta_i`` of circuit
                 ``b``, occurrences summed.
+            matrices: The forward pass's ``plan.prepare(params)``;
+                ``None`` prepares here.
 
         Returns:
             The fully un-applied ``(B, 1 + T) + (2,) * n`` stack (ket
             rows back at ``|0>`` up to roundoff).
         """
-        matrices = _prepare_matrices(
-            self.plan._param_groups, self.plan.n_source_ops, params
-        )
+        if matrices is None:
+            matrices = self.plan.prepare(params)
         batch = combined.shape[0]
         pool = _pool_for(combined.nbytes)
         tensor = combined.reshape((-1,) + combined.shape[2:])
@@ -1539,6 +1592,17 @@ class AdjointPlan:
 # transpose (for a unitary block, U^dagger on the ket axes and U^T on the
 # bra axes), a diagonal its conjugate factor, a permutation the inverse
 # gather.
+
+#: Widest register whose shift sweeps contract against a suffix; wider
+#: ones replay.  Each kept operator set is ``16 * 8^n`` bytes and the
+#: backward pass grows with it: shifting half the parameters of 8 base
+#: rows through an encoder and a ``ry, rzz, rz`` x 2 ansatz, the suffix
+#: took 0.81x the replay's time at 5 qubits and 1.37x at 6 (2-core
+#: x86 host), and a 7-qubit sweep peaked at 1.29 GB RSS against the
+#: replay's 166 MB.  A fixed width, so the choice never depends on the
+#: batch.
+SUFFIX_MAX_QUBITS = 5
+
 
 def _dagger(matrices: np.ndarray) -> np.ndarray:
     return matrices.conj().swapaxes(-1, -2)
@@ -1677,9 +1741,21 @@ class SuffixPlan:
     shifted at or before it (a trainable gate ahead of the encoder or
     fused into one step with an encoder gate) replays its prefix (one
     trie with its base rows) through the boundary and meets the
-    operators kept there.  So a row's bits
-    depend only on its base row and shifted position, never on the
-    rest of the batch.
+    operators kept there.  So a row's bits depend only on its base row
+    and shifted position, never on the rest of the batch.
+
+    Each value is computed once, where it first appears.  The base rows
+    are prepared once, and that one preparation serves the operators
+    (sliced at one base row per distinct value of the suffix angles),
+    the prefix replay and the base rows' advance; with one such value,
+    each step's operand is composed once for the operators and the
+    advance.  The forked rows are prepared and composed once per
+    distinct value of their step's own angles (two per shifted position
+    when the base rows share theta), and the operand is gathered to the
+    step's rows, as the prefix trie does for its nodes.  Each kept
+    operator set is ``16 * 8^n`` bytes, so plans wider than
+    :data:`SUFFIX_MAX_QUBITS` build none (see :meth:`ExecutionPlan.
+    suffix`).
     """
 
     def __init__(self, plan: ExecutionPlan):
@@ -1707,12 +1783,6 @@ class SuffixPlan:
             ),
             default=-1,
         )
-        #: Source positions whose angles the steps after the boundary read.
-        self._suffix_positions = [
-            p
-            for positions in plan._step_positions[self.boundary + 1:]
-            for p in positions
-        ]
         # The backward stack is one tensor whose last axis is the
         # operator index, a spectator every step leaves in place: each
         # twin is one matmul or multiply, however many operators.
@@ -1744,10 +1814,17 @@ class SuffixPlan:
         order = (2 * self.plan.n_qubits + 1, 0) + self.plan._perms[index][1:]
         return tuple(int(inverse[axis]) for axis in order)
 
-    def _operators(self, matrices, pool) -> dict[int, np.ndarray]:
-        """``S^dagger(P_x)`` at every kept boundary, from batch-1
-        ``matrices``, each as the ``(2^n, 2*4^n)`` float64 view of the
-        forward layout there."""
+    def _operands(self, matrices) -> dict[int, np.ndarray]:
+        """Each forward operand after the boundary, by step index."""
+        return {
+            index: self.plan.steps[index].operand(matrices)
+            for index in range(self.boundary + 1, len(self.plan.steps))
+        }
+
+    def _operators(self, operands, pool) -> dict[int, np.ndarray]:
+        """``S^dagger(P_x)`` at every kept boundary, from batch-1 forward
+        ``operands`` (see :meth:`_operands`), each as the ``(2^n,
+        2*4^n)`` float64 view of the forward layout there."""
         dim = self._projectors.shape[-1]
 
         def kept(tensor, keep):
@@ -1759,7 +1836,7 @@ class SuffixPlan:
         for index, twin, adjoint, keep in self._twins:
             if keep is not None:
                 operators[index] = kept(tensor, keep)
-            operand = self.plan.steps[index].operand(matrices)
+            operand = operands[index]
             if adjoint is not None:
                 operand = adjoint(operand)
             tensor = twin.apply(tensor, operand, owned, pool)
@@ -1775,9 +1852,6 @@ class SuffixPlan:
         forward replay's to roundoff."""
         base, rows, positions = sweep.shifts
         plan, boundary = self.plan, self.boundary
-        prepare = functools.partial(
-            _prepare_matrices, plan._param_groups, plan.n_source_ops
-        )
         steps_of = self._step_of[positions]
         late = np.flatnonzero(steps_of > boundary)
         early = np.flatnonzero(steps_of <= boundary)
@@ -1787,36 +1861,48 @@ class SuffixPlan:
             max(n_base + early.size, late_counts.max())
             * self._fresh.nbytes
         )
+        step_columns = [
+            [c for p in used for c in base.template.column_list(p)]
+            for used in plan._step_positions
+        ]
 
         # One set of operators per distinct value of the suffix angles,
-        # each prepared from one base row alone, at batch 1.
-        template = base.template
-        columns = [
-            c for p in self._suffix_positions for c in template.column_list(p)
-        ]
-        bits = base.angles[:, columns].view(np.int64)
-        if (bits == bits[:1]).all():
-            groups = np.zeros(base.size, dtype=np.intp)
-            representatives = [0]
-        else:
-            _, representatives, groups = np.unique(
-                bits, axis=0, return_index=True, return_inverse=True
+        # each from one base row's slices of the base rows' stacks (a
+        # stack the rows share stays whole).  Preparation is elementwise,
+        # so a slice holds the bits preparing that row alone gives.
+        base_matrices = plan.prepare(base)
+        columns = list(itertools.chain(*step_columns[boundary + 1:]))
+        representatives, groups = _dedupe(
+            base.angles[:, columns].view(np.int64)
+        )
+        operands = [
+            self._operands(
+                [
+                    m if m is None or len(m) == 1 else m[r : r + 1]
+                    for m in base_matrices
+                ]
             )
-            groups = groups.reshape(-1)
-        prepared = [
-            prepare(base, [np.array([r])] * len(plan.steps))
             for r in representatives
         ]
-        operators = [self._operators(m, pool) for m in prepared]
+        operators = [self._operators(o, pool) for o in operands]
         row_groups = groups[rows]
 
         out = np.empty((sweep.size, self._projectors.shape[-1]))
         if n_base + early.size:
-            prefix = _rows_of((base, np.arange(n_base)), (sweep, early))
-            # Its rows share their base rows' prefixes by construction:
-            # always a trie.
+            prefix, matrices = base, base_matrices
+            if early.size:
+                # Its rows share their base rows' prefixes by
+                # construction: always a trie.
+                prefix = _rows_of((base, np.arange(n_base)), (sweep, early))
+                matrices = None
             state = plan._replay(
-                self._fresh, prefix, True, boundary + 1, pool, min_work=0
+                self._fresh,
+                prefix,
+                True,
+                boundary + 1,
+                pool,
+                min_work=0,
+                matrices=matrices,
             )
             if early.size:
                 out[early] = _overlaps(
@@ -1825,35 +1911,52 @@ class SuffixPlan:
             state = state[:n_base]
         if not late.size:
             return out
-        # Fork each late row off its base row just before its step.  With
-        # one group, the base rows share every operand after the boundary.
-        base_matrices = prepared[0] if len(prepared) == 1 else prepare(base)
-        order = late[np.argsort(steps_of[late], kind="stable")]
-        starts = np.concatenate(([0], np.cumsum(late_counts)))
-        selections = [
-            np.arange(starts[index], starts[index + 1])
-            if index < late_counts.size
-            else _NO_ROWS
-            for index in range(len(plan.steps))
+
+        # Fork each late row off its base row just before its step.  Its
+        # operand is composed once per distinct value of the step's own
+        # angles (keys padded by repeating a column) and gathered.
+        late_steps = steps_of[late]
+        width = max(map(len, step_columns))
+        table = np.array([((c or [0]) * width)[:width] for c in step_columns])
+        keys = np.empty((late.size, 1 + width), dtype=np.int64)
+        keys[:, 0] = late_steps
+        keys[:, 1:] = sweep.angles.view(np.int64)[
+            late[:, None], table[late_steps]
         ]
-        fork_matrices = prepare(_rows_of((sweep, order)), selections)
+        first, inverse = _dedupe(keys)
+        firsts = np.searchsorted(
+            late_steps[first], np.arange(len(plan.steps) + 1)
+        )
+        fork_matrices = _prepare_matrices(
+            plan._param_groups,
+            plan.n_source_ops,
+            sweep,
+            [late[first[a:b]] for a, b in zip(firsts, firsts[1:])],
+        )
+        order = np.argsort(late_steps, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(late_counts)))
+        shared = operands[0] if len(operands) == 1 else None
         last = late_counts.size - 1
         owned = False  # no step may have run since the fresh row
         for index in range(boundary + 1, last + 1):
             step = plan.steps[index]
             if late_counts[index]:
-                members = order[selections[index]]
+                chosen = order[starts[index] : starts[index + 1]]
+                members = late[chosen]
+                operand = step.operand(fork_matrices)
+                operand = operand[inverse[chosen] - firsts[index]]
                 forked = _take_rows(state, rows[members], pool)
-                forked = step.apply(
-                    forked, step.operand(fork_matrices), True, pool
-                )
+                forked = step.apply(forked, operand, True, pool)
                 out[members] = _overlaps(
                     forked, operators, row_groups[members], index
                 )
             if index < last:
-                state = step.apply(
-                    state, step.operand(base_matrices), owned, pool
+                operand = (
+                    shared[index]
+                    if shared is not None
+                    else step.operand(base_matrices)
                 )
+                state = step.apply(state, operand, owned, pool)
                 owned = True
         return out
 

@@ -16,6 +16,9 @@ replaying every row's whole noisy suffix.  The contract pinned here:
 * the suffix's data-first copy of the plan consumes every source
   position once, keeps each wire's order and replays like the forward
   plan;
+* the base rows are prepared once per sweep and a forked row's operand
+  once per distinct value of its step's angles, and registers wider
+  than ``SUFFIX_MAX_QUBITS`` replay instead;
 * the meter still counts every shifted row under ``"gradient"``, and
   the execute-batch fault site fires once per call;
 * every other consumer — transpiled execution, ``IdealBackend``,
@@ -43,7 +46,8 @@ from repro.gradients.parameter_shift import (
 from repro.hardware import IdealBackend, NoisyBackend
 from repro.parallel import ShardedBackend
 from repro.resilience import faults
-from repro.sim.compile import WireChainStep
+from repro.sim import compile as compile_module
+from repro.sim.compile import SUFFIX_MAX_QUBITS, WireChainStep, _dedupe
 from repro.training import TrainingConfig, TrainingEngine
 
 import dense_reference as ref
@@ -128,6 +132,22 @@ def cases(draw, reupload=False):
     }
 
 
+def mnist4_sweep(n_selected: int):
+    """The benchmark's shift sweep on ``ibmq_jakarta``: 8 mnist4
+    examples sharing theta, ``n_selected`` of 36 parameters shifted.
+    Returns the backend, the base sweep and the tagged sweep."""
+    backend = NoisyBackend.from_device_name("ibmq_jakarta", seed=0)
+    engine = TrainingEngine(
+        TrainingConfig(task="mnist4", steps=1, batch_size=8), backend
+    )
+    features = engine.train_data.features[:8]
+    base = engine.architecture.sweep(features, engine.theta)
+    rng = np.random.default_rng(n_selected)
+    subset = sorted(rng.choice(36, n_selected, replace=False).tolist())
+    tagged, _ = shift_sweep(base, subset)
+    return backend, base, tagged
+
+
 def early_rows(backend, tagged: Sweep) -> np.ndarray:
     """Which rows are shifted at or before the suffix boundary: they
     replay their prefix instead of forking at their own step."""
@@ -207,15 +227,7 @@ class TestSuffixRows:
     @pytest.mark.parametrize("n_selected", [18, 36])
     def test_mnist4_on_jakarta(self, n_selected):
         """The benchmark's sweeps: 8 examples, pruned and full."""
-        backend = NoisyBackend.from_device_name("ibmq_jakarta", seed=0)
-        engine = TrainingEngine(
-            TrainingConfig(task="mnist4", steps=1, batch_size=8), backend
-        )
-        features = engine.train_data.features[:8]
-        base = engine.architecture.sweep(features, engine.theta)
-        rng = np.random.default_rng(n_selected)
-        subset = sorted(rng.choice(36, n_selected, replace=False).tolist())
-        tagged, _ = shift_sweep(base, subset)
+        backend, base, tagged = mnist4_sweep(n_selected)
         assert tagged.size == 2 * n_selected * 8
         # The encoder's 4 wire chains split off ansatz layer 1's and run
         # first, so every shifted row forks after the boundary.
@@ -299,6 +311,93 @@ class TestDataFirstLowering:
                 rtol=0,
                 atol=1e-12,
             )
+
+
+def preparations(monkeypatch, suffix, tagged) -> list:
+    """The ``rows`` argument of each ``_prepare_matrices`` call that one
+    ``suffix.diagonals(tagged)`` call makes."""
+    calls = []
+    prepare = compile_module._prepare_matrices
+
+    def record(groups, n_ops, params, rows=None):
+        calls.append(rows)
+        return prepare(groups, n_ops, params, rows)
+
+    monkeypatch.setattr(compile_module, "_prepare_matrices", record)
+    suffix.diagonals(tagged)
+    return calls
+
+
+class TestOperandLayer:
+    """Each operand value is prepared and composed once per sweep."""
+
+    @pytest.mark.parametrize("n_selected", [18, 36])
+    def test_two_preparations_per_sweep(self, monkeypatch, n_selected):
+        """The base rows once (operators, prefix replay and advance),
+        then the forked rows' representatives."""
+        backend, base, tagged = mnist4_sweep(n_selected)
+        calls = preparations(
+            monkeypatch, backend._plan_for(base).suffix(), tagged
+        )
+        assert len(calls) == 2
+        assert calls[0] is None  # every base row
+
+    @pytest.mark.parametrize("n_selected", [18, 36])
+    def test_one_fork_operand_per_position_and_sign(
+        self, monkeypatch, n_selected
+    ):
+        """With theta shared, a late step's rows hold two angle values
+        per shifted position: one representative row each."""
+        backend, base, tagged = mnist4_sweep(n_selected)
+        suffix = backend._plan_for(base).suffix()
+        _, forks = preparations(monkeypatch, suffix, tagged)
+        positions = tagged.shifts.positions
+        steps = suffix._step_of[positions]
+        assert len(forks) == len(suffix.plan.steps)
+        for index, selected in enumerate(forks):
+            shifted = set(positions[steps == index].tolist())
+            # Rows alternate plus, minus per shifted occurrence.
+            signs = {(int(positions[r]), int(r % 2)) for r in selected}
+            assert len(selected) == len(signs) == 2 * len(shifted)
+            assert signs == {(p, sign) for p in shifted for sign in (0, 1)}
+
+
+class TestDedupe:
+    @pytest.mark.parametrize(
+        "shape", [(1, 3), (1, 0), (6, 0), (40, 1), (40, 4), (200, 6)]
+    )
+    def test_agrees_with_unique(self, shape):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        # Four values per column, so rows repeat; every other column
+        # spans the int64 range, signs included.
+        scale = np.where(np.arange(shape[1]) % 2, 1, 2**61)
+        keys = rng.integers(-2, 2, shape) * scale
+        first, inverse = _dedupe(keys)
+        _, want_first, want_inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+
+class TestWidthBound:
+    def test_wide_registers_replay(self):
+        """Past ``SUFFIX_MAX_QUBITS`` the operators outgrow the replay:
+        a 6-qubit tagged sweep replays, bit for bit its untagged rows,
+        and its plan builds no suffix."""
+        assert SUFFIX_MAX_QUBITS < 6
+        rng = np.random.default_rng(6)
+        circuits = base_circuits(
+            rng, 6, ["ry", "rzz"], 2, encode=True, shared_theta=True
+        )
+        tagged, _ = shift_sweep(CircuitBatch(circuits), [0, 3, 7])
+        backend = NoisyBackend.from_device_name("ibmq_jakarta")
+        got = backend.observed_probabilities_batch(tagged)
+        assert np.array_equal(
+            got, backend.observed_probabilities_batch(untagged(tagged))
+        )
+        plan = backend._plan_for(tagged)
+        assert plan._suffix is None and plan.suffix() is None
 
 
 def small_gradient_case():
